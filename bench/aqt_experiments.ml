@@ -1103,23 +1103,31 @@ let noise_robustness rb =
            exogenous traffic outside the adversary's budget. *)
         let prng = Aqt_util.Prng.create 2718 in
         let m_edges = D.n_edges gadget.graph in
+        let noise =
+          Array.init m_edges (fun e : Network.injection ->
+              { route = [| e |]; tag = "noise" })
+        in
+        let hit = Array.make m_edges false in
         let result =
           match
             while List.length !seeds <= cfg.cycles do
               let t = Network.now net + 1 in
               base.Sim.before_step net t;
               let injections = base.Sim.injections_at net t in
+              (* Coins in edge order, then the injection list built back to
+                 front so it is in edge order too. *)
               let exogenous =
                 if num = 0 then []
-                else
-                  List.concat
-                    (List.init m_edges (fun e ->
-                         if Aqt_util.Prng.bernoulli prng ~num ~den then
-                           [
-                             ({ route = [| e |]; tag = "noise" }
-                               : Network.injection);
-                           ]
-                         else []))
+                else begin
+                  for e = 0 to m_edges - 1 do
+                    hit.(e) <- Aqt_util.Prng.bernoulli prng ~num ~den
+                  done;
+                  let acc = ref [] in
+                  for e = m_edges - 1 downto 0 do
+                    if hit.(e) then acc := noise.(e) :: !acc
+                  done;
+                  !acc
+                end
               in
               Network.step net ~exogenous injections;
               if t > cfg.max_steps then failwith "horizon exceeded"

@@ -27,7 +27,8 @@ exception Fail of failure
 let fail kind ?step detail = raise (Fail { kind; step; detail })
 
 (* Everything observable about a buffered packet.  Routes are compared as
-   lists so reroutes (which install fresh arrays) still compare by value. *)
+   lists: each engine holds rerouted routes in arrays of its own, so only
+   their values are comparable. *)
 let print_of_packet (p : P.t) =
   Printf.sprintf "#%d inj@%d hop=%d buf@%d route=[%s]" p.P.id p.P.injected_at
     p.P.hop p.P.buffered_at

@@ -55,8 +55,7 @@ let plan ~(params : Params.t) ~gadget ~k ~start ~total_old ~s_ingress =
 let old_packets net gadget ~k =
   let matching edge expected =
     List.filter
-      (fun (p : Aqt_engine.Packet.t) ->
-        Array.sub p.route p.hop (Array.length p.route - p.hop) = expected)
+      (fun p -> Aqt_engine.Packet.remaining_equals p expected)
       (Network.buffer_packets net edge)
   in
   let from_e =

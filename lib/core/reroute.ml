@@ -39,20 +39,51 @@ let check_new_edges ~rate net suffix =
   in
   go 0
 
-let shared_edge_exists packets =
-  match packets with
+(* Packets that share a route array and a hop get the same rewrite.  Routes
+   are interned, so that is every packet of one injected route waiting at
+   one edge: a Lemma 3.3 batch of thousands of packets falls into a few
+   dozen groups, and the checks and array building below run once per
+   group instead of once per packet. *)
+type group = {
+  route : int array;
+  hop : int;
+  first : int; (* id of the group's first packet, for error messages *)
+  mutable tail : int array; (* the rewritten route beyond the next edge *)
+}
+
+let rec find_group (p : Packet.t) = function
+  | [] -> None
+  | g :: rest ->
+      if g.route == p.route && g.hop = p.hop then Some g else find_group p rest
+
+(* The groups in order of first appearance, and each packet paired with its
+   group, in list order. *)
+let group_packets packets =
+  let groups = ref [] in
+  let assign (p : Packet.t) =
+    match find_group p !groups with
+    | Some g -> (p, g)
+    | None ->
+        let g = { route = p.route; hop = p.hop; first = p.id; tail = [||] } in
+        groups := g :: !groups;
+        (p, g)
+  in
+  let assigned = List.map assign packets in
+  (List.rev !groups, assigned)
+
+let rec mem_from (route : int array) e i =
+  i < Array.length route && (route.(i) = e || mem_from route e (i + 1))
+
+(* Some edge of the first remaining route lies on every remaining route. *)
+let shared_edge_exists = function
   | [] -> true
-  | (first : Packet.t) :: rest ->
-      let remaining (p : Packet.t) =
-        Array.to_seq (Array.sub p.route p.hop (Array.length p.route - p.hop))
+  | first :: rest ->
+      let rec from i =
+        i < Array.length first.route
+        && (List.for_all (fun g -> mem_from g.route first.route.(i) g.hop) rest
+           || from (i + 1))
       in
-      let candidate_edges = remaining first in
-      Seq.exists
-        (fun e ->
-          List.for_all
-            (fun (p : Packet.t) -> Seq.exists (Int.equal e) (remaining p))
-            rest)
-        candidate_edges
+      from first.hop
 
 let extend_all ~rate net ~packets ~suffix =
   if packets = [] || Array.length suffix = 0 then Ok ()
@@ -66,34 +97,36 @@ let extend_all ~rate net ~packets ~suffix =
       | Some p -> Error (Packet_absorbed p.id)
       | None -> Ok ()
     in
-    let* () = if shared_edge_exists packets then Ok () else Error No_shared_edge in
+    let groups, assigned = group_packets packets in
+    let* () =
+      if shared_edge_exists groups then Ok () else Error No_shared_edge
+    in
     let* () = check_new_edges ~rate net suffix in
-    (* Validate every extension before mutating anything. *)
+    (* Validate every extension before mutating anything.  Groups are in
+       first-appearance order, so the first failing group names the first
+       failing packet. *)
     let graph = Network.graph net in
-    let extended (p : Packet.t) = Array.append p.route suffix in
     let* () =
       let rec validate = function
         | [] -> Ok ()
-        | p :: rest ->
-            let route = extended p in
-            if Aqt_graph.Digraph.route_is_simple graph route then validate rest
+        | g :: rest ->
+            let route = Array.append g.route suffix in
+            if Aqt_graph.Digraph.route_is_simple graph route then begin
+              (* Network.reroute replaces everything beyond the next edge:
+                 keep the old remainder and append the suffix. *)
+              g.tail <-
+                Array.sub route (g.hop + 1) (Array.length route - g.hop - 1);
+              validate rest
+            end
             else
               Error
                 (Invalid_path
-                   (Format.asprintf "packet #%d: %a" p.Packet.id
+                   (Format.asprintf "packet #%d: %a" g.first
                       (Aqt_graph.Digraph.pp_route graph)
                       route))
       in
-      validate packets
+      validate groups
     in
-    List.iter
-      (fun (p : Packet.t) ->
-        (* Network.reroute replaces everything beyond the next edge; keep the
-           old remainder and append the suffix. *)
-        let keep =
-          Array.sub p.route (p.hop + 1) (Array.length p.route - p.hop - 1)
-        in
-        Network.reroute net p (Array.append keep suffix))
-      packets;
+    List.iter (fun (p, g) -> Network.reroute net p g.tail) assigned;
     Ok ()
   end

@@ -401,12 +401,15 @@ let step t ?(exogenous = []) injections =
 let reroute t (p : Packet.t) suffix =
   if Packet.is_absorbed p then
     invalid_arg "Network.reroute: packet already absorbed";
-  (* Copy-on-reroute: the current route may be a shared interned array, so
-     the rewrite always builds a fresh one. *)
-  let new_route =
-    Array.concat [ Array.sub p.route 0 (p.hop + 1); suffix ]
-  in
-  check_route t new_route;
+  (* The current route may be a shared interned array, so the rewrite is
+     assembled in a scratch array and interned like an injected route: a
+     batch of packets rewritten to the same contents shares one canonical
+     array, validated the first time those contents are seen. *)
+  let keep = p.hop + 1 in
+  let rewritten = Array.make (keep + Array.length suffix) 0 in
+  Array.blit p.route 0 rewritten 0 keep;
+  Array.blit suffix 0 rewritten keep (Array.length suffix);
+  let new_route = intern_route t rewritten in
   p.route <- new_route;
   p.reroutes <- p.reroutes + 1;
   t.reroutes <- t.reroutes + 1;

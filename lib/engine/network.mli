@@ -99,7 +99,9 @@ val reroute : t -> Packet.t -> int array -> unit
     hop), as in Lemma 3.3.  Mechanical validity is enforced here (the packet
     is buffered, the new route is a simple path); the adversary-side
     preconditions of the lemma — shared edge, new edges — are checked by
-    [Aqt.Reroute].
+    [Aqt.Reroute].  Rerouted routes are interned like injected ones: packets
+    rewritten to equal contents share one array, and the simple-path check
+    runs only the first time the table sees those contents.
     @raise Invalid_argument if the packet is absorbed or the route invalid. *)
 
 (** {1 Observation} *)

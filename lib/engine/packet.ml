@@ -22,6 +22,14 @@ let current_edge p =
   else p.route.(p.hop)
 
 let remaining p = Array.length p.route - p.hop
+
+let rec equal_from (route : int array) hop (expected : int array) i =
+  i >= Array.length expected
+  || (route.(hop + i) = expected.(i) && equal_from route hop expected (i + 1))
+
+let remaining_equals p expected =
+  remaining p = Array.length expected && equal_from p.route p.hop expected 0
+
 let traversed p = p.hop
 let is_absorbed p = p.hop >= Array.length p.route
 

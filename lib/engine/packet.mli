@@ -11,12 +11,12 @@
 
     Sharing rules of the fast path: [route] may be an interned canonical
     array shared with other packets ({!Route_intern}) — never mutate its
-    elements; route rewrites go through [Network.reroute], which installs a
-    fresh array.  When the owning network recycles packets
-    ([Network.create ~recycle:true]), a record may be reinitialised for a
-    new packet after absorption, so do not hold on to absorbed packets —
-    every field is mutable only to make that in-place reinitialisation
-    possible. *)
+    elements; route rewrites go through [Network.reroute], which installs
+    the interned array for the rewritten contents.  When the owning network
+    recycles packets ([Network.create ~recycle:true]), a record may be
+    reinitialised for a new packet after absorption, so do not hold on to
+    absorbed packets — every field is mutable only to make that in-place
+    reinitialisation possible. *)
 
 type t = {
   mutable id : int;
@@ -45,6 +45,10 @@ val current_edge : t -> int
 
 val remaining : t -> int
 (** Edges still to traverse, including the next one; 0 once absorbed. *)
+
+val remaining_equals : t -> int array -> bool
+(** Whether the remaining route (next edge onward) equals the array,
+    compared in place without copying. *)
 
 val traversed : t -> int
 (** Edges already crossed (= distance from source). *)

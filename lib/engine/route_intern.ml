@@ -10,9 +10,10 @@
    packets carrying the same route share storage and validation happens once
    per distinct route instead of once per packet.
 
-   The canonical arrays must never be mutated in place; [Network.reroute]
-   honours this by building a fresh (non-interned) array — copy-on-reroute
-   instead of copy-on-inject. *)
+   The canonical arrays must never be mutated in place.  Rerouted routes are
+   interned too: [Network.reroute] assembles the rewritten route in a
+   scratch array and interns it, so the packets of a Lemma 3.3 batch that
+   end up with equal routes share one array, validated once. *)
 
 (* Top-level so the comparison compiles to a plain recursive call: a local
    [let rec] would capture [a]/[b] in a closure allocated on every probe,

@@ -8,8 +8,9 @@
     per injection and nothing else.
 
     Canonical arrays are shared — they must never be mutated in place.
-    [Network.reroute] respects this by replacing a packet's route with a
-    fresh, non-interned array (copy-on-reroute).
+    Rerouted routes are interned as well: [Network.reroute] interns the
+    rewritten route, so packets rewritten to equal contents share one
+    array and the rewrite is validated once per distinct route.
 
     A table may be shared between several networks over the {e same} graph
     (e.g. every cell of a rate sweep) so the route set is validated and

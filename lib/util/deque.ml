@@ -1,3 +1,5 @@
+(* Capacities are 0 or 8 * 2^k (see [grow]), so ring positions wrap with
+   [land (cap - 1)] instead of an integer division. *)
 type 'a t = {
   mutable data : 'a array;
   mutable head : int; (* index of the front element *)
@@ -13,7 +15,7 @@ let grow d x =
   let ncap = if cap = 0 then 8 else 2 * cap in
   let ndata = Array.make ncap x in
   for i = 0 to d.len - 1 do
-    ndata.(i) <- d.data.((d.head + i) mod cap)
+    ndata.(i) <- d.data.((d.head + i) land (cap - 1))
   done;
   d.data <- ndata;
   d.head <- 0
@@ -21,20 +23,20 @@ let grow d x =
 let push_back d x =
   if d.len = Array.length d.data then grow d x;
   let cap = Array.length d.data in
-  d.data.((d.head + d.len) mod cap) <- x;
+  d.data.((d.head + d.len) land (cap - 1)) <- x;
   d.len <- d.len + 1
 
 let push_front d x =
   if d.len = Array.length d.data then grow d x;
   let cap = Array.length d.data in
-  d.head <- (d.head + cap - 1) mod cap;
+  d.head <- (d.head + cap - 1) land (cap - 1);
   d.data.(d.head) <- x;
   d.len <- d.len + 1
 
 let pop_front d =
   if d.len = 0 then raise Not_found;
   let x = d.data.(d.head) in
-  d.head <- (d.head + 1) mod Array.length d.data;
+  d.head <- (d.head + 1) land (Array.length d.data - 1);
   d.len <- d.len - 1;
   if d.len = 0 then d.head <- 0;
   x
@@ -42,7 +44,7 @@ let pop_front d =
 let pop_back d =
   if d.len = 0 then raise Not_found;
   let cap = Array.length d.data in
-  let x = d.data.((d.head + d.len - 1) mod cap) in
+  let x = d.data.((d.head + d.len - 1) land (cap - 1)) in
   d.len <- d.len - 1;
   if d.len = 0 then d.head <- 0;
   x
@@ -51,7 +53,7 @@ let peek_front d = if d.len = 0 then raise Not_found else d.data.(d.head)
 
 let peek_back d =
   if d.len = 0 then raise Not_found
-  else d.data.((d.head + d.len - 1) mod Array.length d.data)
+  else d.data.((d.head + d.len - 1) land (Array.length d.data - 1))
 
 (* Option-returning variants: the engine's hot dequeue path must not use
    exceptions as control flow (raising allocates and defeats flambda). *)
@@ -62,11 +64,11 @@ let peek_front_opt d = if d.len = 0 then None else Some d.data.(d.head)
 
 let peek_back_opt d =
   if d.len = 0 then None
-  else Some d.data.((d.head + d.len - 1) mod Array.length d.data)
+  else Some d.data.((d.head + d.len - 1) land (Array.length d.data - 1))
 
 let get d i =
   if i < 0 || i >= d.len then invalid_arg "Deque.get";
-  d.data.((d.head + i) mod Array.length d.data)
+  d.data.((d.head + i) land (Array.length d.data - 1))
 
 let iter f d =
   for i = 0 to d.len - 1 do

@@ -22,7 +22,8 @@ let bucket_range i =
 
 let record t v =
   if v < 0 then invalid_arg "Histo.record: negative value";
-  t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
+  let b = bucket_of v in
+  t.counts.(b) <- t.counts.(b) + 1;
   t.total <- t.total + 1;
   if v > t.max_value then t.max_value <- v
 

@@ -6,7 +6,8 @@
    private table, no recycling) on the same injection schedule: same
    per-step recorder trajectory, same buffer contents, same aggregate
    statistics.  Randomised over graphs, policies and schedules, including
-   reroute-heavy runs (reroutes build fresh arrays next to interned ones). *)
+   reroute-heavy runs (rerouted routes are interned into the same table as
+   injected ones, shared in the fast configuration). *)
 
 module D = Aqt_graph.Digraph
 module B = Aqt_graph.Build

@@ -10,6 +10,7 @@ module Reroute = Aqt.Reroute
 
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
+let check_string = Alcotest.(check string)
 let rate = R.make 3 5 (* 1/2 + 1/10; ceil(1/r) = 2 *)
 
 let inj route : N.injection = { route; tag = "t" }
@@ -152,6 +153,109 @@ let check_new_edges_direct () =
   check_bool "used edges are stale" true
     (Result.is_error (Reroute.check_new_edges ~rate net [| l.edges.(0) |]))
 
+(* Route groups: packets sharing a route array and a hop get one rewrite,
+   and the rewritten routes are interned, so equal contents share one
+   array even across groups. *)
+module Intern = Aqt_engine.Route_intern
+
+let buffered net (l : B.line) e = N.buffer_packets net l.edges.(e)
+
+let groups_share_interned_routes () =
+  let l = B.line 6 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  let a = Array.sub l.edges 0 3 and b = Array.sub l.edges 1 2 in
+  N.step net [ inj a; inj a ];
+  N.step net [ inj a; inj a; inj b ];
+  (* e0 holds three A packets at hop 0; e1 one A packet at hop 1 and the
+     B packet: three groups, two distinct rewritten contents. *)
+  let packets = buffered net l 0 @ buffered net l 1 in
+  check_int "five packets" 5 (List.length packets);
+  let is_a (p : Packet.t) = Array.length p.route = 3 in
+  let hops =
+    List.sort_uniq compare
+      (List.map (fun (p : Packet.t) -> (is_a p, p.hop)) packets)
+  in
+  check_int "three groups" 3 (List.length hops);
+  let a_packets, b_packets = List.partition is_a packets in
+  let table = N.route_table net in
+  let misses = Intern.misses table in
+  let suffix = [| l.edges.(3); l.edges.(4) |] in
+  (match Reroute.extend_all ~rate net ~packets ~suffix with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "unexpected: %a" Reroute.pp_error e);
+  check_int "one miss per distinct new route" (misses + 2)
+    (Intern.misses table);
+  let shared = (List.hd a_packets).Packet.route in
+  check_bool "A rewritten" true (shared = Array.sub l.edges 0 5);
+  List.iter
+    (fun (p : Packet.t) ->
+      check_bool "A packets share one array" true (p.route == shared);
+      check_int "rerouted once" 1 p.reroutes)
+    a_packets;
+  List.iter
+    (fun (p : Packet.t) ->
+      check_bool "B rewritten" true (p.route = Array.sub l.edges 1 4);
+      check_bool "B has its own array" false (p.route == shared))
+    b_packets;
+  check_int "reroute count" 5 (N.reroute_count net)
+
+let failing_second_group_is_atomic () =
+  let l = B.line 6 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  let r1 = Array.sub l.edges 1 2 and r2 = Array.sub l.edges 1 1 in
+  N.step net [ inj r1; inj r2; inj r1; inj r2 ];
+  (* Interleave the two groups: R1 extends to a simple path, R2 does not
+     (e1 then e3 skips e2), and R2's first packet is second in the list. *)
+  let packets = buffered net l 1 in
+  check_int "four packets" 4 (List.length packets);
+  let first_bad =
+    List.find (fun (p : Packet.t) -> Array.length p.route = 1) packets
+  in
+  check_bool "first group valid" true
+    (Array.length (List.hd packets).Packet.route = 2);
+  let before = List.map (fun (p : Packet.t) -> p.route) packets in
+  let table = N.route_table net in
+  let distinct = Intern.distinct table in
+  let suffix = [| l.edges.(3); l.edges.(4) |] in
+  (match Reroute.extend_all ~rate net ~packets ~suffix with
+  | Error (Reroute.Invalid_path msg) ->
+      check_string "names the first failing packet"
+        (Format.asprintf "packet #%d: %a" first_bad.id
+           (Aqt_graph.Digraph.pp_route l.graph)
+           (Array.append r2 suffix))
+        msg
+  | _ -> Alcotest.fail "second group must fail validation");
+  List.iter2
+    (fun (p : Packet.t) route ->
+      check_bool "route untouched" true (p.route == route);
+      check_int "not rerouted" 0 p.reroutes)
+    packets before;
+  check_int "nothing interned" distinct (Intern.distinct table);
+  check_int "no reroutes" 0 (N.reroute_count net)
+
+let reroute_validates_unseen_content () =
+  let l = B.line 4 in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  N.step net [ inj (Array.sub l.edges 0 2) ];
+  let p = List.hd (buffered net l 0) in
+  let route = p.route in
+  let table = N.route_table net in
+  let distinct = Intern.distinct table in
+  let expected =
+    Invalid_argument
+      (Format.asprintf "Network: route %a is not a simple path"
+         (Aqt_graph.Digraph.pp_route l.graph)
+         [| l.edges.(0); l.edges.(2) |])
+  in
+  (* Twice: a rejected rewrite must not be cached as valid. *)
+  for _ = 1 to 2 do
+    Alcotest.check_raises "non-simple rewrite" expected (fun () ->
+        N.reroute net p [| l.edges.(2) |])
+  done;
+  check_int "not interned" distinct (Intern.distinct table);
+  check_bool "route untouched" true (p.route == route);
+  check_int "not rerouted" 0 p.reroutes
+
 (* Property form of Lemma 3.3: whenever [extend_all] accepts, the run's final
    effective routes still satisfy the exact rate-r constraint. *)
 let prop_accepted_extensions_stay_rate_legal =
@@ -231,6 +335,12 @@ let () =
           Alcotest.test_case "invalid path" `Quick rejects_invalid_path;
           Alcotest.test_case "atomic on error" `Quick error_is_atomic;
           Alcotest.test_case "check_new_edges" `Quick check_new_edges_direct;
+          Alcotest.test_case "groups share interned routes" `Quick
+            groups_share_interned_routes;
+          Alcotest.test_case "failing second group is atomic" `Quick
+            failing_second_group_is_atomic;
+          Alcotest.test_case "reroute validates unseen content" `Quick
+            reroute_validates_unseen_content;
           QCheck_alcotest.to_alcotest prop_accepted_extensions_stay_rate_legal;
           QCheck_alcotest.to_alcotest prop_stale_extensions_rejected;
         ] );

@@ -564,6 +564,116 @@ let prng_stream_negative () =
       ignore (Prng.stream (Prng.create 1) (-1)))
 
 (* ------------------------------------------------------------------ *)
+(* Prng: the pinned splitmix64 stream                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Every drawing function in a fixed order from one seed, printed exactly
+   (hex int64s, hex floats).  The expected transcripts are literal values
+   recorded from the original record-field implementation, so a change of
+   representation that alters any draw fails here, not only in the
+   campaign digests downstream. *)
+let prng_transcript seed =
+  let p = Prng.create seed in
+  let out = Buffer.create 256 in
+  (* Sequenced explicitly: list and tuple elements evaluate in no
+     specified order. *)
+  let draws n f =
+    if Buffer.length out > 0 then Buffer.add_string out " |";
+    for _ = 1 to n do
+      Buffer.add_char out ' ';
+      Buffer.add_string out (f ())
+    done
+  in
+  let hex g () = Printf.sprintf "%016LX" (Prng.bits64 g) in
+  draws 3 (hex p);
+  draws 6 (fun () -> string_of_int (Prng.int p 1000));
+  draws 2 (fun () -> string_of_int (Prng.int p max_int));
+  draws 3 (fun () -> Printf.sprintf "%h" (Prng.float p 1.0));
+  draws 12 (fun () -> if Prng.bernoulli p ~num:3 ~den:10 then "1" else "0");
+  draws 6 (fun () -> if Prng.bool p then "1" else "0");
+  let q = Prng.split p in
+  draws 2 (hex q);
+  draws 1 (hex p);
+  let s3 = Prng.stream p 3 in
+  let s0 = Prng.stream p 0 in
+  draws 2 (hex s3);
+  draws 3 (fun () -> string_of_int (Prng.int s0 1_000_000));
+  draws 1 (hex p);
+  String.trim (Buffer.contents out)
+
+let prng_golden_stream () =
+  List.iter
+    (fun (seed, expected) ->
+      check_string (Printf.sprintf "seed %d" seed) expected
+        (prng_transcript seed))
+    [
+      ( 0,
+        "E220A8397B1DCDAF 6E789E6AA1B965F4 06C45D188009454F | 611 686 522 \
+         728 735 824 | 4390466628494765097 1828385819961610050 | \
+         0x1.85a64dc00ab7bp-1 0x1.0c43407fc177bp-1 0x1.1c3eeaab30755p-1 | \
+         0 0 1 0 0 1 0 0 0 0 1 0 | 0 0 0 0 1 1 | D0B84890AE440D9C \
+         DD82665E7CB1BF10 | 05582D37111AC529 | D09E146D90AECC18 \
+         5F8DEE6B102FB4FC | 27420 338325 872062 | D254741F599DC6F7" );
+      ( 42,
+        "989B3F130A063869 290DB4BF2570DED7 2A990BE63A01B2D5 | 91 889 528 \
+         122 996 195 | 1124334894917578461 3525383132830741061 | \
+         0x1.c5be13f199e4dp-1 0x1.ccc9f62cda7b8p-1 0x1.494766cf71b6p-4 | \
+         0 1 0 0 0 1 1 0 1 0 1 1 | 0 0 0 0 1 0 | 6E044982938E9E87 \
+         24E57CB0A2410CAC | 5E67829D4E432BAE | E83D4BEF2541BC44 \
+         8975D903B5A5EE2C | 871343 191215 13767 | 5CD221D8B9BA24B6" );
+      ( -7,
+        "A39B91CB5ECB1A80 22FC9FCABF787829 DAC2B2A0E5BE4A45 | 522 545 899 \
+         998 483 886 | 4241217190085272631 4001929919676705715 | \
+         0x1.c8ddfd32a6d46p-1 0x1.b9f792c5e4f31p-1 0x1.48462f31a46adp-1 | \
+         0 0 0 0 1 0 0 0 1 0 0 0 | 1 0 0 0 0 0 | B1141FFB7D2464EB \
+         8F3BA24745DA020F | 0B28C3B3EA3D12FB | C54F27781970B51A \
+         9CCFBFA1BA1C2E9F | 502311 860562 179426 | 728269CCC95C0276" );
+      ( 123456789,
+        "1A945675088650AC F5B1A8E4853A833E 075CA298AA68B210 | 342 582 6 527 \
+         529 415 | 4355402728359679414 891703519339960396 | \
+         0x1.619cbcc48fbf2p-1 0x1.2980e2627536bp-1 0x1.a6e51b97c3ccdp-1 | \
+         0 1 1 0 1 0 0 0 0 0 0 1 | 0 0 0 0 0 1 | 411C2D94A4CDD574 \
+         D1E8F855D284C05A | 028B41A307830E63 | C83F19F4CA007AC1 \
+         7503A49360420F6A | 407525 944823 857320 | 404DB48CDC5A0881" );
+    ]
+
+(* A bound just above 2^61 rejects about half of all raw draws, so these
+   values pin the rejection loop as well as the accepted path. *)
+let prng_golden_rejection () =
+  List.iter
+    (fun (seed, expected, next) ->
+      let p = Prng.create seed in
+      let got = List.init 6 (fun _ -> Prng.int p ((1 lsl 61) + 1)) in
+      Alcotest.(check (list int)) (Printf.sprintf "seed %d" seed) expected got;
+      check_string "draws consumed" next
+        (Printf.sprintf "%016LX" (Prng.bits64 p)))
+    [
+      ( 0,
+        [
+          1990071630548588925; 121904254867886419; 490437550606523686;
+          1509523650315790522; 801824006500076728; 1133040290248155824;
+        ],
+        "F3B8488C368CB0A6" );
+      ( 42,
+        [
+          739554815828047797; 767374426118319285; 221479889520321091;
+          1084310982420964528; 1288224301085851122; 705096088656582996;
+        ],
+        "C2BC249E28760CCD" );
+    ]
+
+let prng_draws_allocate_nothing () =
+  let p = Prng.create 3 in
+  let hits = ref 0 in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    if Prng.bernoulli p ~num:3 ~den:10 then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "some draws hit" true (!hits > 0);
+  Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. words
+
+(* ------------------------------------------------------------------ *)
 (* Jsonx                                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -697,6 +807,11 @@ let () =
             prng_stream_reproducible;
           Alcotest.test_case "stream negative index" `Quick
             prng_stream_negative;
+          Alcotest.test_case "golden stream" `Quick prng_golden_stream;
+          Alcotest.test_case "golden rejection path" `Quick
+            prng_golden_rejection;
+          Alcotest.test_case "draws allocate nothing" `Quick
+            prng_draws_allocate_nothing;
         ] );
       ( "jsonx",
         [
