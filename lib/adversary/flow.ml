@@ -7,6 +7,9 @@ type t = {
   rate : Ratio.t;
   start : int;
   stop : int;
+  (* The one injection record every packet of the flow is injected with;
+     injections are immutable, so a step's list can repeat it. *)
+  inj : Aqt_engine.Network.injection;
 }
 
 let make ?(tag = "flow") ?max_total ~route ~rate ~start ~stop () =
@@ -17,7 +20,7 @@ let make ?(tag = "flow") ?max_total ~route ~rate ~start ~stop () =
   (match max_total with
   | Some m when m < 0 -> invalid_arg "Flow.make: negative max_total"
   | _ -> ());
-  { tag; max_total; route; rate; start; stop }
+  { tag; max_total; route; rate; start; stop; inj = { route; tag } }
 
 let route f = f.route
 let tag f = f.tag
@@ -48,10 +51,10 @@ let last_injection_step f =
     Some !lo
   end
 
-let injections_at flows t =
-  List.concat_map
-    (fun f ->
-      let c = count_at f t in
-      List.init c (fun _ : Aqt_engine.Network.injection ->
-          { route = f.route; tag = f.tag }))
-    flows
+let rec repeat inj c rest =
+  if c = 0 then rest else inj :: repeat inj (c - 1) rest
+
+let rec injections_at flows t =
+  match flows with
+  | [] -> []
+  | f :: rest -> repeat f.inj (count_at f t) (injections_at rest t)

@@ -35,21 +35,25 @@ val check_rate :
 (** [check_rate ~m ~rate log] validates a log of [(injection time, route)]
     pairs, sorted by time, on a graph with [m] edges, against the rate-r
     all-intervals condition.  Routes must be simple (each edge at most once
-    per route).  Returns the first violation found (smallest edge id, then
-    earliest [t2]). *)
+    per route).  On the first edge (smallest id) with a violation, returns
+    its worst interval: the largest excess [q*count - p*len] for [r = p/q],
+    the earliest [t2] among ties, then the earliest [t1].  Every checker
+    reports its violation the same way, except {!check_windowed}. *)
 
 val check_rate_brute :
   m:int -> rate:Aqt_util.Ratio.t -> (int * int array) array ->
   (unit, violation) result
 (** Reference implementation enumerating all intervals; O(T^2) per edge.
-    For cross-validation in tests only. *)
+    Reports the same violation as {!check_rate}.  For cross-validation in
+    tests only. *)
 
 val check_windowed :
   m:int -> w:int -> rate:Aqt_util.Ratio.t -> (int * int array) array ->
   (unit, violation) result
 (** Validates the log against the (w,r) windowed condition of Def 2.1:
     at most [floor (r * w)] packets requiring any edge per window of [w]
-    consecutive steps. *)
+    consecutive steps.  Reports the first overfull window: smallest edge
+    id, then earliest [t2]. *)
 
 val check_leaky :
   m:int -> b:int -> rate:Aqt_util.Ratio.t -> (int * int array) array ->
@@ -80,7 +84,8 @@ val check_local_brute :
   (int * int array) array ->
   (unit, violation) result
 (** Reference implementation of {!check_local} enumerating all intervals;
-    O(T^2) per edge.  For cross-validation in tests only. *)
+    O(T^2) per edge.  Reports the same violation as {!check_local}.  For
+    cross-validation in tests only. *)
 
 val burstiness :
   m:int -> rate:Aqt_util.Ratio.t -> (int * int array) array -> int
@@ -94,8 +99,8 @@ val scan_edge :
 (** The potential-function scan underlying [check_rate], [check_leaky] and
     [burstiness], exposed over one edge's event list for direct testing.
     Input: [(time, multiplicity)] pairs with strictly increasing times
-    [>= 1] and positive multiplicities (the per-edge shape [bucketize]
-    produces).  With [r = p/q], returns the maximum over event times [t2]
+    [>= 1] and positive multiplicities (one edge's share of a log, as the
+    checkers bucket it).  With [r = p/q], returns the maximum over event times [t2]
     of [D_t2 - min_(u < t2) D_u] where [D_t = q*S_t - p*t] and [S_t] is
     the prefix count, plus a witness [(t1, t2, count)] attaining it.
 

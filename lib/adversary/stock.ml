@@ -98,26 +98,51 @@ let leaky_bucket ?(name = "leaky-bucket") ~b ~rate ~routes ~horizon () =
   in
   { name; rate; window = None; exact = true; driver }
 
+(* Largest [i] in [lo, hi) with [times.(i) <= t], or [lo - 1]. *)
+let rec last_at_most times t lo hi =
+  if lo >= hi then lo - 1
+  else begin
+    let mid = (lo + hi) / 2 in
+    if times.(mid) <= t then last_at_most times t (mid + 1) hi
+    else last_at_most times t lo mid
+  end
+
 let replay ?(name = "replay") ~rate log =
-  (* Index the log by time once; lookups per step are then O(count). *)
-  let by_time = Hashtbl.create (Array.length log) in
-  Array.iter
-    (fun (t, route) ->
-      let prev = try Hashtbl.find by_time t with Not_found -> [] in
-      Hashtbl.replace by_time t (route :: prev))
-    log;
-  Hashtbl.iter
-    (fun t routes -> Hashtbl.replace by_time t (List.rev routes))
-    (Hashtbl.copy by_time);
+  (* The schedule, built in one pass from the back of the log: slots
+     [first .. n-1] hold the distinct logged times, increasing, and beside
+     each the step's injection list, consed in log order.  A step is then a
+     binary search that allocates nothing, and the driver stays a pure
+     function of the step number.  An unsorted log is stably sorted by time
+     first, so same-time entries keep their log order. *)
+  let rec sorted_from i =
+    i >= Array.length log
+    || (fst log.(i - 1) <= fst log.(i) && sorted_from (i + 1))
+  in
+  let log =
+    if sorted_from 1 then log
+    else begin
+      let copy = Array.copy log in
+      Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) copy;
+      copy
+    end
+  in
+  let n = Array.length log in
+  let times = Array.make n 0 and steps = Array.make n [] in
+  let first = ref n in
+  for i = n - 1 downto 0 do
+    let time, route = log.(i) in
+    if !first = n || times.(!first) <> time then begin
+      decr first;
+      times.(!first) <- time
+    end;
+    steps.(!first) <-
+      ({ route; tag = name } : Aqt_engine.Network.injection) :: steps.(!first)
+  done;
+  let first = !first in
   let driver =
     Sim.injections_only (fun _ t ->
-        match Hashtbl.find_opt by_time t with
-        | None -> []
-        | Some routes ->
-            List.map
-              (fun route : Aqt_engine.Network.injection ->
-                { route; tag = name })
-              routes)
+        let i = last_at_most times t first n in
+        if i >= first && times.(i) = t then steps.(i) else [])
   in
   { name; rate; window = None; exact = true; driver }
 

@@ -78,7 +78,10 @@ val replay :
     with time [t].  Given the [(time, final route)] log of a run that used
     rerouting, this is precisely the equivalent static adversary A' of
     Lemma 3.3 — replaying it under the same historic policy reproduces the
-    original execution step for step.  The log must be sorted by time. *)
+    original execution step for step.  The driver is a pure function of the
+    step number, so one value may drive any number of runs.  An unsorted
+    log is replayed in time order; entries with equal times are injected
+    in log order. *)
 
 val bernoulli :
   ?name:string ->

@@ -58,17 +58,17 @@ let replay_against ?(initial = [||]) ~graph ~rate ~log ~policies ~settle () =
   let last_injection =
     Array.fold_left (fun acc (t, _) -> max acc t) 0 log
   in
+  (* The replay driver is a pure function of the step number, so one
+     schedule serves every policy. *)
+  let driver = (Aqt_adversary.Stock.replay ~rate log).driver in
   List.map
     (fun policy ->
       let net = Network.create ~graph ~policy () in
       Array.iter
         (fun route -> ignore (Network.place_initial ~tag:"seed" net route))
         initial;
-      let adversary = Aqt_adversary.Stock.replay ~rate log in
       let horizon = last_injection + settle in
-      let _ =
-        Sim.run ~net ~driver:adversary.Aqt_adversary.Stock.driver ~horizon ()
-      in
+      let _ = Sim.run ~net ~driver ~horizon () in
       {
         policy = policy.Aqt_engine.Policy_type.name;
         max_queue = Network.max_queue_ever net;

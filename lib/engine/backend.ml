@@ -107,11 +107,13 @@ let observe recorder t =
   match t with
   | Record n -> Recorder.observe recorder n
   | Soa s ->
-      Recorder.observe_raw recorder ~now:(Soa.now s)
-        ~in_flight:(Soa.in_flight s) ~cur_max_queue:(Soa.current_max_queue s)
-        ~absorbed:(Soa.absorbed s) ~dropped:(Soa.dropped s)
-        ~max_dwell:(Soa.max_dwell s) ~gc_domains:(Soa.domains s)
-        ~extra_minor_words:(Soa.worker_minor_words s)
+      if Recorder.due recorder (Soa.now s) then
+        Recorder.observe_raw recorder ~now:(Soa.now s)
+          ~in_flight:(Soa.in_flight s)
+          ~cur_max_queue:(Soa.current_max_queue s) ~absorbed:(Soa.absorbed s)
+          ~dropped:(Soa.dropped s) ~max_dwell:(Soa.max_dwell s)
+          ~gc_domains:(Soa.domains s)
+          ~extra_minor_words:(Soa.worker_minor_words s)
 
 (* The batched fast path, as [Sim.run_steps] but over either engine.
    [injections_at] receives the step number about to execute. *)

@@ -2,6 +2,50 @@ module Dyn = Aqt_util.Dynarray_compat
 module Digraph = Aqt_graph.Digraph
 module Capacity = Aqt_capacity.Model
 
+(* Growable stacks for the step loop, one per element type and defined in
+   this module.  Dune's dev profile compiles every module [-opaque], so no
+   call into another module is inlined: through [Dynarray_compat] each
+   [get] is an indirect call via [caml_apply2], and a polymorphic [push] of
+   an [int] still runs [caml_modify].  Here the compiler knows the element
+   type and calls are direct. *)
+module Int_stack = struct
+  type t = { mutable data : int array; mutable len : int }
+
+  let create () = { data = Array.make 8 0; len = 0 }
+
+  let grow s =
+    let bigger = Array.make (2 * Array.length s.data) 0 in
+    Array.blit s.data 0 bigger 0 s.len;
+    s.data <- bigger
+
+  let push s x =
+    if s.len = Array.length s.data then grow s;
+    Array.unsafe_set s.data s.len x;
+    s.len <- s.len + 1
+end
+
+module Packet_stack = struct
+  type t = { mutable data : Packet.t array; mutable len : int }
+
+  let create () = { data = [||]; len = 0 }
+
+  (* The pushed packet fills the fresh slots: no dummy record needed. *)
+  let grow s (p : Packet.t) =
+    let bigger = Array.make (max 8 (2 * Array.length s.data)) p in
+    Array.blit s.data 0 bigger 0 s.len;
+    s.data <- bigger
+
+  let push s p =
+    if s.len = Array.length s.data then grow s p;
+    Array.unsafe_set s.data s.len p;
+    s.len <- s.len + 1
+
+  (* Callers check [len > 0]. *)
+  let pop s =
+    s.len <- s.len - 1;
+    Array.unsafe_get s.data s.len
+end
+
 type injection = { route : int array; tag : string }
 type tie_order = Transit_first | Injection_first
 
@@ -19,7 +63,7 @@ type t = {
   (* Free-list of absorbed packet records, reused by [fresh_packet] when
      [recycle] is on so steady-state runs stop churning the heap. *)
   recycle : bool;
-  pool : Packet.t Dyn.t;
+  pool : Packet_stack.t;
   (* The capacity model, compiled: [bounded] gates every drop branch, so the
      unbounded regime runs the original code path; [caps] holds the static
      per-edge limits (max_int where none applies); a Shared model sets
@@ -52,10 +96,10 @@ type t = {
   dropped_edge : int array;
   (* Active-edge bookkeeping: [active] lists exactly the edges with nonempty
      buffers, [active_flag] mirrors membership. *)
-  mutable active : int Dyn.t;
-  mutable active_scratch : int Dyn.t;
+  mutable active : Int_stack.t;
+  mutable active_scratch : Int_stack.t;
   active_flag : bool array;
-  pending : Packet.t Dyn.t; (* packets in transit within the current step *)
+  pending : Packet_stack.t; (* packets in transit within the current step *)
   (* Instrumentation. *)
   mutable max_queue : int;
   max_queue_edge : int array;
@@ -64,10 +108,9 @@ type t = {
   mutable latency_sum : int;
   mutable latency_max : int;
   latency_histo : Aqt_util.Histo.t;
-  (* (injected_at, packet id, initial?, final route) of absorbed packets, in
-     absorption order; live packets are appended on demand by
-     [injection_log]/[initial_final_routes], which sort by (time, id) so
-     same-step injections keep their original order. *)
+  (* (injected_at, packet id, initial?, final route) of absorbed and dropped
+     packets, in the order they left; [full_log] adds the buffered ones and
+     puts everything back in id order. *)
   absorbed_log : (int * int * bool * int array) Dyn.t option;
   last_use : int array; (* per edge: latest injection whose route used it *)
 }
@@ -88,7 +131,7 @@ let create ?(log_injections = false) ?(validate_routes = true)
       | Some t -> t
       | None -> Route_intern.create ());
     recycle;
-    pool = Dyn.create ();
+    pool = Packet_stack.create ();
     capacity;
     bounded = not (Capacity.is_unbounded capacity);
     speedup = Capacity.speedup capacity;
@@ -109,10 +152,10 @@ let create ?(log_injections = false) ?(validate_routes = true)
     dropped = 0;
     displaced = 0;
     dropped_edge = Array.make m 0;
-    active = Dyn.create ();
-    active_scratch = Dyn.create ();
+    active = Int_stack.create ();
+    active_scratch = Int_stack.create ();
     active_flag = Array.make m false;
-    pending = Dyn.create ();
+    pending = Packet_stack.create ();
     max_queue = 0;
     max_queue_edge = Array.make m 0;
     sent_edge = Array.make m 0;
@@ -128,7 +171,7 @@ let graph t = t.graph
 let policy t = t.policy
 let now t = t.now
 let route_table t = t.routes
-let pooled t = Dyn.length t.pool
+let pooled t = t.pool.len
 
 let check_route t route =
   if t.validate_routes && not (Digraph.route_is_simple t.graph route) then
@@ -148,7 +191,7 @@ let intern_route t route =
 let post_enqueue t e =
   if not t.active_flag.(e) then begin
     t.active_flag.(e) <- true;
-    Dyn.push t.active e
+    Int_stack.push t.active e
   end;
   t.occupancy <- t.occupancy + 1;
   if t.occupancy > t.peak_occupancy then t.peak_occupancy <- t.occupancy;
@@ -178,7 +221,7 @@ let drop_packet t (p : Packet.t) e ~displaced =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  if t.recycle then Dyn.push t.pool p
+  if t.recycle then Packet_stack.push t.pool p
 
 (* Arrival of [p] (already counted in [in_flight]) at the buffer of [e]
    under the capacity model; returns whether the packet survived.  The
@@ -228,8 +271,8 @@ let admit t (p : Packet.t) e =
 let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  if t.recycle && not (Dyn.is_empty t.pool) then begin
-    let p = Dyn.pop t.pool in
+  if t.recycle && t.pool.len > 0 then begin
+    let p = Packet_stack.pop t.pool in
     p.id <- id;
     p.injected_at <- t.now;
     p.initial <- initial;
@@ -296,7 +339,7 @@ let absorb t (p : Packet.t) =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  if t.recycle then Dyn.push t.pool p
+  if t.recycle then Packet_stack.push t.pool p
 
 let inject t ~exogenous (inj : injection) =
   let route = intern_route t inj.route in
@@ -321,9 +364,9 @@ let inject t ~exogenous (inj : injection) =
 (* Top-level helpers rather than local closures: [step] is the hot loop and
    must not allocate a closure per call. *)
 let deliver t =
-  let n = Dyn.length t.pending in
-  for i = 0 to n - 1 do
-    let p : Packet.t = Dyn.get t.pending i in
+  let pending = t.pending in
+  for i = 0 to pending.len - 1 do
+    let p = Array.unsafe_get pending.data i in
     p.hop <- p.hop + 1;
     if p.hop >= Array.length p.route then absorb t p
     else ignore (admit t p (Array.unsafe_get p.route p.hop))
@@ -339,15 +382,15 @@ let step t ?(exogenous = []) injections =
   t.now <- t.now + 1;
   (* Substep 1: one send per nonempty buffer, simultaneous.  Dequeues happen
      before any enqueue of this step, so simultaneity is exact. *)
-  Dyn.clear t.pending;
+  t.pending.len <- 0;
   let old_active = t.active in
   t.active <- t.active_scratch;
   t.active_scratch <- old_active;
-  Dyn.clear t.active;
-  let n_active = Dyn.length old_active in
+  t.active.len <- 0;
+  let n_active = old_active.len in
   if t.speedup = 1 then
     for i = 0 to n_active - 1 do
-      let e = Dyn.get old_active i in
+      let e = Array.unsafe_get old_active.data i in
       let buf = t.buffers.(e) in
       (* The active list never holds empty buffers, so [take] cannot fail. *)
       let p = Buffer_q.take buf in
@@ -359,13 +402,13 @@ let step t ?(exogenous = []) injections =
       | None -> ()
       | Some f ->
           f (Trace.Forwarded { t = t.now; packet = p.id; edge = e; dwell }));
-      Dyn.push t.pending p;
+      Packet_stack.push t.pending p;
       if Buffer_q.is_empty buf then t.active_flag.(e) <- false
-      else Dyn.push t.active e
+      else Int_stack.push t.active e
     done
   else
     for i = 0 to n_active - 1 do
-      let e = Dyn.get old_active i in
+      let e = Array.unsafe_get old_active.data i in
       let buf = t.buffers.(e) in
       (* Link speedup s: up to s sends per edge, still simultaneous — every
          dequeue of the substep happens before any enqueue. *)
@@ -381,10 +424,10 @@ let step t ?(exogenous = []) injections =
         | None -> ()
         | Some f ->
             f (Trace.Forwarded { t = t.now; packet = p.id; edge = e; dwell }));
-        Dyn.push t.pending p
+        Packet_stack.push t.pending p
       done;
       if Buffer_q.is_empty buf then t.active_flag.(e) <- false
-      else Dyn.push t.active e
+      else Int_stack.push t.active e
     done;
   (* Substep 2: deliveries and injections, in the configured tie order. *)
   (match t.tie_order with
@@ -435,7 +478,9 @@ let occupancy t = t.occupancy
 let peak_occupancy t = t.peak_occupancy
 
 let iter_buffered f t =
-  Dyn.iter (fun e -> Buffer_q.iter f t.buffers.(e)) t.active
+  for i = 0 to t.active.len - 1 do
+    Buffer_q.iter f t.buffers.(t.active.data.(i))
+  done
 
 let count_requiring t e =
   let count = ref 0 in
@@ -456,7 +501,12 @@ let s_initial t =
   !best
 
 let current_max_queue t =
-  Dyn.fold_left (fun acc e -> max acc (Buffer_q.length t.buffers.(e))) 0 t.active
+  let best = ref 0 in
+  for i = 0 to t.active.len - 1 do
+    let len = Buffer_q.length t.buffers.(t.active.data.(i)) in
+    if len > !best then best := len
+  done;
+  !best
 
 let max_queue_ever t = t.max_queue
 let max_queue_of_edge t e = t.max_queue_edge.(e)
@@ -475,33 +525,45 @@ let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0
   else float_of_int t.latency_sum /. float_of_int t.absorbed
 
+(* Ids are issued in creation order and time never decreases, so (injection
+   time, id) order is id order: the entries are scattered into id-indexed
+   arrays and read back in id order, no sort.  A negative time marks an id
+   that is not selected (exogenous, or the other kind). *)
 let full_log t ~want_initial =
   match t.absorbed_log with
   | None ->
       invalid_arg "Network.injection_log: created without ~log_injections"
   | Some log ->
-      let selected = Dyn.create () in
+      let times = Array.make t.next_id (-1) in
+      let routes = Array.make t.next_id [||] in
+      let selected = ref 0 in
+      let put id time route =
+        times.(id) <- time;
+        routes.(id) <- route;
+        incr selected
+      in
       Dyn.iter
         (fun (time, id, initial, route) ->
-          if initial = want_initial then Dyn.push selected (time, id, route))
+          if initial = want_initial then put id time route)
         log;
       iter_buffered
         (fun p ->
           if p.initial = want_initial && not p.exogenous then
-            Dyn.push selected (p.injected_at, p.id, p.route))
+            put p.id p.injected_at p.route)
         t;
-      let all = Dyn.to_array selected in
-      Array.sort
-        (fun (t1, id1, _) (t2, id2, _) ->
-          if t1 <> t2 then Int.compare t1 t2 else Int.compare id1 id2)
-        all;
-      all
+      let out = Array.make !selected (0, [||]) in
+      let k = ref 0 in
+      Array.iteri
+        (fun id time ->
+          if time >= 0 then begin
+            out.(!k) <- (time, routes.(id));
+            incr k
+          end)
+        times;
+      out
 
-let injection_log t =
-  Array.map (fun (time, _, route) -> (time, route)) (full_log t ~want_initial:false)
-
-let initial_final_routes t =
-  Array.map (fun (_, _, route) -> route) (full_log t ~want_initial:true)
+let injection_log t = full_log t ~want_initial:false
+let initial_final_routes t = Array.map snd (full_log t ~want_initial:true)
 
 let reroute_count t = t.reroutes
 let last_injection_on t e = t.last_use.(e)

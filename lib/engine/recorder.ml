@@ -28,13 +28,15 @@ let make ?(every = 1) () =
   if every < 1 then invalid_arg "Recorder.make";
   { every; store = Dyn.create () }
 
+let due r now = now mod r.every = 0
+
 (* Backend-agnostic sampling: the caller supplies the network-state metrics
    and declares how many domains its allocation figure covers.
    [extra_minor_words] is the cumulative allocation of any worker domains,
    added to this domain's own counter. *)
 let observe_raw r ~now ~in_flight ~cur_max_queue ~absorbed ~dropped
     ~max_dwell ~gc_domains ~extra_minor_words =
-  if now mod r.every = 0 then begin
+  if due r now then begin
     let gc = Gc.quick_stat () in
     Dyn.push r.store
       {
@@ -54,11 +56,14 @@ let observe_raw r ~now ~in_flight ~cur_max_queue ~absorbed ~dropped
       }
   end
 
+(* Checked before the sample is computed: [current_max_queue] walks every
+   active buffer, and a sparse recorder skips most steps. *)
 let observe r net =
-  observe_raw r ~now:(Network.now net) ~in_flight:(Network.in_flight net)
-    ~cur_max_queue:(Network.current_max_queue net)
-    ~absorbed:(Network.absorbed net) ~dropped:(Network.dropped net)
-    ~max_dwell:(Network.max_dwell net) ~gc_domains:1 ~extra_minor_words:0.0
+  if due r (Network.now net) then
+    observe_raw r ~now:(Network.now net) ~in_flight:(Network.in_flight net)
+      ~cur_max_queue:(Network.current_max_queue net)
+      ~absorbed:(Network.absorbed net) ~dropped:(Network.dropped net)
+      ~max_dwell:(Network.max_dwell net) ~gc_domains:1 ~extra_minor_words:0.0
 
 let samples r = Dyn.to_array r.store
 let length r = Dyn.length r.store

@@ -34,6 +34,10 @@ val make : ?every:int -> unit -> t
 val observe : t -> Network.t -> unit
 (** Call after each [Network.step]; samples when [now mod every = 0]. *)
 
+val due : t -> int -> bool
+(** [due r now]: whether a sample is taken at time [now].  Lets a caller of
+    {!observe_raw} skip computing metrics that would be discarded. *)
+
 val observe_raw :
   t ->
   now:int ->

@@ -1543,39 +1543,47 @@ let buffer_packets t e =
     else List.init len (fun j -> view_of_rec t arena (nth j))
   end
 
+(* As [Network.full_log]: ids are issued in creation order and time never
+   decreases, so the entries are scattered by id and read back in id order.
+   A negative time marks an id that is not selected. *)
 let full_log t ~want_initial =
   match t.log with
   | None -> invalid_arg "Soa.injection_log: created without ~log_injections"
   | Some log ->
-      let selected = Dyn.create () in
+      let times = Array.make t.next_id (-1) in
+      let offs = Array.make t.next_id 0 and lens = Array.make t.next_id 0 in
+      let selected = ref 0 in
+      let put id time off len =
+        times.(id) <- time;
+        offs.(id) <- off;
+        lens.(id) <- len;
+        incr selected
+      in
       Dyn.iter
         (fun (time, id, initial, off, len) ->
-          if initial = want_initial then
-            Dyn.push selected (time, id, Array.sub t.rarena off len))
+          if initial = want_initial then put id time off len)
         log;
       iter_buffered_recs
         (fun arena w ->
           let s = Array.unsafe_get arena (w + o_slot) in
           if t.pflag.(s) land flag_initial <> 0 = want_initial then
-            Dyn.push selected
-              ( t.inj_at.(s),
-                t.pid.(s),
-                Array.sub t.rarena
-                  (Array.unsafe_get arena (w + o_off))
-                  (Array.unsafe_get arena (w + o_len)) ))
+            put t.pid.(s) t.inj_at.(s)
+              (Array.unsafe_get arena (w + o_off))
+              (Array.unsafe_get arena (w + o_len)))
         t;
-      let all = Dyn.to_array selected in
-      Array.sort
-        (fun (t1, id1, _) (t2, id2, _) ->
-          if t1 <> t2 then Int.compare t1 t2 else Int.compare id1 id2)
-        all;
-      all
+      let out = Array.make !selected (0, [||]) in
+      let k = ref 0 in
+      Array.iteri
+        (fun id time ->
+          if time >= 0 then begin
+            out.(!k) <- (time, Array.sub t.rarena offs.(id) lens.(id));
+            incr k
+          end)
+        times;
+      out
 
-let injection_log t =
-  Array.map (fun (time, _, route) -> (time, route)) (full_log t ~want_initial:false)
-
-let initial_final_routes t =
-  Array.map (fun (_, _, route) -> route) (full_log t ~want_initial:true)
+let injection_log t = full_log t ~want_initial:false
+let initial_final_routes t = Array.map snd (full_log t ~want_initial:true)
 
 (* Worker-domain allocation since creation, for GC-aware recorders: the
    main domain's [Gc.minor_words] does not see worker allocation (OCaml 5

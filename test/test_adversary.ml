@@ -77,6 +77,40 @@ let prop_flow_prefix_rate =
       && Flow.cumulative f t >= 0
       && Flow.cumulative f t >= Flow.cumulative f (t - 1))
 
+(* The reference definition of [Flow.injections_at]: a fresh record per
+   packet, flows in list order. *)
+let concat_map_injections flows t =
+  List.concat_map
+    (fun f ->
+      List.init (Flow.count_at f t) (fun _ : N.injection ->
+          { route = Flow.route f; tag = Flow.tag f }))
+    flows
+
+let prop_injections_at_matches_definition =
+  QCheck.Test.make ~name:"injections_at equals the concat_map definition"
+    ~count:200
+    QCheck.(pair (int_range 0 1_000_000) (int_range 1 6))
+    (fun (seed, n) ->
+      let prng = Aqt_util.Prng.create seed in
+      let flows =
+        List.init n (fun i ->
+            let q = 1 + Aqt_util.Prng.int prng 6 in
+            let p = 1 + Aqt_util.Prng.int prng q in
+            let start = 1 + Aqt_util.Prng.int prng 20 in
+            let stop = start + Aqt_util.Prng.int prng 20 in
+            let max_total =
+              if Aqt_util.Prng.bool prng then Some (Aqt_util.Prng.int prng 8)
+              else None
+            in
+            Flow.make ~tag:(string_of_int i) ?max_total ~route:[| i |]
+              ~rate:(R.make p q) ~start ~stop ())
+      in
+      (* Steps 0..49 fall before, inside and after every window (all
+         windows lie within [1, 40]). *)
+      List.for_all
+        (fun t -> Flow.injections_at flows t = concat_map_injections flows t)
+        (List.init 50 Fun.id))
+
 (* ------------------------------------------------------------------ *)
 (* Rate_check                                                          *)
 (* ------------------------------------------------------------------ *)
@@ -191,20 +225,76 @@ let leaky_check () =
     (Invalid_argument "Rate_check.check_leaky: negative burst") (fun () ->
       ignore (RC.check_leaky ~m:1 ~b:(-1) ~rate [||]))
 
+(* Multi-edge logs: m in 3..6 edges, routes of 1-4 distinct edges, times
+   in 1..30 with repeats, sorted by time.  Several edges per route is what
+   exercises the per-edge offsets of the flat buckets. *)
+let arb_multi_edge_log =
+  let open QCheck.Gen in
+  let gen =
+    int_range 3 6 >>= fun m ->
+    let route =
+      int_range 1 (min 4 m) >>= fun len ->
+      shuffle_l (List.init m Fun.id) >|= fun edges ->
+      Array.of_list (List.filteri (fun i _ -> i < len) edges)
+    in
+    list_size (int_range 0 24) (pair (int_range 1 30) route) >|= fun entries ->
+    ( m,
+      Array.of_list
+        (List.stable_sort (fun (a, _) (b, _) -> compare a b) entries) )
+  in
+  let print (m, log) =
+    Printf.sprintf "m=%d [%s]" m
+      (String.concat "; "
+         (Array.to_list
+            (Array.map
+               (fun (t, route) ->
+                 Printf.sprintf "%d:%s" t
+                   (String.concat ","
+                      (Array.to_list (Array.map string_of_int route))))
+               log)))
+  in
+  QCheck.make ~print gen
+
+let arb_rate = QCheck.pair (QCheck.int_range 1 5) (QCheck.int_range 1 8)
+let rate_of (p, q) = R.make (min p q) (max p q)
+
 let prop_fast_equals_brute =
   QCheck.Test.make ~name:"fast rate checker agrees with brute force"
-    ~count:200
-    (QCheck.triple
-       (QCheck.pair (QCheck.int_range 1 5) (QCheck.int_range 1 8))
-       (QCheck.small_list (QCheck.int_range 1 30))
-       QCheck.bool)
-    (fun ((p, q), times, _) ->
-      let rate = R.make (min p q) (max p q) in
-      let times = List.sort compare times in
-      let log = log_of_times 0 times in
-      let fast = RC.check_rate ~m:1 ~rate log in
-      let brute = RC.check_rate_brute ~m:1 ~rate log in
-      Result.is_ok fast = Result.is_ok brute)
+    ~count:300 (QCheck.pair arb_rate arb_multi_edge_log)
+    (fun (pq, (m, log)) ->
+      let rate = rate_of pq in
+      RC.check_rate ~m ~rate log = RC.check_rate_brute ~m ~rate log)
+
+(* The least b with count <= ceil(r*len) + b on every edge over every
+   interval [t1, t2] of [1, last time], by direct search. *)
+let burstiness_brute ~m ~rate log =
+  let horizon = Array.fold_left (fun acc (t, _) -> max acc t) 0 log in
+  let count e t1 t2 =
+    Array.fold_left
+      (fun acc (t, route) ->
+        if t >= t1 && t <= t2 && Array.mem e route then acc + 1 else acc)
+      0 log
+  in
+  let fits b =
+    let ok = ref true in
+    for e = 0 to m - 1 do
+      for t1 = 1 to horizon do
+        for t2 = t1 to horizon do
+          if count e t1 t2 > R.ceil_mul rate (t2 - t1 + 1) + b then ok := false
+        done
+      done
+    done;
+    !ok
+  in
+  let rec least b = if fits b then b else least (b + 1) in
+  least 0
+
+let prop_burstiness_is_least_slack =
+  QCheck.Test.make ~name:"burstiness is the least slack brute force finds"
+    ~count:150 (QCheck.pair arb_rate arb_multi_edge_log)
+    (fun (pq, (m, log)) ->
+      let rate = rate_of pq in
+      RC.burstiness ~m ~rate log = burstiness_brute ~m ~rate log)
 
 (* Naive windowed check for cross-validation. *)
 let windowed_brute ~w ~allowed times =
@@ -267,17 +357,12 @@ let local_check () =
 
 let prop_local_equals_brute =
   QCheck.Test.make ~name:"local checker agrees with brute force" ~count:300
-    (QCheck.triple
-       (QCheck.pair (QCheck.int_range 1 5) (QCheck.int_range 1 8))
-       (QCheck.int_range 0 4)
-       (QCheck.small_list (QCheck.int_range 1 40)))
-    (fun ((p, q), sigma, times) ->
-      let rate = R.make (min p q) (max p q) in
-      let times = List.sort compare times in
-      let log = log_of_times 0 times in
-      let fast = RC.check_local ~rate ~sigmas:[| sigma |] log in
-      let brute = RC.check_local_brute ~rate ~sigmas:[| sigma |] log in
-      Result.is_ok fast = Result.is_ok brute)
+    (QCheck.triple arb_rate
+       (QCheck.array_of_size (QCheck.Gen.return 6) (QCheck.int_range 0 3))
+       arb_multi_edge_log)
+    (fun (pq, sigmas, (m, log)) ->
+      let rate = rate_of pq and sigmas = Array.sub sigmas 0 m in
+      RC.check_local ~rate ~sigmas log = RC.check_local_brute ~rate ~sigmas log)
 
 let local_burst_budgets () =
   (* Two flows over edge 1, one over each of 0 and 2: k_max = 2, and the
@@ -482,6 +567,30 @@ let replay_reproduces_run () =
   check_int "same max dwell" (N.max_dwell net1) (N.max_dwell net2);
   check_bool "same log" true (N.injection_log net2 = log)
 
+(* Logs in any time order: each step injects its entries in log order,
+   tagged with the adversary's name, and steps without entries inject
+   nothing.  Asking for the steps twice, forwards then backwards, shows
+   the driver depends on the step number alone. *)
+let prop_replay_schedule =
+  QCheck.Test.make ~name:"replay injects each step's entries in log order"
+    ~count:200
+    QCheck.(small_list (int_range 0 12))
+    (fun times ->
+      (* Entry i's route is [| i |], so routes identify entries. *)
+      let entries = List.mapi (fun i t -> (t, [| i |])) times in
+      let adv = Stock.replay ~rate:R.one (Array.of_list entries) in
+      let net = N.create ~graph:(B.line 2).graph ~policy:Policies.fifo () in
+      let steps = List.init 15 Fun.id in
+      List.for_all
+        (fun t ->
+          let got = adv.driver.Sim.injections_at net t in
+          List.map (fun (i : N.injection) -> i.route) got
+          = List.filter_map
+              (fun (t', route) -> if t' = t then Some route else None)
+              entries
+          && List.for_all (fun (i : N.injection) -> i.tag = "replay") got)
+        (steps @ List.rev steps))
+
 (* ------------------------------------------------------------------ *)
 (* Log_io                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -671,6 +780,7 @@ let () =
           Alcotest.test_case "last injection" `Quick flow_last_injection;
           Alcotest.test_case "rejections" `Quick flow_rejects;
           q prop_flow_prefix_rate;
+          q prop_injections_at_matches_definition;
         ] );
       ( "rate-check",
         [
@@ -697,6 +807,7 @@ let () =
           Alcotest.test_case "scan_edge rejects malformed" `Quick
             scan_edge_rejects_malformed;
           q prop_fast_equals_brute;
+          q prop_burstiness_is_least_slack;
           q prop_windowed_equals_brute;
           q prop_flows_are_rate_legal;
         ] );
@@ -725,6 +836,7 @@ let () =
             leaky_bucket_adversary_extremal;
           Alcotest.test_case "bernoulli mean" `Quick bernoulli_roughly_rate;
           Alcotest.test_case "replay reproduces" `Quick replay_reproduces_run;
+          q prop_replay_schedule;
         ] );
       ( "log-io",
         [

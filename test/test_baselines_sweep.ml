@@ -57,6 +57,27 @@ let replay_against_policies () =
       check_int (r.policy ^ " backlog") 0 r.backlog)
     results
 
+(* One replay driver serves every policy of a call: two policies in one
+   call must give exactly the rows of two single-policy calls, so the
+   shared driver carries nothing from one run into the next. *)
+let replay_driver_is_shared_statelessly () =
+  let l = B.line 4 in
+  let log =
+    Array.init 60 (fun i ->
+        (1 + (i / 3), Array.sub l.edges (i mod 3) (4 - (i mod 3))))
+  in
+  let initial = [| l.edges; Array.sub l.edges 1 3 |] in
+  let replay policies =
+    Baselines.replay_against ~initial ~graph:l.graph ~rate:R.one ~log
+      ~policies ~settle:20 ()
+  in
+  let a = Policies.fifo and b = Policies.lifo in
+  check_bool "policies differ on this log" true (replay [ a ] <> replay [ b ]);
+  check_bool "[a; b] = [a] @ [b]" true
+    (replay [ a; b ] = replay [ a ] @ replay [ b ]);
+  check_bool "[b; a] = [b] @ [a]" true
+    (replay [ b; a ] = replay [ b ] @ replay [ a ])
+
 let sweep_classifies_stable () =
   let ring = B.ring 6 in
   let routes =
@@ -125,6 +146,8 @@ let () =
             this_paper_dominates_diaz;
           Alcotest.test_case "threshold table" `Quick threshold_table;
           Alcotest.test_case "replay harness" `Quick replay_against_policies;
+          Alcotest.test_case "replay driver shared across policies" `Quick
+            replay_driver_is_shared_statelessly;
         ] );
       ( "sweep",
         [

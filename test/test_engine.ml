@@ -213,6 +213,17 @@ let injection_log_contents () =
   check_int "first route len" 2 (Array.length r1);
   check_int "second route len" 1 (Array.length r2)
 
+(* Random runs with reroutes, drop-tail and drop-head losses, exogenous
+   noise and packet recycling: both logs must equal the reference built by
+   sorting every logged entry by (time, id). *)
+let prop_logs_match_sorted_reference =
+  QCheck.Test.make ~name:"logs equal the (time, id)-sorted reference"
+    ~count:150 (QCheck.int_range 0 100_000) (fun seed ->
+      let r = Log_runs.run ~exogenous:true ~seed ~steps:40 () in
+      N.injection_log r.net = Log_runs.reference_log r
+      && N.initial_final_routes r.net = Log_runs.reference_initials r
+      && Log_runs.times_follow_ids r)
+
 let last_use_tracking () =
   let net, l = line_net 3 in
   check_int "never used" min_int (N.last_injection_on net l.edges.(0));
@@ -372,6 +383,7 @@ let () =
           Alcotest.test_case "per-edge stats" `Quick per_edge_stats;
           Alcotest.test_case "count_requiring" `Quick count_requiring_scan;
           Alcotest.test_case "injection log" `Quick injection_log_contents;
+          q prop_logs_match_sorted_reference;
           Alcotest.test_case "last-use tracking" `Quick last_use_tracking;
           Alcotest.test_case "event tracing" `Quick tracer_events;
           Alcotest.test_case "exogenous traffic" `Quick exogenous_traffic;

@@ -34,6 +34,25 @@ let prop_soa_matches_sequential =
       | Some failure ->
           QCheck.Test.fail_reportf "seed %d: %a" seed Diff.pp_failure failure)
 
+(* The same random runs as the record engine's log test (no exogenous
+   noise: Soa has none), driven in lockstep; Soa's logs must equal the
+   (time, id)-sorted reference at one and two domains. *)
+let prop_logs_match_sorted_reference =
+  QCheck.Test.make ~name:"soa logs equal the (time, id)-sorted reference"
+    ~count:60
+    (QCheck.pair (QCheck.int_range 0 100_000) (QCheck.int_range 1 2))
+    (fun (seed, domains) ->
+      let r =
+        Log_runs.run ~soa_domains:domains ~exogenous:false ~seed ~steps:40 ()
+      in
+      let soa = Option.get r.soa in
+      Fun.protect
+        ~finally:(fun () -> Soa.shutdown soa)
+        (fun () ->
+          Soa.injection_log soa = Log_runs.reference_log r
+          && Soa.initial_final_routes soa = Log_runs.reference_initials r
+          && Log_runs.times_follow_ids r))
+
 (* ------------------------------------------------------------------ *)
 (* Arena growth                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -125,7 +144,10 @@ let () =
   Alcotest.run "aqt_soa"
     [
       ( "equivalence",
-        [ QCheck_alcotest.to_alcotest prop_soa_matches_sequential ] );
+        [
+          QCheck_alcotest.to_alcotest prop_soa_matches_sequential;
+          QCheck_alcotest.to_alcotest prop_logs_match_sorted_reference;
+        ] );
       ( "arena",
         [
           Alcotest.test_case "growth is geometric" `Quick arena_growth;
