@@ -1190,8 +1190,7 @@ let capacity_cell ~burst ~period ~horizon ~capacity =
         Array.init 4 (fun j -> ring.Build.edges.((i + j) mod 8)))
   in
   let net =
-    Network.create ~recycle:true ~capacity ~graph:ring.Build.graph
-      ~policy:Policies.fifo ()
+    Network.create ~capacity ~graph:ring.Build.graph ~policy:Policies.fifo ()
   in
   let driver =
     Sim.injections_only (fun _ t ->
@@ -1649,9 +1648,7 @@ let bechamel_suite rb =
     let routes =
       Array.init k (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod k)))
     in
-    let net =
-      Network.create ~recycle:true ~graph:ring.graph ~policy:Policies.fifo ()
-    in
+    let net = Network.create ~graph:ring.graph ~policy:Policies.fifo () in
     let t = ref 0 in
     let driver =
       Sim.injections_only (fun _ _ ->
@@ -1674,7 +1671,7 @@ let bechamel_suite rb =
           Array.init 4 (fun j -> ring.edges.((i + j) mod 100)))
     in
     let net =
-      Network.create ~recycle:true
+      Network.create
         ~capacity:(Capacity.uniform ~policy:Capacity.Drop_tail ~speedup:2 8)
         ~graph:ring.graph ~policy:Policies.fifo ()
     in
@@ -1778,8 +1775,7 @@ let bechamel_suite rb =
     and soa4 =
       Soa.create ~domains:4 ~graph:ring1e6.graph ~policy:Policies.fifo ()
     and net =
-      Network.create ~recycle:true ~graph:ring1e6.graph
-        ~policy:Policies.fifo ()
+      Network.create ~graph:ring1e6.graph ~policy:Policies.fifo ()
     in
     for _ = 1 to 110 do
       Soa.step soa1 ring1e6_injs;

@@ -30,7 +30,7 @@ let assign ~queues ~pool n =
       Array.iter (fun e -> load.(e) <- load.(e) + 1) route;
       route)
 
-let should_truncate ~queues ~hot ~edge ~remaining =
+let should_truncate ~(queues : int array) ~(hot : int) ~edge ~remaining =
   remaining > 1 && queues.(edge) >= hot
 
 type t = {

@@ -99,7 +99,7 @@ let leaky_bucket ?(name = "leaky-bucket") ~b ~rate ~routes ~horizon () =
   { name; rate; window = None; exact = true; driver }
 
 (* Largest [i] in [lo, hi) with [times.(i) <= t], or [lo - 1]. *)
-let rec last_at_most times t lo hi =
+let rec last_at_most (times : int array) (t : int) lo hi =
   if lo >= hi then lo - 1
   else begin
     let mid = (lo + hi) / 2 in

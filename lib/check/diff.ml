@@ -539,7 +539,7 @@ let run ?mutant ?(soa_domains = []) (scenario : Gen.scenario) =
       ~policy:scenario.policy ()
   in
   let fast =
-    Network.create ~log_injections:true ~tie_order:engine_tie ~recycle:true
+    Network.create ~log_injections:true ~tie_order:engine_tie
       ~capacity:engine_capacity ~graph:scenario.graph
       ~policy:scenario.policy ()
   in

@@ -1,8 +1,8 @@
 (** Differential execution: reference model vs. the fast engine.
 
     One scenario is executed three ways in lockstep — the naive
-    {!Ref_model}, the engine on its zero-allocation fast path
-    ([recycle:true], no tracer), and the engine with a {!Aqt_engine.Trace}
+    {!Ref_model}, the engine on its zero-allocation fast path (no tracer),
+    and the engine with a {!Aqt_engine.Trace}
     collector attached (the traced and untraced step loops are distinct
     code paths; both must conform).  After every step the full observable
     state is compared packet-by-packet: per-edge buffer contents in policy

@@ -22,11 +22,10 @@ type report = {
 
 let classify ?(blowup = 200_000) ?route_table ~name ~graph ~policy ~adversary
     ~horizon () =
-  (* Recycling is safe here: classify never holds a packet handle past
-     absorption.  A caller-supplied [route_table] amortises route validation
-     across the cells of a sweep grid (same graph, same route set, many
-     policy/rate combinations). *)
-  let net = Network.create ?route_table ~recycle:true ~graph ~policy () in
+  (* A caller-supplied [route_table] amortises route validation across the
+     cells of a sweep grid (same graph, same route set, many policy/rate
+     combinations). *)
+  let net = Network.create ?route_table ~graph ~policy () in
   let recorder = Recorder.make ~every:(max 1 (horizon / 200)) () in
   let outcome =
     Sim.run ~recorder ~blowup ~net

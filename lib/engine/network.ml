@@ -60,9 +60,8 @@ type t = {
      canonical array, validated once.  May be shared across networks on the
      same graph (see Route_intern). *)
   routes : Route_intern.t;
-  (* Free-list of absorbed packet records, reused by [fresh_packet] when
-     [recycle] is on so steady-state runs stop churning the heap. *)
-  recycle : bool;
+  (* Free-list of absorbed and dropped packet records, reused by
+     [fresh_packet] so steady-state runs stop churning the heap. *)
   pool : Packet_stack.t;
   (* The capacity model, compiled: [bounded] gates every drop branch, so the
      unbounded regime runs the original code path; [caps] holds the static
@@ -116,7 +115,7 @@ type t = {
 }
 
 let create ?(log_injections = false) ?(validate_routes = true)
-    ?(tie_order = Transit_first) ?tracer ?route_table ?(recycle = false)
+    ?(tie_order = Transit_first) ?tracer ?route_table
     ?(capacity = Capacity.unbounded) ~graph ~policy () =
   let m = Digraph.n_edges graph in
   {
@@ -130,7 +129,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
       (match route_table with
       | Some t -> t
       | None -> Route_intern.create ());
-    recycle;
     pool = Packet_stack.create ();
     capacity;
     bounded = not (Capacity.is_unbounded capacity);
@@ -221,7 +219,7 @@ let drop_packet t (p : Packet.t) e ~displaced =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  if t.recycle then Packet_stack.push t.pool p
+  Packet_stack.push t.pool p
 
 (* Arrival of [p] (already counted in [in_flight]) at the buffer of [e]
    under the capacity model; returns whether the packet survived.  The
@@ -271,7 +269,7 @@ let admit t (p : Packet.t) e =
 let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
   let id = t.next_id in
   t.next_id <- id + 1;
-  if t.recycle && t.pool.len > 0 then begin
+  if t.pool.len > 0 then begin
     let p = Packet_stack.pop t.pool in
     p.id <- id;
     p.injected_at <- t.now;
@@ -339,7 +337,7 @@ let absorb t (p : Packet.t) =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  if t.recycle then Packet_stack.push t.pool p
+  Packet_stack.push t.pool p
 
 let inject t ~exogenous (inj : injection) =
   let route = intern_route t inj.route in

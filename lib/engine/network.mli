@@ -35,7 +35,6 @@ val create :
   ?tie_order:tie_order ->
   ?tracer:(Trace.event -> unit) ->
   ?route_table:Route_intern.t ->
-  ?recycle:bool ->
   ?capacity:Aqt_capacity.Model.t ->
   graph:Aqt_graph.Digraph.t ->
   policy:Policy_type.t ->
@@ -55,17 +54,18 @@ val create :
     network gets a private table.  Only share across networks with the same
     graph — interned routes are validated once, against the graph of the
     network that first saw them.
-    [recycle] (default false) pools absorbed packet records on a free-list
-    and reuses them for later injections, making steady-state stepping
-    allocation-free.  Enable it only when no code retains [Packet.t] values
-    past absorption (holding buffered packets between steps is fine).  With
-    a finite [capacity] model, dropped packets are pooled too.
     [capacity] (default {!Aqt_capacity.Model.unbounded}) selects the
     finite-buffer / link-speedup regime of arXiv:1707.03856 and
     arXiv:1902.08069: arrivals to full buffers are dropped under the
     model's discipline and every edge forwards up to [speedup] packets per
     step.  The default is byte-identical to the pre-capacity engine — no
-    admission test runs on the unbounded path. *)
+    admission test runs on the unbounded path.
+
+    Packet records are recycled: an absorbed or dropped packet's record
+    goes on a free list and is reinitialised in place for a later packet,
+    so steady-state stepping allocates no records.  A [Packet.t] handle is
+    therefore valid only until its packet is absorbed or dropped; holding
+    buffered packets between steps is fine. *)
 
 val graph : t -> Aqt_graph.Digraph.t
 val policy : t -> Policy_type.t
@@ -75,8 +75,8 @@ val route_table : t -> Route_intern.t
 (** The intern table this network resolves injected routes through. *)
 
 val pooled : t -> int
-(** Packet records currently parked on the recycling free-list (0 unless the
-    network was created with [recycle:true]). *)
+(** Packet records currently parked on the recycling free list: absorbed
+    and dropped records not yet reused. *)
 
 (** {1 Driving the system} *)
 

@@ -12,11 +12,11 @@
     Sharing rules of the fast path: [route] may be an interned canonical
     array shared with other packets ({!Route_intern}) — never mutate its
     elements; route rewrites go through [Network.reroute], which installs
-    the interned array for the rewritten contents.  When the owning network
-    recycles packets ([Network.create ~recycle:true]), a record may be
-    reinitialised for a new packet after absorption, so do not hold on to
-    absorbed packets — every field is mutable only to make that in-place
-    reinitialisation possible. *)
+    the interned array for the rewritten contents.  The owning network
+    recycles records: once a packet is absorbed or dropped, its record may
+    be reinitialised for a new packet, so a handle is valid only until its
+    packet is absorbed or dropped.  Every field is mutable only to make
+    that in-place reinitialisation possible. *)
 
 type t = {
   mutable id : int;

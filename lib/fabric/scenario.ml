@@ -138,8 +138,8 @@ let run ?(backend = Record) t =
   match backend with
   | Record ->
       let net =
-        Network.create ~log_injections:true ~recycle:true
-          ~capacity:t.capacity ~graph ~policy:t.policy ()
+        Network.create ~log_injections:true ~capacity:t.capacity ~graph
+          ~policy:t.policy ()
       in
       for i = 0 to steps - 1 do
         Network.step net (injections_of_step (step_routes i))

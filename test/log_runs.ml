@@ -62,8 +62,7 @@ let run ?soa_domains ~exogenous ~seed ~steps () =
     | _ -> ()
   in
   let net =
-    N.create ~log_injections:true ~tracer ~recycle:(Prng.bool prng) ~capacity
-      ~graph:l.graph ~policy ()
+    N.create ~log_injections:true ~tracer ~capacity ~graph:l.graph ~policy ()
   in
   let soa =
     Option.map

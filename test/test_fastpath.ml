@@ -1,13 +1,14 @@
 (* Differential tests for the zero-allocation engine fast path.
 
-   The fast configuration (no tracer, packet recycling, shared pre-warmed
-   route intern table) must be observationally identical to the fully
-   instrumented slow configuration (tracer attached, injection logging,
-   private table, no recycling) on the same injection schedule: same
-   per-step recorder trajectory, same buffer contents, same aggregate
-   statistics.  Randomised over graphs, policies and schedules, including
-   reroute-heavy runs (rerouted routes are interned into the same table as
-   injected ones, shared in the fast configuration). *)
+   Every network recycles packet records.  The fast configuration (no
+   tracer, shared pre-warmed route intern table) and the fully
+   instrumented one (tracer attached, injection logging, private table)
+   must both be observationally identical to Aqt_check.Ref_model, which
+   allocates a fresh record and route array per packet, on the same
+   injection schedule: same per-step trajectory, same buffer contents, same
+   aggregate statistics.  Randomised over graphs, policies and schedules,
+   including reroute-heavy runs (rerouted routes are interned into the same
+   table as injected ones, shared in the fast configuration). *)
 
 module D = Aqt_graph.Digraph
 module B = Aqt_graph.Build
@@ -17,6 +18,8 @@ module Packet = Aqt_engine.Packet
 module Sim = Aqt_engine.Sim
 module Recorder = Aqt_engine.Recorder
 module Policies = Aqt_policy.Policies
+module Capacity = Aqt_capacity.Model
+module Ref_model = Aqt_check.Ref_model
 module Prng = Aqt_util.Prng
 
 let check_int = Alcotest.(check int)
@@ -85,34 +88,74 @@ let shared_table_across_networks () =
 (* Packet pool                                                         *)
 (* ------------------------------------------------------------------ *)
 
+let inj ?(tag = "t") route : N.injection = { route; tag }
+
+(* A plain network pools absorbed records, drop-tail rejections and
+   drop-head victims, and a reused record has every field reset for its new
+   packet — including the flags of an initial or exogenous predecessor. *)
 let pool_recycles_records () =
-  let l = B.line 2 in
-  let net = N.create ~recycle:true ~graph:l.graph ~policy:Policies.fifo () in
-  N.step net [ { N.route = l.edges; tag = "first" } ];
-  N.step net [];
+  let l = B.line 3 in
+  let e = l.edges in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  let check_packet what (p : Packet.t) ~id ~injected_at ~initial ~exogenous
+      ~tag ~route ~buffered_at =
+    check_int (what ^ " id") id p.id;
+    check_int (what ^ " injected_at") injected_at p.injected_at;
+    check_bool (what ^ " initial") initial p.initial;
+    check_bool (what ^ " exogenous") exogenous p.exogenous;
+    check_bool (what ^ " tag") true (p.tag = tag);
+    check_bool (what ^ " route") true (p.route = route);
+    check_int (what ^ " hop") 0 p.hop;
+    check_int (what ^ " buffered_at") buffered_at p.buffered_at;
+    check_int (what ^ " reroutes") 0 p.reroutes
+  in
+  let only_packet_at edge =
+    match N.buffer_packets net edge with
+    | [ p ] -> p
+    | l -> Alcotest.failf "expected one buffered packet, got %d" (List.length l)
+  in
+  (* An initial packet, rerouted to end at its first edge, then absorbed:
+     every field of its record now differs from the next packet's. *)
+  let first = N.place_initial net ~tag:"init" [| e.(0); e.(1) |] in
+  N.reroute net first [||];
   N.step net [];
   check_int "absorbed" 1 (N.absorbed net);
-  check_int "record parked in the pool" 1 (N.pooled net);
-  (* The recycled record is reinitialised for the next packet. *)
-  N.step net [ { N.route = Array.sub l.edges 0 1; tag = "second" } ];
+  check_int "absorbed record parked in the pool" 1 (N.pooled net);
+  N.step net ~exogenous:[ inj ~tag:"noise" [| e.(1); e.(2) |] ] [];
   check_int "pool drained by the new injection" 0 (N.pooled net);
-  let seen = ref [] in
-  N.iter_buffered (fun p -> seen := p :: !seen) net;
-  (match !seen with
-  | [ p ] ->
-      check_int "fresh id" 1 p.Packet.id;
-      check_int "fresh hop" 0 p.Packet.hop;
-      check_int "fresh injected_at" 4 p.Packet.injected_at;
-      check_bool "fresh tag" true (p.Packet.tag = "second");
-      check_int "fresh route" 1 (Array.length p.Packet.route)
-  | l -> Alcotest.failf "expected exactly one buffered packet, got %d"
-           (List.length l));
-  (* Without recycling nothing is pooled. *)
-  let plain = N.create ~graph:l.graph ~policy:Policies.fifo () in
-  N.step plain [ { N.route = l.edges; tag = "x" } ];
-  N.step plain [];
-  N.step plain [];
-  check_int "no pooling by default" 0 (N.pooled plain)
+  let noise = only_packet_at e.(1) in
+  check_bool "the record is reused" true (noise == first);
+  check_packet "exogenous" noise ~id:1 ~injected_at:2 ~initial:false
+    ~exogenous:true ~tag:"noise" ~route:[| e.(1); e.(2) |] ~buffered_at:2;
+  (* The exogenous record comes back for an adversary packet. *)
+  N.step net [];
+  N.step net [];
+  check_int "exogenous packet absorbed into the pool" 1 (N.pooled net);
+  N.step net [ inj ~tag:"adv" [| e.(0) |] ];
+  let adv = only_packet_at e.(0) in
+  check_bool "reused again" true (adv == first);
+  check_packet "adversary" adv ~id:2 ~injected_at:5 ~initial:false
+    ~exogenous:false ~tag:"adv" ~route:[| e.(0) |] ~buffered_at:5;
+  (* Capacity losses: a drop-tail rejection and a drop-head victim are
+     pooled as soon as they are lost. *)
+  List.iter
+    (fun policy ->
+      let net =
+        N.create ~capacity:(Capacity.uniform ~policy 1) ~graph:l.graph
+          ~policy:Policies.fifo ()
+      in
+      N.step net [ inj [| e.(0) |]; inj [| e.(0) |] ];
+      let what = Capacity.policy_name policy in
+      check_int (what ^ ": one loss") 1 (N.dropped net);
+      check_int (what ^ ": displacements")
+        (if policy = Capacity.Drop_head then 1 else 0)
+        (N.displaced net);
+      check_int (what ^ ": the lost record is pooled") 1 (N.pooled net);
+      N.step net [ inj [| e.(1) |] ];
+      check_int (what ^ ": survivor absorbed") 1 (N.absorbed net);
+      check_int (what ^ ": survivor pooled, one record reused") 1
+        (N.pooled net))
+    [ Capacity.Drop_tail; Capacity.Drop_head ]
 
 (* ------------------------------------------------------------------ *)
 (* Steady-state allocation                                             *)
@@ -124,7 +167,7 @@ let steady_state_zero_major_growth () =
   let routes =
     Array.init k (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod k)))
   in
-  let net = N.create ~recycle:true ~graph:ring.graph ~policy:Policies.fifo () in
+  let net = N.create ~graph:ring.graph ~policy:Policies.fifo () in
   let t = ref 0 in
   let driver =
     Sim.injections_only (fun _ _ ->
@@ -149,8 +192,55 @@ let steady_state_zero_major_growth () =
   check_int "network still conserves packets" (N.injected_count net)
     (N.absorbed net + N.in_flight net)
 
+(* A warmed-up step allocates no packet records and no buffer entries: on
+   a fully loaded ring, one step under FIFO (ring storage) and one under
+   LIS (heap storage) allocate no more minor words than that step's
+   injection list, however many packets they forward.  The list is built
+   before the measurement; what the step may allocate is the route-table
+   lookups. *)
+let loaded_step_allocation () =
+  let k = 12 in
+  let ring = B.ring k in
+  let routes =
+    Array.init k (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod k)))
+  in
+  (* Three 4-edge routes per step, cycling over the ring: load 1 on every
+     edge, so every buffer forwards on every step. *)
+  let t = ref 0 in
+  let batch () =
+    incr t;
+    List.init 3 (fun i -> inj routes.(((3 * !t) + i) mod k))
+  in
+  (* One cons cell and one injection record per entry, each a header and
+     two fields. *)
+  let list_words = float (3 * 6) in
+  List.iter
+    (fun (policy : Policies.t) ->
+      let net = N.create ~graph:ring.graph ~policy () in
+      (* Warm-up: buffers and stacks reach their periodic peak, and every
+         absorbed record is reused by the next injections. *)
+      for _ = 1 to 300 do
+        N.step net (batch ())
+      done;
+      let sent () =
+        Array.fold_left (fun n e -> n + N.sent_on_edge net e) 0 ring.edges
+      in
+      let injections = batch () in
+      let sent_before = sent () in
+      let before = Gc.minor_words () in
+      N.step net injections;
+      let words = Gc.minor_words () -. before in
+      check_int (policy.name ^ ": every edge forwards") k
+        (sent () - sent_before);
+      if words > list_words then
+        Alcotest.failf
+          "%s: one loaded step allocated %.0f minor words, more than its \
+           %.0f-word injection list"
+          policy.name words list_words)
+    [ Policies.fifo; Policies.lis ]
+
 (* ------------------------------------------------------------------ *)
-(* Differential property: fast path == instrumented path               *)
+(* Differential property: fast == instrumented == reference           *)
 (* ------------------------------------------------------------------ *)
 
 type scenario = {
@@ -203,17 +293,15 @@ let gen_scenario seed =
 
 (* Deterministic reroute pass: truncate the route of every buffered packet
    whose id matches, so it gets absorbed at its next hop.  Identical packet
-   ids see identical rewrites in both configurations. *)
-let reroute_pass net =
+   ids see identical rewrites in every configuration. *)
+let reroute_pass iter_buffered reroute =
   let victims = ref [] in
-  N.iter_buffered
-    (fun p ->
+  iter_buffered (fun p ->
       if p.Packet.id mod 5 = 2 && Packet.remaining p > 1 then
-        victims := p :: !victims)
-    net;
-  List.iter (fun p -> N.reroute net p [||]) !victims
+        victims := p :: !victims);
+  List.iter (fun p -> reroute p [||]) !victims
 
-let buffer_fingerprint net graph =
+let buffer_fingerprint buffer_packets graph =
   let b = Buffer.create 256 in
   for e = 0 to D.n_edges graph - 1 do
     List.iter
@@ -223,7 +311,7 @@ let buffer_fingerprint net graph =
              p.injected_at p.reroutes
              (String.concat ","
                 (Array.to_list (Array.map string_of_int p.route)))))
-      (N.buffer_packets net e)
+      (buffer_packets e)
   done;
   Buffer.contents b
 
@@ -232,14 +320,17 @@ let sample_fingerprint (s : Recorder.sample) =
      observable about the simulation must not. *)
   (s.t, s.in_flight, s.cur_max_queue, s.absorbed, s.max_dwell)
 
-let run_config ~fast scenario =
+let injections scenario idxs =
+  List.map (fun i -> { N.route = scenario.routes.(i); tag = "d" }) idxs
+
+let run_engine ~fast scenario =
   let policy = Policies.by_name scenario.policy_name in
   let net =
     if fast then begin
       (* Shared, pre-warmed table: every route interned before the run. *)
       let table = RI.create () in
       Array.iter (fun r -> ignore (RI.intern table r)) scenario.routes;
-      N.create ~route_table:table ~recycle:true ~graph:scenario.graph ~policy ()
+      N.create ~route_table:table ~graph:scenario.graph ~policy ()
     end
     else
       N.create ~log_injections:true ~tracer:(fun _ -> ()) ~graph:scenario.graph
@@ -248,16 +339,16 @@ let run_config ~fast scenario =
   let recorder = Recorder.make () in
   Array.iter
     (fun idxs ->
-      if scenario.reroute_heavy then reroute_pass net;
-      N.step net
-        (List.map (fun i -> { N.route = scenario.routes.(i); tag = "d" }) idxs);
+      if scenario.reroute_heavy then
+        reroute_pass (fun f -> N.iter_buffered f net) (N.reroute net);
+      N.step net (injections scenario idxs);
       Recorder.observe recorder net)
     scenario.schedule;
   let trajectory =
     Array.to_list (Array.map sample_fingerprint (Recorder.samples recorder))
   in
   ( trajectory,
-    buffer_fingerprint net scenario.graph,
+    buffer_fingerprint (N.buffer_packets net) scenario.graph,
     ( N.max_queue_ever net,
       N.max_dwell net,
       N.absorbed net,
@@ -266,20 +357,65 @@ let run_config ~fast scenario =
       N.reroute_count net,
       N.delivered_latency_max net ) )
 
+(* The comparison arm: the reference model allocates a fresh record and
+   route array for every packet, so agreeing with it shows that recycling
+   records and interning routes change nothing observable. *)
+let run_reference scenario =
+  let policy = Policies.by_name scenario.policy_name in
+  let m = Ref_model.create ~graph:scenario.graph ~policy () in
+  let cur_max_queue () =
+    let best = ref 0 in
+    for e = 0 to D.n_edges scenario.graph - 1 do
+      best := max !best (Ref_model.buffer_len m e)
+    done;
+    !best
+  in
+  let trajectory =
+    Array.to_list
+      (Array.map
+         (fun idxs ->
+           if scenario.reroute_heavy then
+             reroute_pass
+               (fun f -> Ref_model.iter_buffered f m)
+               (Ref_model.reroute m);
+           ignore (Ref_model.step m (injections scenario idxs));
+           ( Ref_model.now m,
+             Ref_model.in_flight m,
+             cur_max_queue (),
+             Ref_model.absorbed m,
+             Ref_model.max_dwell m ))
+         scenario.schedule)
+  in
+  ( trajectory,
+    buffer_fingerprint (Ref_model.buffer_packets m) scenario.graph,
+    ( Ref_model.max_queue_ever m,
+      Ref_model.max_dwell m,
+      Ref_model.absorbed m,
+      Ref_model.in_flight m,
+      Ref_model.injected_count m,
+      Ref_model.reroute_count m,
+      Ref_model.delivered_latency_max m ) )
+
 let prop_fastpath_differential =
   QCheck.Test.make ~count:60 ~name:"fast path == instrumented path"
     QCheck.(map (fun n -> abs n) int)
     (fun seed ->
       let scenario = gen_scenario seed in
-      let slow_traj, slow_bufs, slow_stats = run_config ~fast:false scenario in
-      let fast_traj, fast_bufs, fast_stats = run_config ~fast:true scenario in
-      if slow_traj <> fast_traj then
-        QCheck.Test.fail_reportf "trajectories diverge (seed %d)" seed;
-      if slow_bufs <> fast_bufs then
-        QCheck.Test.fail_reportf "buffer contents diverge (seed %d):\n%s\nvs\n%s"
-          seed slow_bufs fast_bufs;
-      if slow_stats <> fast_stats then
-        QCheck.Test.fail_reportf "aggregate statistics diverge (seed %d)" seed;
+      let ref_traj, ref_bufs, ref_stats = run_reference scenario in
+      List.iter
+        (fun (arm, fast) ->
+          let traj, bufs, stats = run_engine ~fast scenario in
+          if traj <> ref_traj then
+            QCheck.Test.fail_reportf "%s: trajectory diverges (seed %d)" arm
+              seed;
+          if bufs <> ref_bufs then
+            QCheck.Test.fail_reportf
+              "%s: buffer contents diverge (seed %d):\n%s\nvs reference\n%s"
+              arm seed bufs ref_bufs;
+          if stats <> ref_stats then
+            QCheck.Test.fail_reportf
+              "%s: aggregate statistics diverge (seed %d)" arm seed)
+        [ ("instrumented", false); ("fast", true) ];
       true)
 
 (* run_steps must drive the network exactly like the same number of
@@ -331,6 +467,8 @@ let () =
         [
           Alcotest.test_case "zero major growth" `Quick
             steady_state_zero_major_growth;
+          Alcotest.test_case "loaded step allocates no records" `Quick
+            loaded_step_allocation;
         ] );
       ( "differential",
         [

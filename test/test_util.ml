@@ -2,7 +2,6 @@
 
 module Ratio = Aqt_util.Ratio
 module Dyn = Aqt_util.Dynarray_compat
-module Heap = Aqt_util.Binheap
 module Prng = Aqt_util.Prng
 module Tbl = Aqt_util.Tbl
 
@@ -152,161 +151,6 @@ let prop_dyn_model =
       let d = Dyn.create () in
       List.iter (Dyn.push d) xs;
       Dyn.to_list d = xs && Dyn.length d = List.length xs)
-
-(* ------------------------------------------------------------------ *)
-(* Deque                                                               *)
-(* ------------------------------------------------------------------ *)
-
-module Dq = Aqt_util.Deque
-
-let deque_basics () =
-  let d = Dq.create () in
-  check_bool "empty" true (Dq.is_empty d);
-  Dq.push_back d 1;
-  Dq.push_back d 2;
-  Dq.push_front d 0;
-  check_int "length" 3 (Dq.length d);
-  check_bool "order" true (Dq.to_list d = [ 0; 1; 2 ]);
-  check_int "peek front" 0 (Dq.peek_front d);
-  check_int "peek back" 2 (Dq.peek_back d);
-  check_int "get" 1 (Dq.get d 1);
-  check_int "pop front" 0 (Dq.pop_front d);
-  check_int "pop back" 2 (Dq.pop_back d);
-  check_int "pop last" 1 (Dq.pop_front d);
-  Alcotest.check_raises "empty pop" Not_found (fun () ->
-      ignore (Dq.pop_front d))
-
-let deque_wraparound () =
-  (* Force the head to travel around the ring several times. *)
-  let d = Dq.create () in
-  for i = 0 to 4 do
-    Dq.push_back d i
-  done;
-  for round = 0 to 99 do
-    let x = Dq.pop_front d in
-    Dq.push_back d (x + 1000);
-    if round mod 7 = 0 then begin
-      Dq.push_front d (-round);
-      ignore (Dq.pop_back d)
-    end
-  done;
-  check_int "stable size" 5 (Dq.length d);
-  check_int "iter count" 5
-    (let n = ref 0 in
-     Dq.iter (fun _ -> incr n) d;
-     !n)
-
-let deque_option_variants () =
-  let d = Dq.create () in
-  check_bool "pop_front_opt empty" true (Dq.pop_front_opt d = None);
-  check_bool "pop_back_opt empty" true (Dq.pop_back_opt d = None);
-  check_bool "peek_front_opt empty" true (Dq.peek_front_opt d = None);
-  check_bool "peek_back_opt empty" true (Dq.peek_back_opt d = None);
-  Dq.push_back d 1;
-  Dq.push_back d 2;
-  check_bool "peek_front_opt" true (Dq.peek_front_opt d = Some 1);
-  check_bool "peek_back_opt" true (Dq.peek_back_opt d = Some 2);
-  check_bool "pop_front_opt" true (Dq.pop_front_opt d = Some 1);
-  check_bool "pop_back_opt" true (Dq.pop_back_opt d = Some 2);
-  check_bool "drained" true (Dq.pop_front_opt d = None)
-
-(* Model check against two stdlib lists (front/back). *)
-let prop_deque_model =
-  QCheck.Test.make ~name:"deque behaves like a functional sequence" ~count:300
-    QCheck.(list (pair (int_range 0 3) small_int))
-    (fun ops ->
-      let d = Dq.create () in
-      let model = ref [] in
-      let ok = ref true in
-      List.iter
-        (fun (op, v) ->
-          match op with
-          | 0 ->
-              Dq.push_back d v;
-              model := !model @ [ v ]
-          | 1 ->
-              Dq.push_front d v;
-              model := v :: !model
-          | 2 -> (
-              match !model with
-              | [] -> (
-                  try
-                    ignore (Dq.pop_front d);
-                    ok := false
-                  with Not_found -> ())
-              | x :: rest ->
-                  model := rest;
-                  if Dq.pop_front d <> x then ok := false)
-          | _ -> (
-              match List.rev !model with
-              | [] -> (
-                  try
-                    ignore (Dq.pop_back d);
-                    ok := false
-                  with Not_found -> ())
-              | x :: rest ->
-                  model := List.rev rest;
-                  if Dq.pop_back d <> x then ok := false))
-        ops;
-      !ok && Dq.to_list d = !model)
-
-(* ------------------------------------------------------------------ *)
-(* Binheap                                                             *)
-(* ------------------------------------------------------------------ *)
-
-let heap_order () =
-  let h = Heap.create () in
-  Heap.add h ~key:3 ~tie:0 "c";
-  Heap.add h ~key:1 ~tie:0 "a";
-  Heap.add h ~key:2 ~tie:0 "b";
-  check_string "min" "a" (Heap.min_elt h);
-  check_string "pop1" "a" (Heap.pop_min h);
-  check_string "pop2" "b" (Heap.pop_min h);
-  check_string "pop3" "c" (Heap.pop_min h);
-  Alcotest.check_raises "empty pop" Not_found (fun () ->
-      ignore (Heap.pop_min h))
-
-let heap_option_variants () =
-  let h = Heap.create () in
-  check_bool "min_elt_opt empty" true (Heap.min_elt_opt h = None);
-  check_bool "pop_min_opt empty" true (Heap.pop_min_opt h = None);
-  Heap.add h ~key:2 ~tie:0 "b";
-  Heap.add h ~key:1 ~tie:0 "a";
-  check_bool "min_elt_opt" true (Heap.min_elt_opt h = Some "a");
-  check_bool "pop_min_opt" true (Heap.pop_min_opt h = Some "a");
-  check_bool "pop_min_opt next" true (Heap.pop_min_opt h = Some "b");
-  check_bool "drained" true (Heap.pop_min_opt h = None)
-
-let heap_tie_stability () =
-  let h = Heap.create () in
-  for i = 0 to 9 do
-    Heap.add h ~key:7 ~tie:i i
-  done;
-  let popped = List.init 10 (fun _ -> Heap.pop_min h) in
-  check_bool "ties pop in insertion order" true
-    (popped = List.init 10 Fun.id)
-
-let prop_heap_sorted_view =
-  QCheck.Test.make ~name:"to_sorted_list equals drain order" ~count:200
-    QCheck.(list small_int)
-    (fun ks ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.add h ~key:k ~tie:i (k, i)) ks;
-      let view = Heap.to_sorted_list h in
-      let popped = List.init (List.length ks) (fun _ -> Heap.pop_min h) in
-      view = popped)
-
-let prop_heap_matches_sort =
-  QCheck.Test.make ~name:"heap order equals stable sort by key" ~count:200
-    QCheck.(list small_int)
-    (fun ks ->
-      let h = Heap.create () in
-      List.iteri (fun i k -> Heap.add h ~key:k ~tie:i (k, i)) ks;
-      let popped = List.init (List.length ks) (fun _ -> Heap.pop_min h) in
-      let expected =
-        List.stable_sort compare (List.mapi (fun i k -> (k, i)) ks)
-      in
-      popped = expected)
 
 (* ------------------------------------------------------------------ *)
 (* Histo                                                               *)
@@ -772,21 +616,6 @@ let () =
           Alcotest.test_case "swap_remove" `Quick dyn_swap_remove;
           Alcotest.test_case "iterators" `Quick dyn_iter_fold;
           q prop_dyn_model;
-        ] );
-      ( "deque",
-        [
-          Alcotest.test_case "basics" `Quick deque_basics;
-          Alcotest.test_case "wraparound" `Quick deque_wraparound;
-          Alcotest.test_case "option variants" `Quick deque_option_variants;
-          q prop_deque_model;
-        ] );
-      ( "binheap",
-        [
-          Alcotest.test_case "order" `Quick heap_order;
-          Alcotest.test_case "option variants" `Quick heap_option_variants;
-          Alcotest.test_case "tie stability" `Quick heap_tie_stability;
-          q prop_heap_sorted_view;
-          q prop_heap_matches_sort;
         ] );
       ( "histo",
         [
