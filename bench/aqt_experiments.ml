@@ -1490,7 +1490,7 @@ let fabric_incast rb =
               ~pattern:(Traffic.Incast { senders = 15 })
               ~utilisation:(Ratio.make un ud) ~policy ~horizon ~seed:1 ()
           in
-          let o = Scenario.run ~backend:(Scenario.Soa 1) t in
+          let o = Scenario.run ~backend:(`Soa 1) t in
           rows :=
             [
               policy.name;

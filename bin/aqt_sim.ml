@@ -15,68 +15,42 @@ module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
 module Stock = Aqt_adversary.Stock
 module Tbl = Aqt_util.Tbl
+module Scenario_spec = Aqt_fabric.Scenario_spec
 
 (* ------------------------------------------------------------------ *)
 (* Argument converters                                                 *)
 (* ------------------------------------------------------------------ *)
 
-let ratio_conv =
+(* Flags that name part of a scenario parse through the shared vocabulary;
+   [check] narrows a token to a command's own range. *)
+let spec_conv (type a) ?(check = Result.ok)
+    (module T : Scenario_spec.TOKEN with type t = a) =
+  let print fmt x = Format.pp_print_string fmt (T.to_string x) in
+  Arg.conv' ((fun s -> Result.bind (T.of_string s) check), print)
+
+let at_least ~what lo c =
   let parse s =
-    match String.index_opt s '/' with
-    | Some i -> (
-        try
-          Ok
-            (Ratio.make
-               (int_of_string (String.sub s 0 i))
-               (int_of_string (String.sub s (i + 1) (String.length s - i - 1))))
-        with _ -> Error (`Msg (Printf.sprintf "bad rational %S" s)))
-    | None -> (
-        try Ok (Ratio.of_float_approx (float_of_string s))
-        with _ -> Error (`Msg (Printf.sprintf "bad rate %S" s)))
+    match Arg.conv_parser c s with
+    | Ok n when n < lo ->
+        Error (`Msg (Printf.sprintf "%s %d must be at least %d" what n lo))
+    | r -> r
   in
-  Arg.conv (parse, fun fmt r -> Ratio.pp fmt r)
-
-let policy_conv =
-  let parse s =
-    try Ok (Policies.by_name s)
-    with Not_found -> Error (`Msg (Printf.sprintf "unknown policy %S" s))
-  in
-  Arg.conv (parse, fun fmt (p : Policies.t) -> Format.pp_print_string fmt p.name)
-
-(* Networks are named "line:K" or "ring:K"; routes are derived. *)
-type net_spec = Line of int | Ring of int
-
-let net_conv =
-  let parse s =
-    match String.split_on_char ':' s with
-    | [ "line"; k ] -> ( try Ok (Line (int_of_string k)) with _ -> Error (`Msg "bad size"))
-    | [ "ring"; k ] -> ( try Ok (Ring (int_of_string k)) with _ -> Error (`Msg "bad size"))
-    | _ -> Error (`Msg (Printf.sprintf "unknown network %S (line:K | ring:K)" s))
-  in
-  let print fmt = function
-    | Line k -> Format.fprintf fmt "line:%d" k
-    | Ring k -> Format.fprintf fmt "ring:%d" k
-  in
-  Arg.conv (parse, print)
-
-let build_net ~d = function
-  | Line k ->
-      let l = Build.line k in
-      let d = min d k in
-      (l.graph, List.init (k - d + 1) (fun i -> Array.sub l.edges i d))
-  | Ring k ->
-      let r = Build.ring k in
-      let d = min d (k - 1) in
-      (r.graph, List.init k (fun i -> Array.init d (fun j -> r.edges.((i + j) mod k))))
+  Arg.conv (parse, Arg.conv_printer c)
 
 (* ------------------------------------------------------------------ *)
 (* params                                                              *)
 (* ------------------------------------------------------------------ *)
 
 let eps_arg =
+  let eps_conv =
+    spec_conv (module Scenario_spec.Rate) ~check:(fun e ->
+        if Ratio.(e > zero && e < half) then Ok e
+        else
+          Error (Printf.sprintf "eps %s must be in (0, 1/2)" (Ratio.to_string e)))
+  in
   Arg.(
     value
-    & opt ratio_conv (Ratio.make 1 10)
+    & opt eps_conv (Ratio.make 1 10)
     & info [ "eps" ] ~docv:"EPS" ~doc:"Instability margin: rate is 1/2 + EPS.")
 
 let params_cmd =
@@ -198,12 +172,12 @@ let instability_cmd =
 let policy_arg =
   Arg.(
     value
-    & opt policy_conv Policies.fifo
+    & opt (spec_conv (module Scenario_spec.Policy)) Policies.fifo
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Queuing policy (fifo|lifo|lis|nis|sis|ftg|ntg|ffs|nts).")
 
-let horizon_arg =
-  Arg.(value & opt int 20_000 & info [ "horizon" ] ~doc:"Steps to simulate.")
+let horizon_arg c =
+  Arg.(value & opt c 20_000 & info [ "horizon" ] ~doc:"Steps to simulate.")
 
 let stability_cmd =
   let d = Arg.(value & opt int 5 & info [ "hops"; "d" ] ~doc:"Route length.") in
@@ -211,7 +185,7 @@ let stability_cmd =
   let rate =
     Arg.(
       value
-      & opt (some ratio_conv) None
+      & opt (some (spec_conv (module Scenario_spec.Rate))) None
       & info [ "rate" ] ~doc:"Injection rate (default 1/d or 1/(d+1)).")
   in
   let run policy d w rate horizon =
@@ -252,47 +226,52 @@ let stability_cmd =
   Cmd.v
     (Cmd.info "stability"
        ~doc:"Certify the Theorem 4.1/4.3 dwell bound on a burst workload")
-    Term.(const run $ policy_arg $ d $ w $ rate $ horizon_arg)
+    Term.(const run $ policy_arg $ d $ w $ rate $ horizon_arg Arg.int)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
 (* ------------------------------------------------------------------ *)
 
+let net_arg =
+  Arg.(
+    value
+    & opt
+        (spec_conv (module Scenario_spec.Network)
+           ~check:Scenario_spec.Network.buildable)
+        (Scenario_spec.Network.Ring 8)
+    & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
+
+let hops_arg =
+  Arg.(
+    value
+    & opt (at_least ~what:"hops" 1 int) 4
+    & info [ "hops"; "d" ] ~doc:"Route length.")
+
 let simulate_cmd =
-  let net_arg =
-    Arg.(
-      value & opt net_conv (Ring 8)
-      & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
-  in
-  let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
   let rate =
     Arg.(
-      value & opt ratio_conv (Ratio.make 1 4)
+      value
+      & opt (spec_conv (module Scenario_spec.Rate)) (Ratio.make 1 4)
       & info [ "rate" ] ~doc:"Aggregate per-edge injection rate.")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~doc:"PRNG seed.") in
   let stochastic =
     Arg.(value & flag & info [ "stochastic" ] ~doc:"Bernoulli instead of bursts.")
   in
-  let run spec policy d rate horizon seed stochastic =
-    let graph, routes = build_net ~d spec in
-    let nroutes = List.length routes in
-    let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
-    let adv =
-      if stochastic then
-        Stock.bernoulli ~prng:(Aqt_util.Prng.create seed) ~rate:per_route
-          ~routes ()
-      else Stock.windowed_burst ~w:40 ~rate:per_route ~routes ~horizon ()
+  let run network policy d rate horizon seed stochastic =
+    let s =
+      Scenario_spec.simulate ~capacity:Aqt_capacity.Model.unbounded ~network ~d
+        ~policy ~rate ~horizon ~stochastic ~seed
     in
-    let net = Network.create ~graph ~policy () in
-    let outcome = Sim.run ~net ~driver:adv.driver ~horizon () in
+    let net = s.net in
     Printf.printf
       "%s on %d-edge graph, %d routes of length <= %d, rate %s (%s)\n"
       policy.Aqt_engine.Policy_type.name
-      (Aqt_graph.Digraph.n_edges graph)
-      nroutes d (Ratio.to_string rate) adv.name;
+      (Aqt_graph.Digraph.n_edges s.workload.graph)
+      (List.length s.workload.routes)
+      d (Ratio.to_string rate) s.adversary;
     Printf.printf
-      "steps=%d injected=%d absorbed=%d in-flight=%d\n" outcome.steps_run
+      "steps=%d injected=%d absorbed=%d in-flight=%d\n" s.steps
       (Network.injected_count net)
       (Network.absorbed net) (Network.in_flight net);
     Printf.printf "max queue=%d max dwell=%d mean latency=%.2f\n"
@@ -302,66 +281,51 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Free-form simulation run")
     Term.(
-      const run $ net_arg $ policy_arg $ d $ rate $ horizon_arg $ seed
-      $ stochastic)
+      const run $ net_arg $ policy_arg $ hops_arg $ rate
+      $ horizon_arg (at_least ~what:"horizon" 0 Arg.int)
+      $ seed $ stochastic)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
 (* ------------------------------------------------------------------ *)
 
 let sweep_cmd =
-  let net_arg =
-    Arg.(
-      value & opt net_conv (Ring 8)
-      & info [ "network" ] ~docv:"NET" ~doc:"Topology: line:K or ring:K.")
-  in
-  let d = Arg.(value & opt int 4 & info [ "hops"; "d" ] ~doc:"Route length.") in
   let rates =
     Arg.(
       value
-      & opt (list ratio_conv)
+      & opt
+          (list (spec_conv (module Scenario_spec.Rate)))
           [ Ratio.make 1 8; Ratio.make 1 4; Ratio.make 1 2; Ratio.make 3 4 ]
       & info [ "rates" ] ~doc:"Comma-separated rates to test.")
   in
-  let run spec d rates horizon =
-    let graph, routes = build_net ~d spec in
-    (* One intern table for the whole grid: every cell runs the same routes
-       on the same graph, so each route is validated once per sweep. *)
-    let route_table = Aqt_engine.Route_intern.create () in
-    let tbl =
-      Tbl.create
-        ~headers:[ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
-    in
-    List.iter
-      (fun policy ->
+  let run network d rates horizon =
+    let w = Scenario_spec.workload ~d network in
+    match Scenario_spec.sweep_rates ~routes:(List.length w.routes) rates with
+    | Error msg -> `Error (true, msg)
+    | Ok () ->
+        (* One intern table for the whole grid: every cell runs the same
+           routes on the same graph, so each route is validated once per
+           sweep. *)
+        let route_table = Aqt_engine.Route_intern.create () in
+        let tbl = Tbl.create ~headers:Scenario_spec.sweep_headers in
         List.iter
-          (fun rate ->
-            let per_route =
-              Ratio.div rate (Ratio.of_int (max 1 (List.length routes)))
-            in
-            let adv =
-              Stock.shared_token_bucket ~rate:per_route ~routes ~horizon ()
-            in
-            let adv = { adv with Stock.rate } in
-            let report =
-              Aqt.Sweep.classify ~route_table ~name:"sweep" ~graph ~policy
-                ~adversary:adv ~horizon ()
-            in
-            Tbl.add_row tbl
-              [
-                policy.Aqt_engine.Policy_type.name;
-                Ratio.to_string rate;
-                Aqt.Sweep.verdict_to_string report.verdict;
-                Tbl.fi report.max_queue;
-                Tbl.fi report.final_backlog;
-              ])
-          rates)
-      Policies.all_deterministic;
-    Tbl.print tbl
+          (fun policy ->
+            List.iter
+              (fun rate ->
+                Tbl.add_row tbl
+                  (Scenario_spec.sweep_cell ~route_table w ~policy ~rate
+                     ~horizon))
+              rates)
+          Policies.all_deterministic;
+        Tbl.print tbl;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Classify a policy x rate grid as stable/growing")
-    Term.(const run $ net_arg $ d $ rates $ horizon_arg)
+    Term.(
+      ret
+        (const run $ net_arg $ hops_arg $ rates
+        $ horizon_arg (at_least ~what:"horizon" 1 Arg.int)))
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -515,10 +479,9 @@ let replay_cmd =
     let rate =
       match Aqt_adversary.Log_io.meta_value log "rate" with
       | Some v -> (
-          match String.split_on_char '/' v with
-          | [ p; q ] -> Ratio.make (int_of_string p) (int_of_string q)
-          | [ p ] -> Ratio.of_int (int_of_string p)
-          | _ -> failwith "bad rate metadata")
+          match Scenario_spec.Rate.of_string v with
+          | Ok r -> r
+          | Error msg -> failwith ("rate metadata: " ^ msg))
       | None -> Ratio.one
     in
     let gadget = Aqt.Gadget.cyclic ~n ~m () in
@@ -1401,11 +1364,11 @@ let check_cmd =
        [--domains]) to the lockstep comparison alongside the record
        engine. *)
     let soa_domains =
-      match backend with
-      | "record" -> None
-      | "soa" -> Some (if domains = [] then [ 1 ] else domains)
-      | other ->
-          Printf.eprintf "unknown backend %S (record|soa)\n" other;
+      match Scenario_spec.Backend.engine backend with
+      | Ok `Record -> None
+      | Ok `Soa -> Some (if domains = [] then [ 1 ] else domains)
+      | Error msg ->
+          prerr_endline msg;
           exit 2
     in
     (match seed with
@@ -1632,93 +1595,9 @@ let fabric_cmd =
   let module Scenario = Aqt_fabric.Scenario in
   let module Traffic = Aqt_workload.Traffic in
   let module Capacity = Aqt_capacity.Model in
-  let topo_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "spine-leaf"; dims ] -> (
-          match String.split_on_char ',' dims with
-          | [ s'; l; h ] -> (
-              try
-                Ok
-                  (Scenario.Spine_leaf
-                     {
-                       spines = int_of_string s';
-                       leaves = int_of_string l;
-                       hosts_per_leaf = int_of_string h;
-                     })
-              with _ -> Error (`Msg "bad spine-leaf dims"))
-          | _ -> Error (`Msg "spine-leaf wants SPINES,LEAVES,HOSTS"))
-      | [ "fat-tree"; k ] -> (
-          try Ok (Scenario.Fat_tree { k = int_of_string k })
-          with _ -> Error (`Msg "bad fat-tree arity"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown topology %S (spine-leaf:S,L,H | fat-tree:K)" s))
-    in
-    Arg.conv (parse, fun fmt t -> Format.pp_print_string fmt (Scenario.topo_name t))
-  in
-  let pattern_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "permutation" ] -> Ok Traffic.Permutation
-      | [ "all-to-all" ] -> Ok Traffic.All_to_all
-      | [ "incast"; n ] -> (
-          try Ok (Traffic.Incast { senders = int_of_string n })
-          with _ -> Error (`Msg "bad incast sender count"))
-      | [ "hotspot"; f ] -> (
-          match String.split_on_char '/' f with
-          | [ n; d ] -> (
-              try
-                Ok
-                  (Traffic.Hotspot
-                     { hot_num = int_of_string n; hot_den = int_of_string d })
-              with _ -> Error (`Msg "bad hotspot fraction"))
-          | _ -> Error (`Msg "hotspot wants N/D"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown pattern %S (permutation | incast:N | all-to-all | \
-                   hotspot:N/D)"
-                  s))
-    in
-    Arg.conv (parse, fun fmt p -> Format.pp_print_string fmt (Traffic.pattern_name p))
-  in
-  let capacity_conv =
-    let parse s =
-      match String.split_on_char ':' s with
-      | [ "unbounded" ] -> Ok Capacity.unbounded
-      | [ "shared"; total ] -> (
-          try Ok (Capacity.shared (int_of_string total))
-          with _ -> Error (`Msg "bad shared total"))
-      | [ "shared"; total; alpha ] -> (
-          match String.split_on_char '/' alpha with
-          | [ n; d ] -> (
-              try
-                Ok
-                  (Capacity.shared
-                     ~alpha_num:(int_of_string n) ~alpha_den:(int_of_string d)
-                     (int_of_string total))
-              with _ -> Error (`Msg "bad shared capacity"))
-          | _ -> Error (`Msg "alpha wants N/D"))
-      | [ "uniform"; k ] -> (
-          try Ok (Capacity.uniform (int_of_string k))
-          with _ -> Error (`Msg "bad uniform capacity"))
-      | _ ->
-          Error
-            (`Msg
-               (Printf.sprintf
-                  "unknown capacity %S (unbounded | uniform:K | shared:TOTAL \
-                   | shared:TOTAL:A/B)"
-                  s))
-    in
-    Arg.conv (parse, fun fmt c -> Format.pp_print_string fmt (Capacity.describe c))
-  in
   let print_outcome (o : Scenario.outcome) =
     let c = Tbl.create ~headers:[ "metric"; "value" ] in
-    Tbl.add_row c [ "backend"; Scenario.backend_name o.backend ];
+    Tbl.add_row c [ "backend"; Scenario_spec.Backend.to_string o.backend ];
     Tbl.add_row c [ "nodes"; Tbl.fi o.nodes ];
     Tbl.add_row c [ "edges"; Tbl.fi o.edges ];
     Tbl.add_row c [ "hosts"; Tbl.fi o.n_hosts ];
@@ -1755,7 +1634,8 @@ let fabric_cmd =
               Capacity.describe t.capacity;
             ])
         (Scenario.catalog ());
-      Tbl.print tbl
+      Tbl.print tbl;
+      `Ok ()
     end
     else begin
       let base =
@@ -1771,19 +1651,22 @@ let fabric_cmd =
             Scenario.make ~topo ~pattern ~utilisation:util
               ~conns_per_pair:conns ~policy ~capacity ~horizon ~drain ~seed ()
       in
-      let backend =
-        match backend with
-        | "record" -> Scenario.Record
-        | "soa" -> Scenario.Soa domains
-        | other ->
-            Printf.eprintf "unknown backend %S (record|soa)\n" other;
+      let engine =
+        match Scenario_spec.Backend.engine backend with
+        | Ok e -> e
+        | Error msg ->
+            prerr_endline msg;
             exit 2
       in
-      let _, compiled = Scenario.compile base in
-      print_endline (Traffic.describe compiled);
-      let o = Scenario.run ~backend base in
-      print_outcome o;
-      if not o.Scenario.legal then exit 1
+      match Scenario_spec.Backend.with_domains domains engine with
+      | Error msg -> `Error (true, "option '--domains': " ^ msg)
+      | Ok backend ->
+          let _, compiled = Scenario.compile base in
+          print_endline (Traffic.describe compiled);
+          let o = Scenario.run ~backend base in
+          print_outcome o;
+          if not o.Scenario.legal then exit 1;
+          `Ok ()
     end
   in
   let list =
@@ -1800,14 +1683,14 @@ let fabric_cmd =
   let topo =
     Arg.(
       value
-      & opt topo_conv (Scenario.Fat_tree { k = 4 })
+      & opt (spec_conv (module Scenario_spec.Topology)) (Scenario.Fat_tree { k = 4 })
       & info [ "topo" ] ~docv:"TOPO"
           ~doc:"$(b,spine-leaf:S,L,H) or $(b,fat-tree:K) (K even).")
   in
   let pattern =
     Arg.(
       value
-      & opt pattern_conv Traffic.Permutation
+      & opt (spec_conv (module Scenario_spec.Pattern)) Traffic.Permutation
       & info [ "pattern" ] ~docv:"PATTERN"
           ~doc:
             "$(b,permutation), $(b,incast:N), $(b,all-to-all) or \
@@ -1816,7 +1699,14 @@ let fabric_cmd =
   let util =
     Arg.(
       value
-      & opt ratio_conv (Ratio.make 9 10)
+      & opt
+          (spec_conv (module Scenario_spec.Rate) ~check:(fun u ->
+               if Ratio.(u > zero) then Ok u
+               else
+                 Error
+                   (Printf.sprintf "utilisation %s must be positive"
+                      (Ratio.to_string u))))
+          (Ratio.make 9 10)
       & info [ "util" ] ~docv:"RHO"
           ~doc:"Target utilisation of the busiest host access link.")
   in
@@ -1827,13 +1717,14 @@ let fabric_cmd =
   in
   let policy =
     Arg.(
-      value & opt policy_conv Policies.fifo
+      value
+      & opt (spec_conv (module Scenario_spec.Policy)) Policies.fifo
       & info [ "policy" ] ~docv:"P" ~doc:"Queueing policy.")
   in
   let capacity =
     Arg.(
       value
-      & opt capacity_conv Capacity.unbounded
+      & opt (spec_conv (module Scenario_spec.Capacity)) Capacity.unbounded
       & info [ "capacity" ] ~docv:"CAP"
           ~doc:
             "$(b,unbounded), $(b,uniform:K), $(b,shared:TOTAL) or \
@@ -1876,8 +1767,9 @@ let fabric_cmd =
           against its compiled (rho, sigma) budget and exits nonzero if \
           the admissibility check fails.")
     Term.(
-      const run $ list $ name_arg $ topo $ pattern $ util $ conns $ policy
-      $ capacity $ horizon $ drain $ seed $ backend $ domains)
+      ret
+        (const run $ list $ name_arg $ topo $ pattern $ util $ conns $ policy
+        $ capacity $ horizon $ drain $ seed $ backend $ domains))
 
 let () =
   let doc = "adversarial queuing theory simulator (Lotker-Patt-Shamir-Rosen)" in

@@ -103,6 +103,10 @@ let buffer_len t e =
   | Record n -> Network.buffer_len n e
   | Soa s -> Soa.buffer_len s e
 
+let injection_log = function
+  | Record n -> Network.injection_log n
+  | Soa s -> Soa.injection_log s
+
 let observe recorder t =
   match t with
   | Record n -> Recorder.observe recorder n

@@ -59,6 +59,9 @@ val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
 val buffer_len : t -> int -> int
 
+val injection_log : t -> (int * int array) array
+(** As {!Network.injection_log}; needs [~log_injections:true] at {!create}. *)
+
 val observe : Recorder.t -> t -> unit
 (** Samples the recorder with domain-aware GC accounting: for a parallel
     SoA backend, worker-domain allocation is aggregated in and the sample's

@@ -2,8 +2,7 @@ module Ratio = Aqt_util.Ratio
 module D = Aqt_graph.Digraph
 module Build = Aqt_graph.Build
 module Traffic = Aqt_workload.Traffic
-module Network = Aqt_engine.Network
-module Soa = Aqt_engine.Soa
+module Backend = Aqt_engine.Backend
 module Policies = Aqt_policy.Policies
 module Capacity = Aqt_capacity.Model
 module Rate_check = Aqt_adversary.Rate_check
@@ -21,12 +20,6 @@ let build_topo = function
   | Spine_leaf { spines; leaves; hosts_per_leaf } ->
       Build.spine_leaf ~spines ~leaves ~hosts_per_leaf
   | Fat_tree { k } -> Build.fat_tree ~k
-
-type backend = Record | Soa of int
-
-let backend_name = function
-  | Record -> "record"
-  | Soa d -> Printf.sprintf "soa:%d" d
 
 type t = {
   name : string;
@@ -81,11 +74,11 @@ let compile t =
   (fabric, compiled)
 
 let injections_of_step routes =
-  List.map (fun route : Network.injection -> { route; tag = "fab" }) routes
+  List.map (fun route : Backend.injection -> { route; tag = "fab" }) routes
 
 type outcome = {
   scenario : t;
-  backend : backend;
+  backend : [ `Record | `Soa of int ];
   nodes : int;
   edges : int;
   n_hosts : int;
@@ -102,77 +95,41 @@ type outcome = {
   legal : bool;
 }
 
-let run ?(backend = Record) t =
+let run ?(backend = `Record) t =
   let fabric, compiled = compile t in
   let graph = fabric.Build.graph in
-  let steps = t.horizon + t.drain in
-  let step_routes i =
-    if i < t.horizon then compiled.Traffic.schedule.(i) else []
+  let net =
+    Backend.create ~log_injections:true ~capacity:t.capacity ~backend ~graph
+      ~policy:t.policy ()
   in
-  let finish ~injection_log ~injected ~absorbed ~dropped ~in_flight
-      ~max_queue ~peak_occupancy ~max_dwell ~latency_mean =
-    let legal =
-      Rate_check.check_local ~rate:compiled.Traffic.rate
-        ~sigmas:compiled.Traffic.sigmas injection_log
-      = Ok ()
-    in
-    {
-      scenario = t;
-      backend;
-      nodes = D.n_nodes graph;
-      edges = D.n_edges graph;
-      n_hosts = Array.length fabric.Build.hosts;
-      n_pairs = Array.length compiled.Traffic.pairs;
-      n_flows = Array.length compiled.Traffic.flows;
-      injected;
-      absorbed;
-      dropped;
-      in_flight;
-      max_queue;
-      peak_occupancy;
-      max_dwell;
-      latency_mean;
-      legal;
-    }
-  in
-  match backend with
-  | Record ->
-      let net =
-        Network.create ~log_injections:true ~capacity:t.capacity ~graph
-          ~policy:t.policy ()
-      in
-      for i = 0 to steps - 1 do
-        Network.step net (injections_of_step (step_routes i))
-      done;
-      finish
-        ~injection_log:(Network.injection_log net)
-        ~injected:(Network.injected_count net)
-        ~absorbed:(Network.absorbed net) ~dropped:(Network.dropped net)
-        ~in_flight:(Network.in_flight net)
-        ~max_queue:(Network.max_queue_ever net)
-        ~peak_occupancy:(Network.peak_occupancy net)
-        ~max_dwell:(Network.max_dwell net)
-        ~latency_mean:(Network.delivered_latency_mean net)
-  | Soa domains ->
-      let net =
-        Soa.create ~log_injections:true ~capacity:t.capacity ~domains ~graph
-          ~policy:t.policy ()
-      in
-      Fun.protect
-        ~finally:(fun () -> Soa.shutdown net)
-        (fun () ->
-          for i = 0 to steps - 1 do
-            Soa.step net (injections_of_step (step_routes i))
-          done;
-          finish
-            ~injection_log:(Soa.injection_log net)
-            ~injected:(Soa.injected_count net)
-            ~absorbed:(Soa.absorbed net) ~dropped:(Soa.dropped net)
-            ~in_flight:(Soa.in_flight net)
-            ~max_queue:(Soa.max_queue_ever net)
-            ~peak_occupancy:(Soa.peak_occupancy net)
-            ~max_dwell:(Soa.max_dwell net)
-            ~latency_mean:(Soa.delivered_latency_mean net))
+  Fun.protect
+    ~finally:(fun () -> Backend.shutdown net)
+    (fun () ->
+      Backend.run_steps net (t.horizon + t.drain) ~injections_at:(fun i ->
+          if i <= t.horizon then
+            injections_of_step compiled.Traffic.schedule.(i - 1)
+          else []);
+      {
+        scenario = t;
+        backend;
+        nodes = D.n_nodes graph;
+        edges = D.n_edges graph;
+        n_hosts = Array.length fabric.Build.hosts;
+        n_pairs = Array.length compiled.Traffic.pairs;
+        n_flows = Array.length compiled.Traffic.flows;
+        injected = Backend.injected_count net;
+        absorbed = Backend.absorbed net;
+        dropped = Backend.dropped net;
+        in_flight = Backend.in_flight net;
+        max_queue = Backend.max_queue_ever net;
+        peak_occupancy = Backend.peak_occupancy net;
+        max_dwell = Backend.max_dwell net;
+        latency_mean = Backend.delivered_latency_mean net;
+        legal =
+          Rate_check.check_local ~rate:compiled.Traffic.rate
+            ~sigmas:compiled.Traffic.sigmas (Backend.injection_log net)
+          = Ok ();
+      })
 
 (* Canned scenarios for `aqt_sim fabric --list` and quick CLI runs.  The
    shared-buffer budgets follow the exemplar sizing: a per-port budget

@@ -6,8 +6,8 @@
     {!Aqt_graph.Build.fat_tree} supply the topology and ECMP route sets,
     {!Aqt_workload.Traffic} compiles the flow-level workload into an
     admissible per-step schedule, and [run] replays that schedule through
-    the record engine ({!Aqt_engine.Network}) or the struct-of-arrays
-    engine ({!Aqt_engine.Soa}).  The two backends produce identical
+    {!Aqt_engine.Backend}: the record engine or the struct-of-arrays
+    engine.  The two backends produce identical
     trajectories; the fabric conformance family ([aqt_sim check --family
     fabric]) holds them to that. *)
 
@@ -17,12 +17,6 @@ type topo =
 
 val topo_name : topo -> string
 val build_topo : topo -> Aqt_graph.Build.fabric
-
-type backend =
-  | Record  (** {!Aqt_engine.Network} with packet recycling. *)
-  | Soa of int  (** {!Aqt_engine.Soa} with the given domain count. *)
-
-val backend_name : backend -> string
 
 type t = {
   name : string;
@@ -61,7 +55,7 @@ val compile : t -> Aqt_graph.Build.fabric * Aqt_workload.Traffic.compiled
 
 type outcome = {
   scenario : t;
-  backend : backend;
+  backend : [ `Record | `Soa of int ];
   nodes : int;
   edges : int;
   n_hosts : int;
@@ -81,10 +75,11 @@ type outcome = {
           [(rate, sigmas)] budget. *)
 }
 
-val run : ?backend:backend -> t -> outcome
+val run : ?backend:[ `Record | `Soa of int ] -> t -> outcome
 (** Replay the compiled schedule for [horizon] steps plus [drain]
-    injection-free steps.  Deterministic: same scenario, same backend
-    (and any domain count), same outcome. *)
+    injection-free steps through {!Aqt_engine.Backend}: [`Record] (the
+    default) or [`Soa d] on [d] domains.  Deterministic: same scenario,
+    same backend (and any domain count), same outcome. *)
 
 val catalog : unit -> t list
 (** Canned scenarios for [aqt_sim fabric --list]. *)

@@ -2,11 +2,9 @@ module Ratio = Aqt_util.Ratio
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
 module Parallel = Aqt_util.Parallel
-module Build = Aqt_graph.Build
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
-module Stock = Aqt_adversary.Stock
+module Scenario_spec = Aqt_fabric.Scenario_spec
 module Spec = Aqt_harness.Spec
 module Registry = Aqt_harness.Registry
 module Cache = Aqt_harness.Cache
@@ -285,57 +283,20 @@ let q_int q key default =
       | Some i -> i
       | None -> bad "parameter %s: expected an integer, got %S" key v)
 
-let parse_ratio ~what s =
-  let s = String.trim s in
-  match String.index_opt s '/' with
-  | Some i -> (
-      let num = int_of_string_opt (String.sub s 0 i)
-      and den =
-        int_of_string_opt (String.sub s (i + 1) (String.length s - i - 1))
-      in
-      match (num, den) with
-      | Some p, Some q when q <> 0 -> Ratio.make p q
-      | _ -> bad "%s: bad rational %S" what s)
-  | None -> (
-      match float_of_string_opt s with
-      | Some f when Float.is_finite f -> Ratio.of_float_approx f
-      | _ -> bad "%s: bad rate %S" what s)
-
-type net_spec = Line of int | Ring of int
-
-let net_spec_to_string = function
-  | Line k -> Printf.sprintf "line:%d" k
-  | Ring k -> Printf.sprintf "ring:%d" k
+(* A token of the shared scenario vocabulary; its message is the 400's. *)
+let token ?(what = "") (type a) (module T : Scenario_spec.TOKEN with type t = a) s =
+  match T.of_string s with Ok x -> x | Error msg -> bad "%s%s" what msg
 
 let max_net_size = 4096
 
+(* The daemon's own size bounds: a ring here needs three nodes. *)
 let parse_net s =
-  let size k lo =
-    match int_of_string_opt k with
-    | Some k when k >= lo && k <= max_net_size -> k
-    | Some _ -> bad "network %S: size out of range [%d, %d]" s lo max_net_size
-    | None -> bad "network %S: bad size" s
-  in
-  match String.split_on_char ':' (String.trim s) with
-  | [ "line"; k ] -> Line (size k 1)
-  | [ "ring"; k ] -> Ring (size k 3)
-  | _ -> bad "unknown network %S (line:K | ring:K)" s
-
-let build_net ~d = function
-  | Line k ->
-      let l = Build.line k in
-      let d = min d k in
-      (l.Build.graph, List.init (k - d + 1) (fun i -> Array.sub l.Build.edges i d))
-  | Ring k ->
-      let r = Build.ring k in
-      let d = min d (k - 1) in
-      ( r.Build.graph,
-        List.init k (fun i ->
-            Array.init d (fun j -> r.Build.edges.((i + j) mod k))) )
-
-let resolve_policy name =
-  let name = String.trim name in
-  try Policies.by_name name with Not_found -> bad "unknown policy %S" name
+  let n = token (module Scenario_spec.Network) s in
+  let lo = match n with Scenario_spec.Network.Line _ -> 1 | Ring _ -> 3 in
+  let k = Scenario_spec.Network.size n in
+  if k < lo || k > max_net_size then
+    bad "network %S: size out of range [%d, %d]" s lo max_net_size;
+  n
 
 let max_horizon = 200_000
 
@@ -357,7 +318,7 @@ let json ?(status = 200) j =
 (* ------------------------------------------------------------------ *)
 
 type sweep_params = {
-  sp_net : net_spec;
+  sp_net : Scenario_spec.Network.t;
   sp_d : int;
   sp_horizon : int;
   sp_rates : Ratio.t list;
@@ -376,7 +337,8 @@ let check_rates rates =
 let parse_policies s =
   match String.trim s with
   | "" | "all" -> Policies.all_deterministic
-  | s -> List.map resolve_policy (String.split_on_char ',' s)
+  | s ->
+      List.map (token (module Scenario_spec.Policy)) (String.split_on_char ',' s)
 
 let sweep_params_of_query q =
   {
@@ -385,7 +347,7 @@ let sweep_params_of_query q =
     sp_horizon = check_horizon (q_int q "horizon" 20_000);
     sp_rates =
       check_rates
-        (List.map (parse_ratio ~what:"rates")
+        (List.map (token ~what:"rates: " (module Scenario_spec.Rate))
            (String.split_on_char ',' (q_str q "rates" "1/8,1/4,1/2,3/4")));
     sp_policies = parse_policies (q_str q "policy" "all");
   }
@@ -410,7 +372,7 @@ let sweep_params_of_json body =
     | Some _ -> bad "field %s must be an integer" key
   in
   let rate_of = function
-    | Jsonx.Str s -> parse_ratio ~what:"rates" s
+    | Jsonx.Str s -> token ~what:"rates: " (module Scenario_spec.Rate) s
     | Jsonx.Int i -> Ratio.of_int i
     | Jsonx.Float f when Float.is_finite f -> Ratio.of_float_approx f
     | _ -> bad "rates must be strings or numbers"
@@ -429,7 +391,7 @@ let sweep_params_of_json body =
     | Some (Jsonx.List l) ->
         List.map
           (function
-            | Jsonx.Str s -> resolve_policy s
+            | Jsonx.Str s -> token (module Scenario_spec.Policy) s
             | _ -> bad "policies must be strings")
           l
     | Some _ -> bad "field policies must be a string or a list"
@@ -445,7 +407,7 @@ let sweep_params_of_json body =
 let sweep_spec p =
   [
     ("version", Spec.Int 1);
-    ("network", Spec.Str (net_spec_to_string p.sp_net));
+    ("network", Spec.Str (Scenario_spec.Network.to_string p.sp_net));
     ("d", Spec.Int p.sp_d);
     ("horizon", Spec.Int p.sp_horizon);
     ( "rates",
@@ -464,38 +426,21 @@ let sweep_spec p =
    domains; each cell interns its own routes, which costs a little
    duplicate work in exchange for no shared mutable state. *)
 let compute_sweep ?(shards = 1) p =
-  let graph, routes = build_net ~d:p.sp_d p.sp_net in
+  let w = Scenario_spec.workload ~d:p.sp_d p.sp_net in
   let cells =
     List.concat_map
       (fun policy -> List.map (fun rate -> (policy, rate)) p.sp_rates)
       p.sp_policies
   in
-  let run_cell ((policy : Aqt_engine.Policy_type.t), rate) =
-    let route_table = Aqt_engine.Route_intern.create () in
-    let per_route =
-      Ratio.div rate (Ratio.of_int (max 1 (List.length routes)))
-    in
-    let adv =
-      Stock.shared_token_bucket ~rate:per_route ~routes ~horizon:p.sp_horizon ()
-    in
-    let adv = { adv with Stock.rate } in
-    let report =
-      Aqt.Sweep.classify ~route_table ~name:"serve.sweep" ~graph ~policy
-        ~adversary:adv ~horizon:p.sp_horizon ()
-    in
-    [
-      policy.name;
-      Ratio.to_string rate;
-      Aqt.Sweep.verdict_to_string report.Aqt.Sweep.verdict;
-      string_of_int report.Aqt.Sweep.max_queue;
-      string_of_int report.Aqt.Sweep.final_backlog;
-    ]
+  let run_cell (policy, rate) =
+    Scenario_spec.sweep_cell
+      ~route_table:(Aqt_engine.Route_intern.create ())
+      w ~policy ~rate ~horizon:p.sp_horizon
   in
   let workers = max 1 (min shards (List.length cells)) in
   let rows = Parallel.map ~workers run_cell cells in
   let rb = Registry.Rb.create () in
-  Registry.Rb.table rb ~id:"serve_sweep"
-    ~headers:[ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
+  Registry.Rb.table rb ~id:"serve_sweep" ~headers:Scenario_spec.sweep_headers
     rows;
   Registry.Rb.metric rb "cells" (float_of_int (List.length cells));
   Registry.Rb.result rb
@@ -529,7 +474,12 @@ let serve_cached t ~name ~spec ~compute =
       Cache.store t.cache ~key ~name ~spec ~duration result;
       json (result_payload ~name ~key ~cached:false ~duration result)
 
+(* The per-route rate check needs the network, the hops and the rates
+   together, so it runs once all three are parsed: before the cache
+   lookup and before any cell. *)
 let sweep_handler t p =
+  let routes = Scenario_spec.route_count ~d:p.sp_d p.sp_net in
+  Result.iter_error (bad "%s") (Scenario_spec.sweep_rates ~routes p.sp_rates);
   serve_cached t ~name:"serve.sweep" ~spec:(sweep_spec p) ~compute:(fun () ->
       compute_sweep ~shards:(max 1 t.cfg.sweep_shards) p)
 
@@ -606,12 +556,12 @@ let figure_handler t id =
 (* ------------------------------------------------------------------ *)
 
 let simulate_handler t rng q =
-  let spec = parse_net (q_str q "network" "ring:8") in
+  let network = parse_net (q_str q "network" "ring:8") in
   let d = check_hops (q_int q "d" 4) in
   let horizon = check_horizon (q_int q "horizon" 5_000) in
-  let rate = parse_ratio ~what:"rate" (q_str q "rate" "1/4") in
+  let rate = token ~what:"rate: " (module Scenario_spec.Rate) (q_str q "rate" "1/4") in
   if Ratio.(rate <= zero) then bad "rate must be positive";
-  let policy = resolve_policy (q_str q "policy" "fifo") in
+  let policy = token (module Scenario_spec.Policy) (q_str q "policy" "fifo") in
   let stochastic =
     match String.lowercase_ascii (q_str q "stochastic" "false") with
     | "1" | "true" | "yes" -> true
@@ -647,16 +597,11 @@ let simulate_handler t rng q =
            seeds, and the chosen seed is reported so the run can be replayed. *)
         Int64.to_int (Prng.bits64 rng) land 0x3FFFFFFF
   in
-  let graph, routes = build_net ~d spec in
-  let nroutes = List.length routes in
-  let per_route = Ratio.div rate (Ratio.of_int (max 1 (min d nroutes))) in
-  let adv =
-    if stochastic then
-      Stock.bernoulli ~prng:(Prng.create seed) ~rate:per_route ~routes ()
-    else Stock.windowed_burst ~w:40 ~rate:per_route ~routes ~horizon ()
+  let s =
+    Scenario_spec.simulate ~capacity ~network ~d ~policy ~rate ~horizon
+      ~stochastic ~seed
   in
-  let net = Network.create ~capacity ~graph ~policy () in
-  let outcome = Sim.run ~net ~driver:adv.Stock.driver ~horizon () in
+  let net = s.Scenario_spec.net in
   let injected = Network.injected_count net in
   let dropped = Network.dropped net in
   let edge_drops =
@@ -665,7 +610,7 @@ let simulate_handler t rng q =
         match Network.dropped_on_edge net e with
         | 0 -> None
         | n -> Some (e, n))
-      (List.init (Aqt_graph.Digraph.n_edges graph) Fun.id)
+      (List.init (Aqt_graph.Digraph.n_edges s.workload.graph) Fun.id)
   in
   (* Per-edge drop counters carry the edge id as an inline Prometheus
      label; simulate networks are small, so the label set stays modest.
@@ -685,14 +630,14 @@ let simulate_handler t rng q =
   json
     (Jsonx.Obj
        [
-         ("network", Jsonx.Str (net_spec_to_string spec));
+         ("network", Jsonx.Str (Scenario_spec.Network.to_string network));
          ("policy", Jsonx.Str policy.Aqt_engine.Policy_type.name);
          ("rate", Jsonx.Str (Ratio.to_string rate));
-         ("adversary", Jsonx.Str adv.Stock.name);
+         ("adversary", Jsonx.Str s.adversary);
          ("seed", Jsonx.Int seed);
          ("capacity", Jsonx.Str (Capacity.describe capacity));
          ("speedup", Jsonx.Int speedup);
-         ("steps", Jsonx.Int outcome.Sim.steps_run);
+         ("steps", Jsonx.Int s.steps);
          ("injected", Jsonx.Int injected);
          ("absorbed", Jsonx.Int (Network.absorbed net));
          ("in_flight", Jsonx.Int (Network.in_flight net));

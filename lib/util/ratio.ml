@@ -45,7 +45,11 @@ let ceil_mul r k = cdiv (r.p * k) r.q
 let to_float r = float_of_int r.p /. float_of_int r.q
 
 let of_float_approx ?(max_den = 10_000) x =
-  if Float.is_nan x || Float.is_integer x then of_int (int_of_float x)
+  (* [int_of_float] of an infinity would feed the continued fraction below
+     forever, and of a NaN an arbitrary integer. *)
+  if not (Float.is_finite x) then
+    invalid_arg "Ratio.of_float_approx: not a finite number";
+  if Float.is_integer x then of_int (int_of_float x)
   else begin
     (* Continued-fraction convergents h_k / k_k until the denominator cap. *)
     let neg_input = Stdlib.( < ) x 0.0 in

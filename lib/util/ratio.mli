@@ -59,7 +59,8 @@ val to_float : t -> float
 
 val of_float_approx : ?max_den:int -> float -> t
 (** Best rational approximation with denominator [<= max_den] (default 10_000),
-    by continued fractions.  Used only to parse command-line rates. *)
+    by continued fractions.  Used only to parse rates typed as decimals.
+    @raise Invalid_argument on an infinity or a NaN. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

@@ -165,7 +165,7 @@ let scenario_backend_parity () =
           ~pattern:(Traffic.Incast { senders = 15 })
           ~utilisation:Ratio.one ~capacity ~horizon:80 ~drain:100 ~seed:3 ()
       in
-      let a = Scenario.run ~backend:Scenario.Record t in
+      let a = Scenario.run ~backend:`Record t in
       let project (o : Scenario.outcome) =
         ( o.Scenario.injected,
           o.Scenario.absorbed,
@@ -178,7 +178,7 @@ let scenario_backend_parity () =
       in
       List.iter
         (fun domains ->
-          let b = Scenario.run ~backend:(Scenario.Soa domains) t in
+          let b = Scenario.run ~backend:(`Soa domains) t in
           check_bool
             (Printf.sprintf "record = soa:%d" domains)
             true

@@ -468,21 +468,66 @@ let serve_sweep_cached () =
       (* and the payload carries the verdict table *)
       check_bool "table present" true (contains cold.Http.body "serve_sweep"))
 
+(* A 400 and its exact body. *)
+let expect_400 ?meth ?body srv path msg =
+  let r = get ?meth ?body srv path in
+  let what = Option.value body ~default:path in
+  check_int (Printf.sprintf "400 for %s" what) 400 r.Http.status;
+  check_string
+    (Printf.sprintf "body for %s" what)
+    ("bad request: " ^ msg ^ "\n")
+    r.Http.body
+
 let serve_sweep_rejects () =
   with_server (fun srv ->
-      let expect_400 path =
-        check_int (Printf.sprintf "400 for %s" path) 400 (get srv path).Http.status
-      in
-      expect_400 "/sweep?horizon=0";
-      expect_400 "/sweep?horizon=999999999";
-      expect_400 "/sweep?policy=quantum";
-      expect_400 "/sweep?rates=one/two";
-      expect_400 "/sweep?network=torus:4";
-      expect_400 "/sweep?d=banana";
-      let r = get ~meth:"POST" ~body:"{not json" srv "/sweep" in
-      check_int "bad JSON body" 400 r.Http.status;
-      let r = get ~meth:"POST" ~body:"[1,2]" srv "/sweep" in
-      check_int "non-object body" 400 r.Http.status)
+      expect_400 srv "/sweep?horizon=0" "horizon 0 out of range [1, 200000]";
+      expect_400 srv "/sweep?horizon=999999999"
+        "horizon 999999999 out of range [1, 200000]";
+      expect_400 srv "/sweep?policy=quantum" {|unknown policy "quantum"|};
+      expect_400 srv "/sweep?rates=one/two" {|rates: bad rational "one/two"|};
+      expect_400 srv "/sweep?network=torus:4"
+        {|unknown network "torus:4" (line:K | ring:K)|};
+      expect_400 srv "/sweep?d=banana"
+        {|parameter d: expected an integer, got "banana"|};
+      expect_400 srv "/sweep?network=ring:2"
+        {|network "ring:2": size out of range [3, 4096]|};
+      expect_400 srv "/sweep?network=ring:x" {|network "ring:x": bad size|};
+      expect_400 srv "/sweep?rates=0" "rate 0 must be positive";
+      expect_400 srv "/simulate?rate=inf" {|rate: bad rate "inf"|};
+      expect_400 ~meth:"POST" ~body:"{not json" srv "/sweep"
+        {|body is not JSON: Jsonx: expected '"' at offset 1|};
+      expect_400 ~meth:"POST" ~body:"[1,2]" srv "/sweep"
+        "body must be a JSON object")
+
+(* A per-route rate above one packet per step is outside the model: the
+   request is refused while it is parsed, for GET and POST alike, before
+   the cache is consulted or any cell runs. *)
+let serve_sweep_out_of_model_rate () =
+  with_server (fun srv ->
+      let ring8 = "rate 9 over 8 routes exceeds one packet per route per step"
+      and line3 = "rate 2 over 1 route exceeds one packet per route per step" in
+      expect_400 srv "/sweep?network=ring:8&rates=9&policy=fifo&horizon=100" ring8;
+      expect_400 srv "/sweep?network=line:3&d=4&rates=2" line3;
+      expect_400 ~meth:"POST"
+        ~body:{|{"network":"ring:8","rates":[9],"policies":["fifo"],"horizon":100}|}
+        srv "/sweep" ring8;
+      expect_400 ~meth:"POST" ~body:{|{"network":"line:3","d":4,"rates":["2"]}|}
+        srv "/sweep" line3;
+      let m = (get srv "/metrics").Http.body in
+      check_bool "no cache lookup" true
+        (contains m "serve_cache_misses_total 0\n"
+        && contains m "serve_cache_hits_total 0\n"))
+
+(* The cache key of a sweep is a function of its spec alone; it must not
+   move when the parsing code does. *)
+let serve_sweep_key_pinned () =
+  with_server (fun srv ->
+      let r = get srv "/sweep?network=ring:8&rates=1/2&policy=fifo&horizon=100" in
+      check_int "status" 200 r.Http.status;
+      match Jsonx.member "key" (body_json r) with
+      | Some (Jsonx.Str key) ->
+          check_string "cache key" "9b241987bd8828daf17978d8dcc77f98" key
+      | _ -> Alcotest.fail "no key in response")
 
 let serve_experiment_cached () =
   with_server ~registry:(test_registry ()) (fun srv ->
@@ -1247,6 +1292,10 @@ let () =
             serve_fast_path_bypasses_admission;
           Alcotest.test_case "endpoint shed refunds client token" `Quick
             serve_endpoint_shed_refunds_client;
+          Alcotest.test_case "sweep rejects out-of-model rates" `Quick
+            serve_sweep_out_of_model_rate;
+          Alcotest.test_case "sweep cache key pinned" `Quick
+            serve_sweep_key_pinned;
         ] );
       ( "loadgen",
         [
