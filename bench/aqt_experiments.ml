@@ -1,11 +1,11 @@
 (* The experiment suite: every figure, table and ablation of the paper
    (see DESIGN.md section 4 for the index, EXPERIMENTS.md for the recorded
-   outcomes), plus bechamel microbenchmarks of the simulator.
+   outcomes).
 
    Each experiment is registered in the campaign registry
    (Aqt_harness.Registry) under its stable id (f1..f2, e1..e15, a1..a7,
-   c1..c2, bench) with a deterministic parameter spec and a run function
-   that
+   c1..c2, n1..n2, fab1..fab2) with a deterministic parameter spec and a
+   run function that
    *returns* its tables and notes instead of printing them.  Two front
    ends consume the registry: bench/main.exe (direct run, prints tables
    and mirrors CSVs to bench_results/) and `aqt_sim campaign` (cached,
@@ -16,7 +16,6 @@ module Tbl = Aqt_util.Tbl
 module D = Aqt_graph.Digraph
 module Build = Aqt_graph.Build
 module Network = Aqt_engine.Network
-module Soa = Aqt_engine.Soa
 module Sim = Aqt_engine.Sim
 module Recorder = Aqt_engine.Recorder
 module Phased = Aqt_adversary.Phased
@@ -1593,255 +1592,6 @@ let fabric_dt_grid rb =
     m m horizon
 
 (* ------------------------------------------------------------------ *)
-(* B1-B4: bechamel microbenchmarks                                     *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel_suite rb =
-  let open Bechamel in
-  let step_bench k =
-    Test.make
-      ~name:(Printf.sprintf "engine.step ring%d loaded" k)
-      (Staged.stage (fun () ->
-           let ring = Build.ring k in
-           let net =
-             Network.create ~graph:ring.graph ~policy:Policies.fifo ()
-           in
-           let route i = Array.init 4 (fun j -> ring.edges.((i + j) mod k)) in
-           for t = 1 to 200 do
-             Network.step net
-               (if t land 1 = 0 then
-                  [ { Network.route = route (t mod k); tag = "b" } ]
-                else [])
-           done))
-  in
-  let policy_bench (policy : Policies.t) =
-    Test.make
-      ~name:(Printf.sprintf "policy.%s hot buffer" policy.name)
-      (Staged.stage (fun () ->
-           let line = Build.line 2 in
-           let net = Network.create ~graph:line.graph ~policy () in
-           for _ = 1 to 100 do
-             Network.step net
-               [
-                 { Network.route = line.edges; tag = "b" };
-                 { Network.route = Array.sub line.edges 0 1; tag = "b" };
-               ]
-           done))
-  in
-  let rate_check_bench =
-    let log =
-      Array.init 5_000 (fun i -> ((2 * i) + 1, [| i mod 7 |]))
-    in
-    Test.make ~name:"rate_check.check_rate 5k injections"
-      (Staged.stage (fun () ->
-           ignore (RC.check_rate ~m:7 ~rate:Ratio.half log)))
-  in
-  let gadget_bench =
-    Test.make ~name:"gadget.cyclic n=9 m=16"
-      (Staged.stage (fun () -> ignore (G.cyclic ~n:9 ~m:16 ())))
-  in
-  (* Fast-path benches: unlike [step_bench], these keep the network (and its
-     intern table and packet pool) across runs, so they measure steady-state
-     stepping alone — the regime [Sim.run_steps] targets. *)
-  let fastpath_bench k =
-    let ring = Build.ring k in
-    let routes =
-      Array.init k (fun i -> Array.init 4 (fun j -> ring.edges.((i + j) mod k)))
-    in
-    let net = Network.create ~graph:ring.graph ~policy:Policies.fifo () in
-    let t = ref 0 in
-    let driver =
-      Sim.injections_only (fun _ _ ->
-          incr t;
-          if !t land 1 = 0 then
-            [ { Network.route = routes.(!t mod k); tag = "b" } ]
-          else [])
-    in
-    Test.make
-      ~name:(Printf.sprintf "fastpath.run_steps ring%d steady" k)
-      (Staged.stage (fun () -> Sim.run_steps ~net ~driver 200))
-  in
-  (* The bounded twin of [fastpath_bench]: same steady-state loop, but
-     through finite drop-tail buffers at speedup 2 — measures the capped
-     admission and multi-dequeue paths the capacity model adds. *)
-  let fastpath_capacity_bench =
-    let ring = Build.ring 100 in
-    let routes =
-      Array.init 100 (fun i ->
-          Array.init 4 (fun j -> ring.edges.((i + j) mod 100)))
-    in
-    let net =
-      Network.create
-        ~capacity:(Capacity.uniform ~policy:Capacity.Drop_tail ~speedup:2 8)
-        ~graph:ring.graph ~policy:Policies.fifo ()
-    in
-    let t = ref 0 in
-    let driver =
-      Sim.injections_only (fun _ _ ->
-          incr t;
-          if !t land 1 = 0 then
-            [ { Network.route = routes.(!t mod 100); tag = "b" } ]
-          else [])
-    in
-    Test.make ~name:"fastpath.run_steps ring100 cap8 s2"
-      (Staged.stage (fun () -> Sim.run_steps ~net ~driver 200))
-  in
-  let intern_bench =
-    let ring = Build.ring 1000 in
-    let routes =
-      Array.init 1000 (fun i ->
-          Array.init 4 (fun j -> ring.edges.((i + j) mod 1000)))
-    in
-    let table = Aqt_engine.Route_intern.create () in
-    Array.iter (fun r -> ignore (Aqt_engine.Route_intern.intern table r)) routes;
-    Test.make ~name:"route_intern.intern 1k hits"
-      (Staged.stage (fun () ->
-           for i = 0 to 999 do
-             ignore
-               (Sys.opaque_identity (Aqt_engine.Route_intern.intern table
-                  routes.(i)))
-           done))
-  in
-  let create_bench =
-    let ring = Build.ring 1000 in
-    Test.make ~name:"network.create ring1000"
-      (Staged.stage (fun () ->
-           ignore
-             (Sys.opaque_identity
-                (Network.create ~graph:ring.graph ~policy:Policies.fifo ()))))
-  in
-  let build_bench =
-    Test.make ~name:"build.ring 1000"
-      (Staged.stage (fun () -> ignore (Sys.opaque_identity (Build.ring 1000))))
-  in
-  let tests =
-    Test.make_grouped ~name:"aqt"
-      [
-        step_bench 10;
-        step_bench 100;
-        step_bench 1000;
-        fastpath_bench 100;
-        fastpath_bench 1000;
-        fastpath_capacity_bench;
-        intern_bench;
-        create_bench;
-        build_bench;
-        policy_bench Policies.fifo;
-        policy_bench Policies.ftg;
-        policy_bench (Policies.random ~seed:1);
-        rate_check_bench;
-        gadget_bench;
-      ]
-  in
-  let measure tests =
-    let ols =
-      Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |]
-    in
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
-    let cfg =
-      Benchmark.cfg ~limit:2000 ~stabilize:true
-        ~quota:(Time.second 0.5) ()
-    in
-    let raw = Benchmark.all cfg instances tests in
-    let results =
-      List.map (fun instance -> Analyze.all ols instance raw) instances
-    in
-    Analyze.merge ols instances results
-  in
-  (* SoA gate rows: the struct-of-arrays backend stepping a 10^6-edge
-     ring at ~0.1 load (1000 fresh 100-hop routes per step, ~1e5 packets
-     in flight at steady state), plus the classic engine on the identical
-     workload as the in-table "before" row.  Build and warmup-to-steady-
-     state happen once, outside the staged thunk, so a run measures
-     exactly one steady-state step.  These instances hold tens of
-     millions of heap words, which would inflate every allocating classic
-     row through major-GC pacing if they stayed live — so they are
-     measured first, in their own group, and torn down (followed by a
-     compaction) before the classic suite runs. *)
-  let big_results =
-    let ring1e6 = Build.ring 1_000_000 in
-    let ring1e6_injs =
-      Array.to_list
-        (Array.init 1000 (fun i ->
-             {
-               Network.route =
-                 Array.init 100 (fun j ->
-                     ring1e6.edges.(((i * 1000) + j) mod 1_000_000));
-               tag = "b";
-             }))
-    in
-    let soa1 =
-      Soa.create ~domains:1 ~graph:ring1e6.graph ~policy:Policies.fifo ()
-    and soa4 =
-      Soa.create ~domains:4 ~graph:ring1e6.graph ~policy:Policies.fifo ()
-    and net =
-      Network.create ~graph:ring1e6.graph ~policy:Policies.fifo ()
-    in
-    for _ = 1 to 110 do
-      Soa.step soa1 ring1e6_injs;
-      Soa.step soa4 ring1e6_injs;
-      Network.step net ring1e6_injs
-    done;
-    let results =
-      measure
-        (Test.make_grouped ~name:"aqt"
-           [
-             Test.make ~name:"fastpath.net_step ring1e6"
-               (Staged.stage (fun () -> Network.step net ring1e6_injs));
-             Test.make ~name:"fastpath.soa_step ring1e6"
-               (Staged.stage (fun () -> Soa.step soa1 ring1e6_injs));
-             Test.make ~name:"fastpath.soa_step ring1e6 d4"
-               (Staged.stage (fun () -> Soa.step soa4 ring1e6_injs));
-           ])
-    in
-    Soa.shutdown soa1;
-    Soa.shutdown soa4;
-    results
-  in
-  Gc.compact ();
-  let results = measure tests in
-  (* Pre-fast-path numbers (the seed engine, same machine that regenerated
-     the committed CSV).  They contextualise the committed "after" column;
-     the CI regression gate reads only the live ns/run column.  "-" marks
-     benchmarks that did not exist before the fast path landed. *)
-  let seed_ns =
-    [
-      ("aqt/engine.step ring10 loaded", "68794");
-      ("aqt/engine.step ring100 loaded", "126944");
-      ("aqt/engine.step ring1000 loaded", "958037");
-      ("aqt/gadget.cyclic n=9 m=16", "309060");
-      ("aqt/policy.fifo hot buffer", "66149");
-      ("aqt/policy.ftg hot buffer", "99796");
-      ("aqt/policy.random(1) hot buffer", "109490");
-      ("aqt/rate_check.check_rate 5k injections", "463464");
-    ]
-  in
-  let rows = ref [] in
-  List.iter
-    (fun results ->
-      Hashtbl.iter
-        (fun _measure tbl ->
-          Hashtbl.iter
-            (fun name ols ->
-              let estimate =
-                match Analyze.OLS.estimates ols with
-                | Some [ x ] -> Printf.sprintf "%.0f" x
-                | _ -> "-"
-              in
-              let seed =
-                match List.assoc_opt name seed_ns with
-                | Some s -> s
-                | None -> "-"
-              in
-              rows := [ name; estimate; seed ] :: !rows)
-            tbl)
-        results)
-    [ results; big_results ];
-  Rb.table rb ~id:"b_microbench"
-    ~headers:[ "benchmark"; "ns/run"; "seed ns/run" ]
-    (List.sort compare !rows)
-
-(* ------------------------------------------------------------------ *)
 (* Registration                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -2062,11 +1812,6 @@ let build () =
              [ (0, 1); (1, 500); (1, 100); (1, 20); (3, 20); (3, 10) ]) );
     ]
     noise_robustness;
-  reg "bench"
-    "bechamel microbenchmarks (ns per run, OLS on monotonic clock)"
-    ~tags:[ "bench" ]
-    [ ("quota_s", Spec.Float 0.5); ("limit", Spec.Int 2000) ]
-    bechamel_suite;
   registry
 
 let registry_l = lazy (build ())

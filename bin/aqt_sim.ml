@@ -91,10 +91,10 @@ let params_cmd =
 
 let instability_cmd =
   let cycles =
-    Arg.(value & opt int 3 & info [ "cycles" ] ~doc:"Full adversary cycles.")
+    Arg.(value & opt (at_least ~what:"cycles" 0 int) 3 & info [ "cycles" ] ~doc:"Full adversary cycles.")
   in
   let s0 = Arg.(value & opt (some int) None & info [ "s0" ] ~doc:"Override S0.") in
-  let m = Arg.(value & opt (some int) None & info [ "gadgets"; "m" ] ~doc:"Override M.") in
+  let m = Arg.(value & opt (some (at_least ~what:"gadgets" 2 int)) None & info [ "gadgets"; "m" ] ~doc:"Override M.") in
   let validate =
     Arg.(
       value & flag
@@ -110,12 +110,7 @@ let instability_cmd =
             "Write the run's injection log (with initial routes) to FILE for\n\
              later replay with the `replay' subcommand.")
   in
-  let run eps cycles s0 m validate save_log =
-    let cfg =
-      Aqt.Instability.config ~eps ?s0 ?m ~cycles
-        ~log_injections:(validate || save_log <> None)
-        ()
-    in
+  let run (cfg : Aqt.Instability.config) validate save_log =
     Printf.printf "r = %s, n = %d, S0 = %d, M = %d, seed = %d\n\n"
       (Ratio.to_string cfg.params.rate)
       cfg.params.n cfg.params.s0 cfg.m cfg.seed;
@@ -160,10 +155,25 @@ let instability_cmd =
           (Aqt_adversary.Log_io.of_network ~meta res.net);
         Printf.printf "injection log written to %s\n" file
   in
+  (* S0 must be at least 2n, and n depends on eps, so the configuration
+     checks it before anything is printed. *)
+  let checked eps cycles s0 m validate save_log =
+    match
+      Aqt.Instability.config ~eps ?s0 ?m ~cycles
+        ~log_injections:(validate || save_log <> None)
+        ()
+    with
+    | exception Invalid_argument msg when Option.is_some s0 ->
+        `Error
+          ( true,
+            Printf.sprintf "option '--s0': s0 %d at eps %s: %s" (Option.get s0)
+              (Ratio.to_string eps) msg )
+    | cfg -> `Ok (run cfg validate save_log)
+  in
   Cmd.v
     (Cmd.info "instability"
        ~doc:"Run the Theorem 3.17 adversary: FIFO unstable at 1/2+eps")
-    Term.(const run $ eps_arg $ cycles $ s0 $ m $ validate $ save_log)
+    Term.(ret (const checked $ eps_arg $ cycles $ s0 $ m $ validate $ save_log))
 
 (* ------------------------------------------------------------------ *)
 (* stability                                                           *)
@@ -176,12 +186,15 @@ let policy_arg =
     & info [ "policy" ] ~docv:"POLICY"
         ~doc:"Queuing policy (fifo|lifo|lis|nis|sis|ftg|ntg|ffs|nts).")
 
-let horizon_arg c =
-  Arg.(value & opt c 20_000 & info [ "horizon" ] ~doc:"Steps to simulate.")
+let horizon_arg lo =
+  Arg.(
+    value
+    & opt (at_least ~what:"horizon" lo int) 20_000
+    & info [ "horizon" ] ~doc:"Steps to simulate.")
 
 let stability_cmd =
-  let d = Arg.(value & opt int 5 & info [ "hops"; "d" ] ~doc:"Route length.") in
-  let w = Arg.(value & opt int 60 & info [ "window"; "w" ] ~doc:"Adversary window.") in
+  let d = Arg.(value & opt (at_least ~what:"hops" 1 int) 5 & info [ "hops"; "d" ] ~doc:"Route length.") in
+  let w = Arg.(value & opt (at_least ~what:"window" 1 int) 60 & info [ "window"; "w" ] ~doc:"Adversary window.") in
   let rate =
     Arg.(
       value
@@ -226,7 +239,7 @@ let stability_cmd =
   Cmd.v
     (Cmd.info "stability"
        ~doc:"Certify the Theorem 4.1/4.3 dwell bound on a burst workload")
-    Term.(const run $ policy_arg $ d $ w $ rate $ horizon_arg Arg.int)
+    Term.(const run $ policy_arg $ d $ w $ rate $ horizon_arg 0)
 
 (* ------------------------------------------------------------------ *)
 (* simulate                                                            *)
@@ -281,9 +294,8 @@ let simulate_cmd =
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Free-form simulation run")
     Term.(
-      const run $ net_arg $ policy_arg $ hops_arg $ rate
-      $ horizon_arg (at_least ~what:"horizon" 0 Arg.int)
-      $ seed $ stochastic)
+      const run $ net_arg $ policy_arg $ hops_arg $ rate $ horizon_arg 0 $ seed
+      $ stochastic)
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)
@@ -322,10 +334,7 @@ let sweep_cmd =
   in
   Cmd.v
     (Cmd.info "sweep" ~doc:"Classify a policy x rate grid as stable/growing")
-    Term.(
-      ret
-        (const run $ net_arg $ hops_arg $ rates
-        $ horizon_arg (at_least ~what:"horizon" 1 Arg.int)))
+    Term.(ret (const run $ net_arg $ hops_arg $ rates $ horizon_arg 1))
 
 (* ------------------------------------------------------------------ *)
 (* plan                                                                *)
@@ -333,7 +342,7 @@ let sweep_cmd =
 
 let plan_cmd =
   let s_arg =
-    Arg.(value & opt int 1000 & info [ "queue"; "s" ] ~doc:"The S of C(S, F).")
+    Arg.(value & opt (at_least ~what:"queue" 1 int) 1000 & info [ "queue"; "s" ] ~doc:"The S of C(S, F).")
   in
   let run eps s =
     let params = Aqt.Params.make ~eps () in
@@ -414,7 +423,7 @@ let plan_cmd =
 let fluid_cmd =
   let s_arg =
     Arg.(
-      value & opt int 1000
+      value & opt (at_least ~what:"queue" 1 int) 1000
       & info [ "queue"; "s" ] ~doc:"Ingress population S of C(S, F).")
   in
   let run eps s =
@@ -462,20 +471,25 @@ let replay_cmd =
   let file =
     Arg.(
       required
-      & opt (some string) None
+      & opt (some non_dir_file) None
       & info [ "log" ] ~docv:"FILE" ~doc:"Injection log (from --save-log).")
   in
   let settle =
     Arg.(value & opt int 5000 & info [ "settle" ] ~doc:"Idle steps at the end.")
   in
-  let run file policy settle =
+  (* The log and its metadata; [Failure] names what is wrong with them. *)
+  let read file =
     let log = Aqt_adversary.Log_io.load file in
     let meta_int k =
       match Aqt_adversary.Log_io.meta_value log k with
-      | Some v -> int_of_string v
+      | Some v -> (
+          match int_of_string_opt v with
+          | Some i -> i
+          | None -> failwith (Printf.sprintf "bad %S metadata %S" k v))
       | None -> failwith (Printf.sprintf "log has no %S metadata" k)
     in
-    let n = meta_int "n" and m = meta_int "m" in
+    let n = meta_int "n" in
+    let m = meta_int "m" in
     let rate =
       match Aqt_adversary.Log_io.meta_value log "rate" with
       | Some v -> (
@@ -484,24 +498,33 @@ let replay_cmd =
           | Error msg -> failwith ("rate metadata: " ^ msg))
       | None -> Ratio.one
     in
-    let gadget = Aqt.Gadget.cyclic ~n ~m () in
-    let results =
-      Aqt.Baselines.replay_against ~initial:log.initial ~graph:gadget.graph
-        ~rate ~log:log.log ~policies:[ policy ] ~settle ()
-    in
-    List.iter
-      (fun (r : Aqt.Baselines.replay_result) ->
-        Printf.printf
-          "%s on %s: max_queue=%d backlog=%d absorbed=%d max_dwell=%d\n"
-          r.policy
-          (Aqt.Gadget.describe gadget)
-          r.max_queue r.backlog r.absorbed r.max_dwell)
-      results
+    (log, n, m, rate)
+  in
+  let run file policy settle =
+    match read file with
+    | exception Failure msg ->
+        `Error (true, Printf.sprintf "option '--log': %s: %s" file msg)
+    | exception Sys_error msg -> `Error (true, "option '--log': " ^ msg)
+    | log, n, m, rate ->
+        let gadget = Aqt.Gadget.cyclic ~n ~m () in
+        let results =
+          Aqt.Baselines.replay_against ~initial:log.initial ~graph:gadget.graph
+            ~rate ~log:log.log ~policies:[ policy ] ~settle ()
+        in
+        List.iter
+          (fun (r : Aqt.Baselines.replay_result) ->
+            Printf.printf
+              "%s on %s: max_queue=%d backlog=%d absorbed=%d max_dwell=%d\n"
+              r.policy
+              (Aqt.Gadget.describe gadget)
+              r.max_queue r.backlog r.absorbed r.max_dwell)
+          results;
+        `Ok ()
   in
   Cmd.v
     (Cmd.info "replay"
        ~doc:"Replay a recorded injection log under any policy (Lemma 3.3's A')")
-    Term.(const run $ file $ policy_arg $ settle)
+    Term.(ret (const run $ file $ policy_arg $ settle))
 
 (* ------------------------------------------------------------------ *)
 (* workloads / spacetime                                               *)
@@ -530,9 +553,12 @@ let workloads_cmd =
 
 let spacetime_cmd =
   let seeds = Arg.(value & opt int 122 & info [ "seeds" ] ~doc:"Seed packets.") in
+  (* Why a run could not start on the seeds it was given. *)
+  let exception Cannot_start of string in
   let run eps seeds =
     let params =
-      Aqt.Params.make ~eps ~s0:(max 20 ((seeds - 2) / 2)) ()
+      try Aqt.Params.make ~eps ~s0:(max 20 ((seeds - 2) / 2)) ()
+      with Invalid_argument msg -> raise (Cannot_start msg)
     in
     let g = Aqt.Gadget.cyclic ~n:params.n ~m:2 () in
     let net =
@@ -546,7 +572,9 @@ let spacetime_cmd =
       let duration = ref 0 in
       let wrapped : Aqt_adversary.Phased.phase =
        fun net t ->
-        let d, dur = phase net t in
+        let d, dur =
+          try phase net t with Failure msg -> raise (Cannot_start msg)
+        in
         duration := dur;
         (d, dur)
       in
@@ -561,10 +589,22 @@ let spacetime_cmd =
     run_phase (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t);
     Aqt_engine.Spacetime.print st
   in
+  (* How many seeds are enough depends on eps and on the queues the startup
+     leaves for the pump, so each phase checks it as it starts, before
+     anything is printed. *)
+  let checked eps seeds =
+    match run eps seeds with
+    | () -> `Ok ()
+    | exception Cannot_start msg ->
+        `Error
+          ( true,
+            Printf.sprintf "option '--seeds': %d seed packets at eps %s: %s"
+              seeds (Ratio.to_string eps) msg )
+  in
   Cmd.v
     (Cmd.info "spacetime"
        ~doc:"Heat map of a startup+pump run on a two-gadget chain")
-    Term.(const run $ eps_arg $ seeds)
+    Term.(ret (const checked $ eps_arg $ seeds))
 
 (* ------------------------------------------------------------------ *)
 (* campaign: cached, journalled orchestration of the experiment suite  *)
@@ -747,20 +787,12 @@ let report_cmd =
       & info [ "only" ] ~docv:"IDS"
           ~doc:"Comma-separated figure ids (default: all; see --list).")
   in
-  let bench_csv_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-csv" ] ~docv:"FILE"
-          ~doc:"Microbenchmark CSV for the bench figure (default: \
-                bench_results/b_microbench.csv).")
-  in
   let list_arg =
     Arg.(
       value & flag
       & info [ "list" ] ~doc:"List figure ids and exit (nothing is run).")
   in
-  let run out dir only bench_csv list =
+  let run out dir only list =
     if list then
       List.iter
         (fun (f : Report.figure) -> Printf.printf "%-14s %s\n" f.id f.title)
@@ -768,7 +800,7 @@ let report_cmd =
     else begin
       let options = { Campaign.default_options with dir; quiet = true } in
       match
-        Report.generate ?bench_csv ~only ~registry:(Aqt_experiments.registry ())
+        Report.generate ~only ~registry:(Aqt_experiments.registry ())
           ~options ~out ()
       with
       | paths ->
@@ -783,124 +815,9 @@ let report_cmd =
        ~doc:
          "Regenerate the experiment report (docs/report): deterministic SVG \
           figures from the campaign cache, inline seeded simulations and the \
-          committed bench CSV, plus a Markdown index.  Byte-identical across \
+          committed benchmark runs, plus a Markdown index.  Byte-identical across \
           runs; CI diffs the output against the committed copy.")
-    Term.(const run $ out_arg $ dir_arg $ only_arg $ bench_csv_arg $ list_arg)
-
-(* ------------------------------------------------------------------ *)
-(* bench-gate: compare a microbenchmark CSV against a baseline         *)
-(* ------------------------------------------------------------------ *)
-
-let bench_gate_cmd =
-  (* Benchmark names in b_microbench.csv contain no commas or quotes, so a
-     plain split is a faithful parser for this format. *)
-  let load_csv path =
-    let ic = open_in path in
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        let split line = String.split_on_char ',' line in
-        let headers =
-          match input_line ic with
-          | h -> split h
-          | exception End_of_file ->
-              failwith (Printf.sprintf "%s: empty CSV" path)
-        in
-        let ns_col =
-          let rec idx i = function
-            | [] ->
-                failwith
-                  (Printf.sprintf "%s: no \"ns/run\" column in %s" path
-                     (String.concat "," headers))
-            | "ns/run" :: _ -> i
-            | _ :: rest -> idx (i + 1) rest
-          in
-          idx 0 headers
-        in
-        let rec rows acc =
-          match input_line ic with
-          | exception End_of_file -> List.rev acc
-          | line when String.trim line = "" -> rows acc
-          | line -> (
-              let cells = split line in
-              match (cells, float_of_string_opt (List.nth cells ns_col)) with
-              | name :: _, Some ns -> rows ((name, ns) :: acc)
-              | _ -> rows acc)
-        in
-        rows [])
-  in
-  let run baseline current tolerance =
-    match (load_csv baseline, load_csv current) with
-    | exception (Sys_error msg | Failure msg) ->
-        Printf.eprintf "aqt_sim bench-gate: %s\n" msg;
-        exit 2
-    | base, cur ->
-        let tbl =
-          Tbl.create
-            ~headers:[ "benchmark"; "baseline ns"; "current ns"; "ratio"; "" ]
-        in
-        let regressions = ref 0 in
-        List.iter
-          (fun (name, base_ns) ->
-            match List.assoc_opt name cur with
-            | None -> Tbl.add_row tbl [ name; Tbl.ff base_ns; "-"; "-"; "gone" ]
-            | Some cur_ns ->
-                let ratio = cur_ns /. base_ns in
-                let flag =
-                  if ratio > 1. +. tolerance then begin
-                    incr regressions;
-                    "REGRESSED"
-                  end
-                  else if ratio < 1. -. tolerance then "improved"
-                  else "ok"
-                in
-                Tbl.add_row tbl
-                  [
-                    name;
-                    Tbl.ff base_ns;
-                    Tbl.ff cur_ns;
-                    Printf.sprintf "%.2f" ratio;
-                    flag;
-                  ])
-          base;
-        List.iter
-          (fun (name, cur_ns) ->
-            if not (List.mem_assoc name base) then
-              Tbl.add_row tbl [ name; "-"; Tbl.ff cur_ns; "-"; "new" ])
-          cur;
-        Tbl.print tbl;
-        if !regressions > 0 then begin
-          Printf.printf "\n%d benchmark(s) regressed more than %.0f%%\n"
-            !regressions (tolerance *. 100.);
-          exit 1
-        end
-        else Printf.printf "\nno regression beyond %.0f%%\n" (tolerance *. 100.)
-  in
-  let baseline =
-    Arg.(
-      value
-      & opt string "bench_results/b_microbench.csv"
-      & info [ "baseline" ] ~docv:"CSV"
-          ~doc:"Baseline microbenchmark CSV (benchmark,ns/run,...).")
-  in
-  let current =
-    Arg.(
-      required
-      & opt (some string) None
-      & info [ "current" ] ~docv:"CSV" ~doc:"Freshly measured CSV to check.")
-  in
-  let tolerance =
-    Arg.(
-      value & opt float 0.25
-      & info [ "tolerance" ]
-          ~doc:"Allowed slowdown fraction before failing (default 0.25).")
-  in
-  Cmd.v
-    (Cmd.info "bench-gate"
-       ~doc:
-         "Compare a microbenchmark CSV against a baseline; exit 1 if any \
-          benchmark slowed beyond the tolerance")
-    Term.(const run $ baseline $ current $ tolerance)
+    Term.(const run $ out_arg $ dir_arg $ only_arg $ list_arg)
 
 (* ------------------------------------------------------------------ *)
 (* serve: the rate-admission simulation service                        *)
@@ -1406,7 +1323,7 @@ let check_cmd =
   in
   let seeds =
     Arg.(
-      value & opt int 100
+      value & opt (at_least ~what:"seeds" 0 int) 100
       & info [ "seeds" ] ~docv:"N"
           ~doc:"Number of random scenarios to check (seeds 0..N-1).")
   in
@@ -1434,9 +1351,20 @@ let check_cmd =
              arm per domain count in $(b,--domains).")
   in
   let domains =
+    (* Checked as a whole list, so that the error fits on one line. *)
+    let counts = Arg.(list int) in
+    let parse s =
+      match Arg.conv_parser counts s with
+      | Ok ds when List.exists (fun d -> d < 1) ds ->
+          Error
+            (`Msg
+              (Printf.sprintf "domain count %d must be at least 1"
+                 (List.find (fun d -> d < 1) ds)))
+      | r -> r
+    in
     Arg.(
       value
-      & opt (list int) []
+      & opt (conv (parse, conv_printer counts)) []
       & info [ "domains" ] ~docv:"N,..."
           ~doc:
             "Domain counts for the SoA arms (default 1).  Only meaningful \
@@ -1483,109 +1411,6 @@ let check_cmd =
     Term.(
       const run $ seeds $ base $ seed $ backend $ domains $ family $ faults
       $ mutant_demo $ quiet)
-
-(* ------------------------------------------------------------------ *)
-(* soa-scale: step-cost scaling of the struct-of-arrays backend         *)
-(* ------------------------------------------------------------------ *)
-
-let soa_scale_cmd =
-  let run edges domains steps out =
-    (* The b_microbench soa_step workload at every size: ~0.1 load from
-       100-hop routes injected at evenly spaced starts, measured after a
-       warmup that reaches steady state (route length + slack). *)
-    let hops = 100 in
-    let cell k ndom =
-      let ring = Build.ring k in
-      let nroutes = max 1 (k / (10 * hops)) in
-      let injs =
-        List.init nroutes (fun i ->
-            {
-              Network.route =
-                Array.init hops (fun j ->
-                    ring.Build.edges.(((i * (k / nroutes)) + j) mod k));
-              tag = "";
-            })
-      in
-      let soa =
-        Aqt_engine.Soa.create ~domains:ndom ~graph:ring.Build.graph
-          ~policy:Policies.fifo ()
-      in
-      for _ = 1 to hops + 10 do
-        Aqt_engine.Soa.step soa injs
-      done;
-      let in_flight = Aqt_engine.Soa.in_flight soa in
-      let best = ref infinity in
-      for _ = 1 to 3 do
-        let t0 = Unix.gettimeofday () in
-        for _ = 1 to steps do
-          Aqt_engine.Soa.step soa injs
-        done;
-        let dt = (Unix.gettimeofday () -. t0) /. float_of_int steps in
-        if dt < !best then best := dt
-      done;
-      Aqt_engine.Soa.shutdown soa;
-      [
-        string_of_int k;
-        string_of_int ndom;
-        string_of_int in_flight;
-        Printf.sprintf "%.3f" (!best *. 1e3);
-        Printf.sprintf "%.2f" (!best /. float_of_int k *. 1e9);
-        Printf.sprintf "%.1f" (!best /. float_of_int in_flight *. 1e9);
-      ]
-    in
-    let headers =
-      [
-        "edges"; "domains"; "in_flight"; "ms_per_step"; "ns_per_edge_step";
-        "ns_per_forward";
-      ]
-    in
-    let rows =
-      List.concat_map (fun k -> List.map (cell k) domains) edges
-    in
-    let tbl = Tbl.create ~headers in
-    Tbl.add_rows tbl rows;
-    Tbl.print tbl;
-    match out with
-    | None -> ()
-    | Some path ->
-        let oc = open_out path in
-        output_string oc (String.concat "," headers ^ "\n");
-        List.iter (fun r -> output_string oc (String.concat "," r ^ "\n")) rows;
-        close_out oc;
-        Printf.printf "wrote %s\n" path
-  in
-  let edges =
-    Arg.(
-      value
-      & opt (list int) [ 10_000; 100_000; 1_000_000 ]
-      & info [ "edges" ] ~docv:"K,..." ~doc:"Ring sizes to measure.")
-  in
-  let domains =
-    Arg.(
-      value
-      & opt (list int) [ 1; 2; 4 ]
-      & info [ "domains" ] ~docv:"N,..." ~doc:"Domain counts to measure.")
-  in
-  let steps =
-    Arg.(
-      value & opt int 5
-      & info [ "steps" ] ~docv:"N"
-          ~doc:"Steps per timed batch (best of 3 batches is reported).")
-  in
-  let out =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Also write the table as CSV.")
-  in
-  Cmd.v
-    (Cmd.info "soa-scale"
-       ~doc:
-         "Measure struct-of-arrays engine step cost across ring sizes and \
-          domain counts on the microbenchmark workload (100-hop routes at \
-          ~0.1 load), reporting ns per edge-step and ns per forwarded \
-          packet.")
-    Term.(const run $ edges $ domains $ steps $ out)
 
 (* ------------------------------------------------------------------ *)
 (* fabric: datacenter-fabric scenarios (spine-leaf / fat-tree)          *)
@@ -1712,7 +1537,7 @@ let fabric_cmd =
   in
   let conns =
     Arg.(
-      value & opt int 1
+      value & opt (at_least ~what:"conns" 1 int) 1
       & info [ "conns" ] ~docv:"N" ~doc:"Connections per host pair.")
   in
   let policy =
@@ -1733,12 +1558,12 @@ let fabric_cmd =
   in
   let horizon =
     Arg.(
-      value & opt int 2000
+      value & opt (at_least ~what:"horizon" 1 int) 2000
       & info [ "horizon" ] ~docv:"T" ~doc:"Injection steps.")
   in
   let drain =
     Arg.(
-      value & opt int 200
+      value & opt (at_least ~what:"drain" 0 int) 200
       & info [ "drain" ] ~docv:"T"
           ~doc:"Injection-free steps before reading counters.")
   in
@@ -1780,6 +1605,6 @@ let () =
           [
             params_cmd; instability_cmd; stability_cmd; simulate_cmd;
             sweep_cmd; plan_cmd; fluid_cmd; replay_cmd; workloads_cmd;
-            spacetime_cmd; campaign_cmd; report_cmd; bench_gate_cmd; check_cmd;
-            soa_scale_cmd; serve_cmd; loadgen_cmd; fabric_cmd;
+            spacetime_cmd; campaign_cmd; report_cmd; check_cmd; serve_cmd;
+            loadgen_cmd; fabric_cmd;
           ]))

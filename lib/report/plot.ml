@@ -277,7 +277,7 @@ let hbars ?(w = 720.0) ?(log_x = false) ?x_label ~title bars =
                ~attrs:[ ("fill", series_color 0); ("rx", "3") ] ();
              text_at ~x:(sx v +. 6.0) ~y:(y +. (bar_h /. 2.0) +. 3.5)
                ~attrs:[ ("font-size", "10"); ("fill", text_secondary) ]
-               (Svg.f v);
+               (Printf.sprintf "%.3g" v);
            ])
          bars)
   in

@@ -45,7 +45,8 @@ val hbars :
 (** Horizontal bars, one per labelled value, in input order; bar length
     on a linear or log10 axis ([log_x] default [false]; non-positive
     values clamp to the axis minimum).  Height grows with the number of
-    bars.  Values are direct-labelled at the bar end. *)
+    bars.  Values are direct-labelled at the bar end, to three
+    significant digits. *)
 
 val ticks : lo:float -> hi:float -> max_ticks:int -> float list
 (** Nice tick positions (1-2-5 progression) covering [[lo, hi]]; exposed

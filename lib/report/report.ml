@@ -1,4 +1,5 @@
 module Ratio = Aqt_util.Ratio
+module Jsonx = Aqt_util.Jsonx
 module Registry = Aqt_harness.Registry
 module Campaign = Aqt_harness.Campaign
 module Journal = Aqt_harness.Journal
@@ -555,8 +556,8 @@ let render_spacetime _ =
     ~rows ~cols values
 
 let render_bench ctx =
-  Plot.hbars ~log_x:true ~x_label:"ns per run"
-    ~title:"Engine microbenchmarks (committed bench_results CSV)" ctx.bench
+  Plot.hbars ~log_x:true ~x_label:"median, in each bar's own unit"
+    ~title:"End-to-end benchmark (committed bench/e2e runs)" ctx.bench
 
 let default_figures () =
   [
@@ -784,12 +785,13 @@ let default_figures () =
     };
     {
       id = "bench";
-      title = "Engine microbenchmarks";
+      title = "End-to-end benchmark";
       caption =
-        "ns per run for the engine microbenchmarks, read from the \
-         committed `bench_results/b_microbench.csv` (regenerated by \
-         `dune exec bench/main.exe -- bench`; gated against regression \
-         by `aqt_sim bench-gate`).  Log scale.";
+        "Median of each end-to-end metric per benchmark workload, over \
+         the untraced, correct calibration runs committed under \
+         `bench/e2e/runs/`; each label gives the unit and the IQR as a \
+         share of the median.  The figure moves only when the benchmark \
+         is recalibrated.  Log scale.";
       experiments = [];
       render = render_bench;
     };
@@ -859,7 +861,54 @@ let index_md ~registry figures =
     figures;
   Buffer.contents buf
 
-let build_ctx ?(bench_csv = Filename.concat "bench_results" "b_microbench.csv")
+(* Quartiles as Python's [statistics.quantiles (n=4)] computes them (the
+   exclusive method), so the bench figure agrees with bench/e2e/calibrate.py
+   to the bit.  The middle one is the median. *)
+let quartiles values =
+  let a = Array.of_list (List.sort compare values) in
+  let n = Array.length a in
+  let q i =
+    let m = i * (n + 1) in
+    let j = max 1 (min (n - 1) (m / 4)) in
+    let d = m - (4 * j) in
+    if n = 1 then a.(0)
+    else ((a.(j - 1) *. float_of_int (4 - d)) +. (a.(j) *. float_of_int d)) /. 4.
+  in
+  (q 1, q 2, q 3)
+
+(* One bar per workload and end-to-end metric of the calibration runs in
+   [dir] (JSONL files, one run per line), at its median over the untraced
+   runs whose answers were correct; [] when [dir] is missing. *)
+let bench_bars dir =
+  let str k j = Jsonx.to_str (Jsonx.get k j) and flag k j = Jsonx.to_bool (Jsonx.get k j) in
+  let samples file =
+    In_channel.with_open_bin (Filename.concat dir file) In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun line -> String.trim line <> "")
+    |> List.map Jsonx.of_string
+    |> List.filter (fun run -> flag "correct" run && not (flag "trace" run))
+    |> List.concat_map (fun run ->
+           List.filter_map
+             (fun (metric, m) ->
+               if str "kind" m <> "end_to_end" then None
+               else Some ((str "workload" run, metric, str "unit" m), Jsonx.to_float (Jsonx.get "value" m)))
+             (Jsonx.to_obj (Jsonx.get "metrics" run)))
+  in
+  let samples =
+    match Sys.readdir dir with
+    | exception Sys_error _ -> []
+    | files ->
+        List.concat_map samples
+          (List.filter (fun f -> Filename.check_suffix f ".jsonl") (Array.to_list files))
+  in
+  List.sort_uniq compare (List.map fst samples)
+  |> List.map (fun ((workload, metric, unit_) as key) ->
+         let q1, q2, q3 =
+           quartiles (List.filter_map (fun (k, v) -> if k = key then Some v else None) samples)
+         in
+         (Printf.sprintf "%s %s (%s, IQR %.1f%%)" workload metric unit_ (100. *. (q3 -. q1) /. q2), q2))
+
+let build_ctx ?(bench_runs = Filename.concat (Filename.concat "bench" "e2e") "runs")
     ~registry ~options figures =
   let needed = dedup (List.concat_map (fun f -> f.experiments) figures) in
   let results, trajectories =
@@ -894,30 +943,9 @@ let build_ctx ?(bench_csv = Filename.concat "bench_results" "b_microbench.csv")
       (results, trajectories)
     end
   in
-  let bench =
-    if not (Sys.file_exists bench_csv) then []
-    else begin
-      let ic = open_in bench_csv in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | line -> (
-                match String.split_on_char ',' line with
-                | name :: value :: _ when name <> "benchmark" -> (
-                    match float_of_string_opt (String.trim value) with
-                    | Some v -> go ((name, v) :: acc)
-                    | None -> go acc)
-                | _ -> go acc)
-            | exception End_of_file -> List.rev acc
-          in
-          go [])
-    end
-  in
-  { results; trajectories; bench }
+  { results; trajectories; bench = bench_bars bench_runs }
 
-let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
+let generate ?figures ?only ?bench_runs ~registry ~options ~out () =
   let figures =
     match figures with Some fs -> fs | None -> default_figures ()
   in
@@ -935,7 +963,7 @@ let generate ?figures ?only ?bench_csv ~registry ~options ~out () =
                      (String.concat ", " (List.map (fun f -> f.id) figures))))
           ids
   in
-  let ctx = build_ctx ?bench_csv ~registry ~options figures in
+  let ctx = build_ctx ?bench_runs ~registry ~options figures in
   mkdir_p out;
   let paths =
     List.map

@@ -12,8 +12,8 @@
     - direct simulation: structural figures (the Figure 3.1/3.2 gadget
       renders, the spacetime heatmap, the stability sweep) run small
       seeded simulations inline;
-    - committed artifacts: the microbenchmark figure reads
-      [bench_results/b_microbench.csv].
+    - committed artifacts: the benchmark figure reads the calibration
+      runs under [bench/e2e/runs/].
 
     Everything is deterministic — seeded runs, fixed number formatting
     ({!Svg.f}), no timestamps — so regenerating over an unchanged tree
@@ -29,8 +29,12 @@ type ctx = {
           journal ({!Aqt_harness.Journal.final_trajectories}), falling
           back to the result's own trajectory field. *)
   bench : (string * float) list;
-      (** Parsed [benchmark -> ns/run] rows of the committed
-          microbenchmark CSV; [[]] when the file is absent. *)
+      (** One [label -> median] bar per workload and end-to-end metric of
+          the committed benchmark calibration runs, over the untraced runs
+          with correct answers; the label names the unit and the
+          interquartile range (quartiles as [bench/e2e/calibrate.py]
+          computes them) as a share of the median.  [[]] when the runs
+          directory is absent. *)
 }
 
 type figure = {
@@ -48,7 +52,7 @@ val default_figures : unit -> figure list
     3.1/3.2, the E1 seed-growth curves, the E2 pump measured-vs-predicted
     plot and trajectory, the E7 stable-workload trajectory, the fluid
     pump profile, the policy x rate sweep heatmap, the startup+pump
-    spacetime heatmap, and the microbenchmark chart. *)
+    spacetime heatmap, and the end-to-end benchmark chart. *)
 
 (** {2 Data access helpers}
 
@@ -73,7 +77,7 @@ val trajectory_points :
     key are skipped. *)
 
 val build_ctx :
-  ?bench_csv:string ->
+  ?bench_runs:string ->
   registry:Aqt_harness.Registry.t ->
   options:Aqt_harness.Campaign.options ->
   figure list ->
@@ -81,14 +85,15 @@ val build_ctx :
 (** Assemble the data context for a set of figures without rendering
     anything: run the union of their declared experiments through the
     campaign (cache hits instant), recover journalled trajectories, and
-    parse the bench CSV.  [generate] is [build_ctx] plus rendering to
+    read the benchmark runs in directory [bench_runs] (default
+    [bench/e2e/runs]; tests pass their own).  [generate] is [build_ctx] plus rendering to
     disk; the serve daemon uses [build_ctx] directly to render single
     figures in memory. *)
 
 val generate :
   ?figures:figure list ->
   ?only:string list ->
-  ?bench_csv:string ->
+  ?bench_runs:string ->
   registry:Aqt_harness.Registry.t ->
   options:Aqt_harness.Campaign.options ->
   out:string ->
@@ -97,7 +102,7 @@ val generate :
 (** Render [figures] (default {!default_figures}; [only] filters by
     figure id) into directory [out] (created as needed) and write
     [index.md].  [options] selects the campaign directory/salt — its
-    [only]/[quiet] fields are overridden internally.  [bench_csv]
-    defaults to [bench_results/b_microbench.csv].  Returns the paths
+    [only]/[quiet] fields are overridden internally.  [bench_runs] is
+    as for {!build_ctx}.  Returns the paths
     written, index first.
     @raise Failure if [only] names an unknown figure. *)

@@ -424,7 +424,7 @@ let generate_is_deterministic () =
   let out1 = temp_dir () and out2 = temp_dir () in
   let gen out =
     Report.generate ~figures:(synthetic_figures ())
-      ~bench_csv:(Filename.concat campaign_dir "missing.csv") ~registry
+      ~bench_runs:(Filename.concat campaign_dir "missing") ~registry
       ~options ~out ()
   in
   (* First run executes the experiment; the second is served from the
@@ -450,6 +450,45 @@ let generate_is_deterministic () =
     (contains ~needle:"`syn`" index);
   check_bool "trajectory figure has points" true
     (contains ~needle:"<polyline" (read_file (List.nth paths1 2)))
+
+(* The bench figure's bars come from committed benchmark runs: one per
+   workload and end-to-end metric, at the median of the untraced, correct
+   runs, labelled with calibrate.py's (exclusive-method) quartiles. *)
+let bench_figure_from_runs () =
+  let dir = temp_dir () in
+  Sys.mkdir dir 0o755;
+  let run ?(trace = false) ?(correct = true) v =
+    Printf.sprintf
+      "{\"workload\": \"syn\", \"trace\": %b, \"correct\": %b, \"metrics\": \
+       {\"cpu_ms_per_op\": {\"value\": %g, \"unit\": \"ms\", \"n\": 1, \"kind\": \"end_to_end\"}, \
+       \"engine.step_ms\": {\"value\": 7, \"unit\": \"ms\", \"n\": 1, \"kind\": \"per_layer\"}}}"
+      trace correct v
+  in
+  Out_channel.with_open_bin (Filename.concat dir "set1.jsonl") (fun oc ->
+      List.iter
+        (fun line -> output_string oc (line ^ "\n"))
+        [ run 3.; run 1.; run ~trace:true 100.; run 4.; run ~correct:false 1000.; run 2. ]);
+  Out_channel.with_open_bin (Filename.concat dir "notes.txt") (fun oc ->
+      output_string oc "not a run\n");
+  let ctx dir =
+    Report.build_ctx ~bench_runs:dir ~registry:(synthetic_registry ())
+      ~options:{ Campaign.default_options with dir = temp_dir (); quiet = true }
+      []
+  in
+  (match (ctx dir).Report.bench with
+  | [ (label, median) ] ->
+      check_string "label: unit and IQR of quartiles 1.25 and 3.75"
+        "syn cpu_ms_per_op (ms, IQR 100.0%)" label;
+      Alcotest.(check (float 0.)) "bar at the median" 2.5 median
+  | bars -> Alcotest.failf "expected one bar, got %d" (List.length bars));
+  let missing = ctx (Filename.concat dir "missing") in
+  check_int "missing directory: no bars" 0 (List.length missing.Report.bench);
+  let bench =
+    List.find (fun (f : Report.figure) -> f.id = "bench") (Report.default_figures ())
+  in
+  let frame = bench.render missing in
+  check_xml "missing directory: empty frame" frame;
+  check_bool "missing directory: no bar labels" false (contains ~needle:"IQR" frame)
 
 let unknown_figure_rejected () =
   let options =
@@ -492,6 +531,8 @@ let () =
           Alcotest.test_case "default figures" `Quick default_figure_set;
           Alcotest.test_case "byte-identical generation" `Quick
             generate_is_deterministic;
+          Alcotest.test_case "bench figure from benchmark runs" `Quick
+            bench_figure_from_runs;
           Alcotest.test_case "unknown figure" `Quick unknown_figure_rejected;
         ] );
     ]
