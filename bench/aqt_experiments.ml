@@ -30,19 +30,6 @@ module Rb = Aqt_harness.Registry.Rb
 
 let notef rb fmt = Printf.ksprintf (Rb.note rb) fmt
 
-let run_phase ?recorder net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ?recorder ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ?recorder ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
-
 let seeded_net params ~m ~seed =
   let g = G.cyclic ~n:params.Aqt.Params.n ~m () in
   let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
@@ -147,7 +134,7 @@ let lemma_3_15_startup rb =
         let params = Aqt.Params.make ~eps ~s0 () in
         let seed = (2 * s0) + 2 in
         let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let m = I.measure net g ~k:1 in
         let predicted =
           Aqt.Params.s' ~r:params.r ~n:params.n ~total_old:seed
@@ -181,10 +168,10 @@ let lemma_3_6_pump rb =
         let recorder =
           if s0 = 1600 then Some (Recorder.make ~every:50 ()) else None
         in
-        ignore (run_phase ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
         ignore
-          (run_phase ?recorder net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+          (Phased.run ?recorder net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         (match recorder with
         | Some r ->
             Rb.trajectory rb (Recorder.to_rows r);
@@ -227,8 +214,8 @@ let lemma_3_16_stitch rb =
         let params = Aqt.Params.make ~eps ~s0:400 () in
         let seed = (2 * params.s0) + 2 in
         let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
         let drain = s_ing + params.n in
         ignore
@@ -240,7 +227,7 @@ let lemma_3_16_stitch rb =
           Aqt.Stitch.plan ~rate ~relay:(G.stitch_route g)
             ~start:(Network.now net + 1) ~s
         in
-        ignore (run_phase net (Aqt.Stitch.phase ~rate ~gadget:g));
+        ignore (Phased.run net (Aqt.Stitch.phase ~rate ~gadget:g));
         let fresh = Network.buffer_len net (G.ingress g ~k:1) in
         [
           Ratio.to_string rate;
@@ -793,7 +780,7 @@ let fluid_vs_discrete rb =
   let params = Aqt.Params.make ~eps ~s0:1000 () in
   let seed = (2 * params.s0) + 2 in
   let net, g = seeded_net params ~m:3 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let m1 = I.measure net g ~k:1 in
   let total_old = m1.s_epath + m1.s_ingress in
   let fluid =
@@ -881,10 +868,10 @@ let ablation_pump rb =
     List.map
       (fun (name, flow_filter) ->
         let net, g = seeded_net params ~m:3 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
         ignore
-          (run_phase net (Aqt.Pump.phase ~flow_filter ~params ~gadget:g ~k:1));
+          (Phased.run net (Aqt.Pump.phase ~flow_filter ~params ~gadget:g ~k:1));
         let m2 = I.measure net g ~k:2 in
         [
           name;
@@ -927,8 +914,8 @@ let ablation_stitch rb =
     List.map
       (fun (name, flow_filter) ->
         let net, g = seeded_net params ~m:2 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
         let drain = s_ing + params.n in
         ignore
@@ -941,7 +928,7 @@ let ablation_stitch rb =
             ~start:(Network.now net + 1) ~s
         in
         ignore
-          (run_phase net
+          (Phased.run net
              (Aqt.Stitch.phase ~flow_filter ~rate:params.rate ~gadget:g));
         let fresh = Network.buffer_len net (G.ingress g ~k:1) in
         [ name; Tbl.fi s; Tbl.fi plan.r3s; Tbl.fi fresh ])
@@ -1051,9 +1038,9 @@ let ablation_pump_factor_vs_n rb =
         let params = Aqt.Params.make ~eps ~n ~s0:(max 500 (2 * n)) () in
         let seed = (2 * params.s0) + 2 in
         let net, g = seeded_net params ~m:3 ~seed in
-        ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
         let s1 = (I.measure net g ~k:1).s_ingress in
-        ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
         let s2 = (I.measure net g ~k:2).s_ingress in
         [
           Tbl.fi n;

@@ -569,21 +569,12 @@ let spacetime_cmd =
     done;
     let st = Aqt_engine.Spacetime.make net in
     let run_phase phase =
-      let duration = ref 0 in
-      let wrapped : Aqt_adversary.Phased.phase =
-       fun net t ->
-        let d, dur =
-          try phase net t with Failure msg -> raise (Cannot_start msg)
-        in
-        duration := dur;
-        (d, dur)
+      let checked net t =
+        try phase net t with Failure msg -> raise (Cannot_start msg)
       in
-      let driver =
-        Aqt_engine.Spacetime.driver_wrap st
-          (Aqt_adversary.Phased.sequence [ wrapped ])
-      in
-      ignore (Sim.run ~net ~driver ~horizon:1 ());
-      ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
+      ignore
+        (Aqt_adversary.Phased.run ~wrap:(Aqt_engine.Spacetime.driver_wrap st)
+           net checked)
     in
     run_phase (Aqt.Startup.phase ~params ~gadget:g);
     run_phase (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t);
@@ -1150,7 +1141,6 @@ let loadgen_cmd =
       in
       let cfg =
         {
-          dflt with
           Loadgen.host;
           port;
           conns;

@@ -14,19 +14,6 @@ module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
 module I = Aqt.Invariant
 
-let run_phase net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
-
 let show_invariant net g ~k =
   let m = I.measure net g ~k in
   Printf.printf
@@ -68,7 +55,7 @@ let () =
   Printf.printf "Seeded %d single-edge packets at the ingress of F(1).\n\n" seed;
 
   (* Lemma 3.15. *)
-  let d = run_phase net (Aqt.Startup.phase ~params ~gadget:g) in
+  let d = Phased.run net (Aqt.Startup.phase ~params ~gadget:g) in
   Printf.printf "Lemma 3.15 (startup), %d steps:\n" d;
   show_invariant net g ~k:1;
   let s1 = (I.measure net g ~k:1).s_ingress in
@@ -76,7 +63,7 @@ let () =
     (Aqt.Params.s' ~r:params.r ~n:params.n ~total_old:seed);
 
   (* Lemma 3.6, twice. *)
-  let d = run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1) in
+  let d = Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1) in
   Printf.printf "Lemma 3.6 (pump 1 -> 2), %d steps:\n" d;
   show_invariant net g ~k:2;
   let s2 = (I.measure net g ~k:2).s_ingress in
@@ -84,7 +71,7 @@ let () =
     (float_of_int s2 /. float_of_int s1)
     (Aqt.Params.pump_factor ~r:params.r ~n:params.n);
 
-  let d = run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2) in
+  let d = Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2) in
   Printf.printf "Lemma 3.6 (pump 2 -> 3), %d steps:\n" d;
   show_invariant net g ~k:3;
 
@@ -99,7 +86,7 @@ let () =
   Printf.printf "Drain (%d idle steps): %d packets queued at the egress.\n\n"
     drain egress_q;
 
-  let d = run_phase net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g) in
+  let d = Phased.run net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g) in
   let fresh = Network.buffer_len net (G.ingress g ~k:1) in
   Printf.printf "Lemma 3.16 (stitch), %d steps: %d fresh seeds (r^3 * %d = %d)\n"
     d fresh egress_q

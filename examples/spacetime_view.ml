@@ -9,23 +9,9 @@
 
 module Ratio = Aqt_util.Ratio
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Spacetime = Aqt_engine.Spacetime
 module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
-
-(* Run one phase to completion, recording a space-time sample per step. *)
-let run_phase st net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Spacetime.driver_wrap st (Phased.sequence [ wrapped ]) in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
 
 let () =
   let eps = Ratio.make 1 5 in
@@ -43,8 +29,11 @@ let () =
     (G.describe g) seed
     (Ratio.to_string params.rate);
   let st = Spacetime.make net in
-  run_phase st net (Aqt.Startup.phase ~params ~gadget:g);
-  run_phase st net (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t);
+  (* Each phase runs to completion, recording a space-time sample per step. *)
+  let wrap = Spacetime.driver_wrap st in
+  ignore (Phased.run ~wrap net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore
+    (Phased.run ~wrap net (fun n t -> Aqt.Pump.phase ~params ~gadget:g ~k:1 n t));
   Spacetime.print st;
   Printf.printf
     "\nReading the map: a0's seed queue (top) feeds gadget 1's e-path (e1_*),\n\

@@ -66,6 +66,20 @@ let fresh_state phases =
 let sequence ?(on_phase = fun _ _ -> ()) phases =
   make_driver ~next_phases:(fun _ -> []) ~on_phase (fresh_state phases)
 
+let run ?recorder ?(wrap = Fun.id) net phase =
+  let duration = ref 0 in
+  let timed : phase =
+   fun net t ->
+    let d, dur = phase net t in
+    duration := dur;
+    (d, dur)
+  in
+  let driver = wrap (sequence [ timed ]) in
+  (* The phase is built, and its duration known, only on the first step. *)
+  ignore (Sim.run ?recorder ~net ~driver ~horizon:1 ());
+  ignore (Sim.run ?recorder ~net ~driver ~horizon:(!duration - 1) ());
+  !duration
+
 let cycle ?(on_cycle = fun _ _ -> ()) ?(on_phase = fun _ _ -> ()) phases =
   if phases = [] then invalid_arg "Phased.cycle: empty phase list";
   let cycle_no = ref 0 in

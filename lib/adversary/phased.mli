@@ -21,6 +21,17 @@ val sequence : ?on_phase:(int -> int -> unit) -> phase list -> Aqt_engine.Sim.dr
 (** Runs the phases in order; after the last one, injects nothing.
     [on_phase i start] is called when phase [i] (0-based) begins. *)
 
+val run :
+  ?recorder:Aqt_engine.Recorder.t ->
+  ?wrap:(Aqt_engine.Sim.driver -> Aqt_engine.Sim.driver) ->
+  Aqt_engine.Network.t ->
+  phase ->
+  int
+(** [run net phase] runs one phase to completion from the network's
+    current step and returns its duration.  [wrap] decorates the phase's
+    driver (e.g. {!Aqt_engine.Spacetime.driver_wrap}); [recorder] goes to
+    {!Aqt_engine.Sim.run}. *)
+
 val cycle :
   ?on_cycle:(int -> int -> unit) ->
   ?on_phase:(int -> int -> unit) ->

@@ -3,8 +3,8 @@
     One scenario is executed three ways in lockstep — the naive
     {!Ref_model}, the engine on its zero-allocation fast path (no tracer),
     and the engine with a {!Aqt_engine.Trace}
-    collector attached (the traced and untraced step loops are distinct
-    code paths; both must conform).  After every step the full observable
+    collector attached (one step loop, whose optional tracer must not
+    change what it does).  After every step the full observable
     state is compared packet-by-packet: per-edge buffer contents in policy
     order, with each packet's id, injection time, hop, buffered-at time
     and full route.  The first mismatching step is reported precisely,

@@ -55,7 +55,7 @@ let store t ~key ~name ~spec ~duration result =
         ("key", Jsonx.Str key);
         ("name", Jsonx.Str name);
         ("spec", Spec.to_json spec);
-        ("saved_at", Jsonx.Float (Unix.gettimeofday ()));
+        ("saved_at", Jsonx.Float (Aqt_util.Clock.wall ()));
         ("duration", Jsonx.Float duration);
         ("result", Registry.result_to_json result);
       ]

@@ -1,4 +1,5 @@
 module Tbl = Aqt_util.Tbl
+module Clock = Aqt_util.Clock
 
 (* Bump when simulator semantics change in a way that invalidates every
    cached experiment result (the per-experiment "version" spec field covers
@@ -53,8 +54,7 @@ let select ~(registry : Registry.t) (options : options) =
   | names -> List.map resolve names
 
 let journal_path options =
-  let t = Unix.gettimeofday () in
-  let tm = Unix.gmtime t in
+  let tm = Unix.gmtime (Clock.wall ()) in
   Filename.concat options.dir
     (Filename.concat "journal"
        (Printf.sprintf "run-%04d%02d%02d-%02d%02d%02d-%d.jsonl"
@@ -93,10 +93,13 @@ let run ~registry options =
   let entries = select ~registry options in
   let cache = Cache.create ~dir:(Filename.concat options.dir "cache") in
   let journal = Journal.create (journal_path options) in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Clock.monotonic () in
   Journal.write journal
     (Journal.Campaign_start
-       { at = t0; names = List.map (fun (e : Registry.entry) -> e.name) entries });
+       {
+         at = Clock.wall ();
+         names = List.map (fun (e : Registry.entry) -> e.name) entries;
+       });
   let total = List.length entries in
   let progress_lock = Mutex.create () in
   let on_done k =
@@ -122,11 +125,11 @@ let run ~registry options =
   Journal.write journal
     (Journal.Campaign_end
        {
-         at = Unix.gettimeofday ();
+         at = Clock.wall ();
          ran;
          cached;
          failed;
-         duration = Unix.gettimeofday () -. t0;
+         duration = Clock.monotonic () -. t0;
        });
   let journal_file = Journal.file journal in
   Journal.close journal;
@@ -141,7 +144,7 @@ let run ~registry options =
 let status ~registry options =
   let entries = select ~registry options in
   let cache = Cache.create ~dir:(Filename.concat options.dir "cache") in
-  let now = Unix.gettimeofday () in
+  let now = Clock.wall () in
   let tbl =
     Tbl.create ~headers:[ "experiment"; "cached"; "age (s)"; "seconds"; "key" ]
   in

@@ -1,7 +1,7 @@
 (** Structured run journal: one JSON object per line (JSONL).
 
     Every campaign run appends machine-readable events — task start,
-    finish (with outcome, wall-clock duration, peak queue when the
+    finish (with outcome, monotonic duration, peak queue when the
     experiment reports one, and an optional sampled trajectory), retries,
     cache hits, and campaign start/end markers — to a journal file.  The
     writer is mutex-protected so scheduler domains can log concurrently;
@@ -12,7 +12,7 @@ type outcome =
   | Done  (** Ran and produced a result. *)
   | Cached  (** Result served from the content-addressed cache. *)
   | Failed of string  (** Raised after all retries; message attached. *)
-  | Timed_out  (** Exceeded the per-task wall-clock budget. *)
+  | Timed_out  (** Exceeded the per-task time budget. *)
 
 val outcome_to_string : outcome -> string
 
@@ -38,7 +38,7 @@ type event =
   | Task_timeout of {
       name : string;
       at : float;
-      limit : float;  (** The configured wall-clock budget, seconds. *)
+      limit : float;  (** The configured time budget, seconds. *)
       duration : float;  (** How long the task actually ran. *)
     }
       (** Post-hoc timeout marker.  Timeouts are cooperative (a domain

@@ -1,3 +1,5 @@
+module Clock = Aqt_util.Clock
+
 type task_result = {
   name : string;
   outcome : Journal.outcome;
@@ -5,8 +7,6 @@ type task_result = {
   attempts : int;
   result : Registry.result option;
 }
-
-let now () = Unix.gettimeofday ()
 
 let finish_event ?gc journal name outcome duration
     (result : Registry.result option) =
@@ -25,7 +25,7 @@ let finish_event ?gc journal name outcome duration
     (Journal.Task_finish
        {
          name;
-         at = now ();
+         at = Clock.wall ();
          outcome;
          duration;
          max_queue;
@@ -44,8 +44,11 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
   in
   let rec attempt k =
     Journal.write journal
-      (Journal.Task_start { name; at = now (); attempt = k });
-    let t0 = now () in
+      (Journal.Task_start { name; at = Clock.wall (); attempt = k });
+    (* Durations, and so the timeout check, are monotonic: a wall-clock
+       step mid-task must not shorten or stretch them.  Journal [at]
+       stamps stay wall time. *)
+    let t0 = Clock.monotonic () in
     (* Precise allocation counter; quick_stat's copy only refreshes at GC
        events, but major_words has no precise accessor, so the major figure
        is approximate on tasks that never trigger a collection. *)
@@ -60,7 +63,7 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
       forced_failure ();
       Fault.hit Fault.Task_run;
       let result = entry.run () in
-      let duration = now () -. t0 in
+      let duration = Clock.monotonic () -. t0 in
       let gc =
         ( Gc.minor_words () -. minor0,
           (Gc.quick_stat ()).Gc.major_words -. major0 )
@@ -76,7 +79,7 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
              Task_finish timestamp is when detection happened, not when
              the budget expired. *)
           Journal.write journal
-            (Journal.Task_timeout { name; at = now (); limit; duration });
+            (Journal.Task_timeout { name; at = Clock.wall (); limit; duration });
           `Timed_out duration
       | None ->
           Cache.store cache ~key ~name ~spec:entry.spec ~duration result;
@@ -101,7 +104,7 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
           result = Some result;
         }
     | exception e ->
-        let duration = now () -. t0 in
+        let duration = Clock.monotonic () -. t0 in
         let error = Printexc.to_string e in
         if k <= retries then begin
           Journal.write journal

@@ -7,11 +7,12 @@
     covers the cache publication too: a [Cache.store] that fails mid-write
     (disk full, crash) re-runs the task instead of killing the campaign,
     and the cache's temp-file protocol guarantees nothing torn was
-    published.  Timeouts are
-    wall-clock and *cooperative*: a domain cannot be killed mid-OCaml
-    code, so a task that overruns its budget is allowed to finish but is
-    reported as [Timed_out] and its result is not cached (a later run,
-    e.g. with a larger budget, will re-execute it).
+    published.  Timeouts are elapsed time on
+    {!Aqt_util.Clock.monotonic}, so a wall-clock step cannot stretch or
+    shorten them, and they are *cooperative*: a domain cannot be killed
+    mid-OCaml code, so a task that overruns its budget is allowed to
+    finish but is reported as [Timed_out] and its result is not cached
+    (a later run, e.g. with a larger budget, will re-execute it).
 
     Known limitation: because the overrun check runs only {e after} the
     task returns, a genuinely hung experiment (infinite loop, deadlock)
@@ -46,7 +47,7 @@ val run :
 (** Results are returned in the order of the input entries.
 
     [jobs] is the number of worker domains (default [Parallel.map]'s);
-    [timeout] the per-task wall-clock budget in seconds (default none);
+    [timeout] the per-task budget in monotonic seconds (default none);
     [retries] the extra attempts after a raise (default 1); [salt] the
     cache salt (see {!Spec.hash}); [force] skips cache lookups (results
     are still stored); [fail] names scenarios forced to raise, which

@@ -7,7 +7,6 @@ module Scheduler = Aqt_harness.Scheduler
 module D = Aqt_graph.Digraph
 module Build = Aqt_graph.Build
 module Network = Aqt_engine.Network
-module Sim = Aqt_engine.Sim
 module Spacetime = Aqt_engine.Spacetime
 module Phased = Aqt_adversary.Phased
 module Stock = Aqt_adversary.Stock
@@ -507,20 +506,9 @@ let render_spacetime _ =
     ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
   done;
   let st = Spacetime.make ~every:4 net in
-  let run_phase phase =
-    let duration = ref 0 in
-    let wrapped : Phased.phase =
-     fun net t ->
-      let d, dur = phase net t in
-      duration := dur;
-      (d, dur)
-    in
-    let driver = Spacetime.driver_wrap st (Phased.sequence [ wrapped ]) in
-    ignore (Sim.run ~net ~driver ~horizon:1 ());
-    ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ())
-  in
-  run_phase (Aqt.Startup.phase ~params ~gadget:g);
-  run_phase (Aqt.Pump.phase ~params ~gadget:g ~k:1);
+  let wrap = Spacetime.driver_wrap st in
+  ignore (Phased.run ~wrap net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run ~wrap net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let every = Spacetime.every st in
   let matrix = Spacetime.matrix st in
   let labels = Spacetime.labels st in

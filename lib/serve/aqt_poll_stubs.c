@@ -1,4 +1,4 @@
-/* poll(2) and CLOCK_MONOTONIC bindings for the serve event loop.
+/* poll(2) binding for the serve event loop.
 
    The OCaml stdlib exposes only select(2), whose fd_set caps file
    descriptors at FD_SETSIZE (1024 on Linux) — too small for a daemon
@@ -18,7 +18,6 @@
 #include <poll.h>
 #include <stdlib.h>
 #include <string.h>
-#include <time.h>
 
 /* Event bits mirrored on the OCaml side (Evpoll). */
 #define AQT_RD 1
@@ -74,16 +73,4 @@ CAMLprim value aqt_poll(value v_fds, value v_events, value v_revents,
 
   if (pfds != stack_pfds) free(pfds);
   CAMLreturn(Val_int(ret));
-}
-
-/* Monotonic time in seconds as a float: immune to wall-clock steps, so
-   latency math and token-bucket refill are too.  Falls back to
-   CLOCK_REALTIME only if CLOCK_MONOTONIC is somehow unavailable. */
-CAMLprim value aqt_monotonic_time(value v_unit)
-{
-  CAMLparam1(v_unit);
-  struct timespec ts;
-  if (clock_gettime(CLOCK_MONOTONIC, &ts) != 0)
-    (void)clock_gettime(CLOCK_REALTIME, &ts);
-  CAMLreturn(caml_copy_double((double)ts.tv_sec + (double)ts.tv_nsec * 1e-9));
 }

@@ -10,7 +10,7 @@ type t = {
 let create ?now ~rho ~sigma () =
   if not (rho > 0.) then invalid_arg "Bucket.create: rho must be > 0";
   if sigma < 1 then invalid_arg "Bucket.create: sigma must be >= 1";
-  let now = match now with Some f -> f | None -> Clock.monotonic in
+  let now = match now with Some f -> f | None -> Aqt_util.Clock.monotonic in
   {
     rho_ = rho;
     sigma_ = sigma;
@@ -80,7 +80,7 @@ module Keyed = struct
     if sigma < 1 then invalid_arg "Bucket.Keyed.create: sigma must be >= 1";
     if max_entries < 1 then
       invalid_arg "Bucket.Keyed.create: max_entries must be >= 1";
-    let now = match now with Some f -> f | None -> Clock.monotonic in
+    let now = match now with Some f -> f | None -> Aqt_util.Clock.monotonic in
     {
       rho;
       sigma;

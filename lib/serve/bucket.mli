@@ -22,7 +22,7 @@ type t
 
 val create : ?now:(unit -> float) -> rho:float -> sigma:int -> unit -> t
 (** [create ~rho ~sigma ()] starts full ([σ] tokens).  [now] defaults to
-    {!Clock.monotonic} so refill is immune to wall-clock steps; tests
+    {!Aqt_util.Clock.monotonic} so refill is immune to wall-clock steps; tests
     inject a fake clock to drive refill deterministically.
     @raise Invalid_argument unless [rho > 0] and [sigma >= 1]. *)
 
@@ -59,7 +59,7 @@ module Keyed : sig
     t
   (** Every key gets its own [(rho, sigma)] bucket.  [max_entries]
       (default 1024) caps live keys; [now] defaults to
-      {!Clock.monotonic}.
+      {!Aqt_util.Clock.monotonic}.
       @raise Invalid_argument unless [rho > 0], [sigma >= 1] and
       [max_entries >= 1]. *)
 

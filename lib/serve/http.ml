@@ -8,6 +8,12 @@ type request = {
   version : string;
 }
 
+type response = {
+  status : int;
+  resp_headers : (string * string) list;
+  body : string;
+}
+
 type error =
   | Timeout
   | Closed
@@ -72,7 +78,7 @@ let parse_query s =
                        (String.sub kv (i + 1) (String.length kv - i - 1)) ))
 
 (* ------------------------------------------------------------------ *)
-(* Shared parsing helpers                                               *)
+(* Head grammar                                                        *)
 (* ------------------------------------------------------------------ *)
 
 let header req name =
@@ -104,10 +110,22 @@ let parse_request_line line =
       (String.uppercase_ascii meth, target, version)
   | _ -> raise (Err (Malformed "bad request line"))
 
-let content_length_of headers ~max_body =
+let parse_status_line line =
+  match List.filter (( <> ) "") (String.split_on_char ' ' line) with
+  | _ :: code :: _ -> (
+      match int_of_string_opt code with
+      | Some c -> c
+      | None -> raise (Err (Malformed "bad status code")))
+  | _ -> raise (Err (Malformed "bad status line"))
+
+(* The body length a head announces.  Requests without [Content-Length]
+   have no body; a response must say, since on a pipelined connection
+   nothing else delimits it. *)
+let content_length headers ~max_body ~required =
   if List.mem_assoc "transfer-encoding" headers then
     raise (Err (Malformed "transfer-encoding unsupported"));
   match List.assoc_opt "content-length" headers with
+  | None when required -> raise (Err (Malformed "missing content-length"))
   | None -> 0
   | Some v -> (
       match int_of_string_opt (String.trim v) with
@@ -123,367 +141,227 @@ let wants_keep_alive req =
   | _ -> req.version <> "HTTP/1.0"
 
 (* ------------------------------------------------------------------ *)
-(* Incremental request parser                                          *)
+(* The incremental framer both parsers run on                          *)
 (* ------------------------------------------------------------------ *)
 
-module Parser = struct
-  type limits = { max_line : int; max_headers : int; max_body : int }
+(* A message is a head (start line, header lines, empty line) and then
+   as many body bytes as the head announces.  The framer buffers what it
+   is fed, scans for the end of the head, has a direction-specific
+   [head_of] parse it into the message without its body (['m]) and the
+   body length, and hands both back once the body is in. *)
+type 'm state = Head | Body of 'm * int | Broken of error
 
-  type state =
-    | Head
-    | Body of {
-        meth : string;
-        target : string;
-        version : string;
-        headers : (string * string) list;
-        need : int;
-      }
-    | Broken of error
+type 'm framer = {
+  max_line : int;
+  max_headers : int;
+  max_body : int;
+  mutable data : Bytes.t;
+  mutable len : int;
+  mutable scan : int; (* resume point for the blank-line search *)
+  mutable line_start : int; (* start of the line [scan] is inside *)
+  mutable state : 'm state;
+}
 
-  type t = {
-    lim : limits;
-    mutable data : Bytes.t;
-    mutable len : int;
-    mutable scan : int; (* resume point for the blank-line search *)
-    mutable line_start : int; (* start of the line [scan] is inside *)
-    mutable state : state;
+let create_framer ~max_line ~max_headers ~max_body =
+  {
+    max_line;
+    max_headers;
+    max_body;
+    data = Bytes.create 1024;
+    len = 0;
+    scan = 0;
+    line_start = 0;
+    state = Head;
   }
 
-  type outcome = [ `Request of request | `Await | `Error of error ]
-
-  let create ?(max_line = 8192) ?(max_headers = 64) ?(max_body = 1_048_576) ()
-      =
-    {
-      lim = { max_line; max_headers; max_body };
-      data = Bytes.create 1024;
-      len = 0;
-      scan = 0;
-      line_start = 0;
-      state = Head;
-    }
-
-  let feed t src off n =
-    if n > 0 then begin
-      if t.len + n > Bytes.length t.data then begin
-        let cap = ref (Bytes.length t.data * 2) in
-        while t.len + n > !cap do
-          cap := !cap * 2
-        done;
-        let grown = Bytes.create !cap in
-        Bytes.blit t.data 0 grown 0 t.len;
-        t.data <- grown
-      end;
-      Bytes.blit src off t.data t.len n;
-      t.len <- t.len + n
-    end
-
-  let feed_string t s = feed t (Bytes.unsafe_of_string s) 0 (String.length s)
-
-  let buffered t = t.len
-
-  (* Drop the first [n] bytes and reset scanning state. *)
-  let consume t n =
-    if n > 0 then begin
-      Bytes.blit t.data n t.data 0 (t.len - n);
-      t.len <- t.len - n
+let feed t src off n =
+  if n > 0 then begin
+    if t.len + n > Bytes.length t.data then begin
+      let cap = ref (Bytes.length t.data * 2) in
+      while t.len + n > !cap do
+        cap := !cap * 2
+      done;
+      let grown = Bytes.create !cap in
+      Bytes.blit t.data 0 grown 0 t.len;
+      t.data <- grown
     end;
-    t.scan <- 0;
-    t.line_start <- 0
+    Bytes.blit src off t.data t.len n;
+    t.len <- t.len + n
+  end
 
-  (* Shave leading (CR)LFs: clients may send blank lines between
-     pipelined requests (RFC 9112 §2.2). *)
-  let skip_leading_blanks t =
-    let i = ref 0 in
-    let continue = ref true in
-    while !continue do
-      if !i < t.len && Bytes.get t.data !i = '\n' then incr i
-      else if
-        !i + 1 < t.len
-        && Bytes.get t.data !i = '\r'
-        && Bytes.get t.data (!i + 1) = '\n'
-      then i := !i + 2
-      else continue := false
+let feed_string t s = feed t (Bytes.unsafe_of_string s) 0 (String.length s)
+let buffered t = t.len
+
+(* Drop the first [n] bytes and reset scanning state. *)
+let consume t n =
+  if n > 0 then begin
+    Bytes.blit t.data n t.data 0 (t.len - n);
+    t.len <- t.len - n
+  end;
+  t.scan <- 0;
+  t.line_start <- 0
+
+(* Shave leading (CR)LFs: peers may send blank lines between pipelined
+   messages (RFC 9112 §2.2). *)
+let skip_leading_blanks t =
+  let i = ref 0 in
+  let continue = ref true in
+  while !continue do
+    if !i < t.len && Bytes.get t.data !i = '\n' then incr i
+    else if
+      !i + 1 < t.len
+      && Bytes.get t.data !i = '\r'
+      && Bytes.get t.data (!i + 1) = '\n'
+    then i := !i + 2
+    else continue := false
+  done;
+  if !i > 0 then consume t !i
+
+exception Found of int (* body offset *)
+exception Need (* terminator may straddle the buffer end: wait *)
+
+(* Scan for the empty line ending the head.  Returns the offset where
+   the body starts, or None if more bytes are needed.  Enforces the
+   per-line cap while scanning so an unbounded no-newline stream
+   cannot grow the buffer forever.  When a '\n' sits at the end of
+   the buffered bytes the terminator may be split across feeds, so
+   the scan must park ON the '\n' (not past it) until more arrives. *)
+let find_head_end t =
+  try
+    while t.scan < t.len do
+      (match Bytes.get t.data t.scan with
+      | '\n' ->
+          let nxt = t.scan + 1 in
+          if nxt >= t.len then raise Need
+          else if Bytes.get t.data nxt = '\n' then raise (Found (nxt + 1))
+          else if Bytes.get t.data nxt = '\r' then
+            if nxt + 1 >= t.len then raise Need
+            else if Bytes.get t.data (nxt + 1) = '\n' then
+              raise (Found (nxt + 2))
+            else t.line_start <- nxt
+          else t.line_start <- nxt
+      | _ ->
+          if t.scan - t.line_start > t.max_line then
+            raise (Err (Too_large "line")));
+      t.scan <- t.scan + 1
     done;
-    if !i > 0 then consume t !i
+    None
+  with
+  | Found off -> Some off
+  | Need -> None
 
+(* The head block [0, head_end) as its start line and its header lines,
+   CR-stripped, blank lines dropped. *)
+let head_lines t head_end =
   let strip_cr s =
     let l = String.length s in
     if l > 0 && s.[l - 1] = '\r' then String.sub s 0 (l - 1) else s
-
-  (* The head block [0, head_end) rendered as CR-stripped lines. *)
-  let head_lines t head_end =
+  in
+  let lines =
     String.sub (Bytes.unsafe_to_string t.data) 0 head_end
     |> String.split_on_char '\n'
     |> List.filter_map (fun l ->
            let l = strip_cr l in
            if l = "" then None else Some l)
+  in
+  match lines with
+  | [] -> ("", [])
+  | start :: header_lines ->
+      if List.length header_lines > t.max_headers then
+        raise (Err (Too_large "headers"));
+      (start, header_lines)
 
-  exception Found of int (* body offset *)
-  exception Need (* terminator may straddle the buffer end: wait *)
+let rec frame t ~head_of =
+  match t.state with
+  | Broken e -> raise (Err e)
+  | Body (m, need) ->
+      if t.len < need then None
+      else begin
+        let body = Bytes.sub_string t.data 0 need in
+        consume t need;
+        t.state <- Head;
+        Some (m, body)
+      end
+  | Head -> (
+      skip_leading_blanks t;
+      match find_head_end t with
+      | None -> None
+      | Some body_off ->
+          let start, header_lines = head_lines t body_off in
+          let m, need = head_of t start header_lines in
+          consume t body_off;
+          t.state <- Body (m, need);
+          frame t ~head_of)
 
-  (* Scan for the empty line ending the head.  Returns the offset where
-     the body starts, or None if more bytes are needed.  Enforces the
-     per-line cap while scanning so an unbounded no-newline stream
-     cannot grow the buffer forever.  When a '\n' sits at the end of
-     the buffered bytes the terminator may be split across feeds, so
-     the scan must park ON the '\n' (not past it) until more arrives. *)
-  let find_head_end t =
-    try
-      while t.scan < t.len do
-        (match Bytes.get t.data t.scan with
-        | '\n' ->
-            let nxt = t.scan + 1 in
-            if nxt >= t.len then raise Need
-            else if Bytes.get t.data nxt = '\n' then raise (Found (nxt + 1))
-            else if Bytes.get t.data nxt = '\r' then
-              if nxt + 1 >= t.len then raise Need
-              else if Bytes.get t.data (nxt + 1) = '\n' then
-                raise (Found (nxt + 2))
-              else t.line_start <- nxt
-            else t.line_start <- nxt
-        | _ ->
-            if t.scan - t.line_start > t.lim.max_line then
-              raise (Err (Too_large "line")));
-        t.scan <- t.scan + 1
-      done;
-      None
-    with
-    | Found off -> Some off
-    | Need -> None
+(* Errors are sticky: the framer stays [Broken] once one is seen. *)
+let next_message t ~head_of ~message =
+  match frame t ~head_of with
+  | Some (m, body) -> message m body
+  | None -> `Await
+  | exception Err e ->
+      t.state <- Broken e;
+      `Error e
 
-  let finish_request t ~meth ~target ~version ~headers ~need =
-    let body = Bytes.sub_string t.data 0 need in
-    consume t need;
-    t.state <- Head;
-    let path, query = split_target target in
-    `Request { meth; target; path; query; headers; body; version }
+(* ------------------------------------------------------------------ *)
+(* Requests and responses                                              *)
+(* ------------------------------------------------------------------ *)
 
-  let rec next t : outcome =
-    match t.state with
-    | Broken e -> `Error e
-    | Body { meth; target; version; headers; need } ->
-        if t.len >= need then
-          finish_request t ~meth ~target ~version ~headers ~need
-        else `Await
-    | Head -> (
-        skip_leading_blanks t;
-        match find_head_end t with
-        | None -> `Await
-        | Some body_off -> (
-            match head_lines t body_off with
-            | [] -> `Error (Malformed "bad request line")
-            | req_line :: header_lines ->
-                if List.length header_lines > t.lim.max_headers then begin
-                  t.state <- Broken (Too_large "headers");
-                  `Error (Too_large "headers")
-                end
-                else
-                  let meth, target, version = parse_request_line req_line in
-                  let headers = List.map parse_header_line header_lines in
-                  let need =
-                    content_length_of headers ~max_body:t.lim.max_body
-                  in
-                  consume t body_off;
-                  t.state <- Body { meth; target; version; headers; need };
-                  next t))
+let request_head t start header_lines =
+  let meth, target, version = parse_request_line start in
+  let headers = List.map parse_header_line header_lines in
+  let need = content_length headers ~max_body:t.max_body ~required:false in
+  let path, query = split_target target in
+  ({ meth; target; path; query; headers; body = ""; version }, need)
+
+module Parser = struct
+  type t = request framer
+  type outcome = [ `Request of request | `Await | `Error of error ]
+
+  let create ?(max_line = 8192) ?(max_headers = 64) ?(max_body = 1_048_576) ()
+      =
+    create_framer ~max_line ~max_headers ~max_body
+
+  let feed = feed
+  let feed_string = feed_string
+  let buffered = buffered
 
   let next t : outcome =
-    match next t with
-    | outcome -> outcome
-    | exception Err e ->
-        t.state <- Broken e;
-        `Error e
+    next_message t ~head_of:request_head ~message:(fun (r : request) body ->
+        `Request { r with body })
 end
 
-(* ------------------------------------------------------------------ *)
-(* Incremental response parser (load-generator side)                   *)
-(* ------------------------------------------------------------------ *)
+(* A HEAD answer announces the length of the body it leaves out. *)
+let response_head ~head t start header_lines =
+  let status = parse_status_line start in
+  let resp_headers = List.map parse_header_line header_lines in
+  let need =
+    if head then 0
+    else content_length resp_headers ~max_body:t.max_body ~required:true
+  in
+  ({ status; resp_headers; body = "" }, need)
 
-type response = {
-  status : int;
-  resp_headers : (string * string) list;
-  body : string;
-}
+let head_answer = response_head ~head:true
+let full_answer = response_head ~head:false
 
 module Rparser = struct
-  type state =
-    | Head
-    | Body of { status : int; resp_headers : (string * string) list; need : int }
-    | Broken of error
-
-  type t = {
-    p : Parser.t; (* reuse the buffer/scan machinery *)
-    mutable state : state;
-  }
-
+  type t = response framer
   type outcome = [ `Response of response | `Await | `Error of error ]
 
   let create ?(max_body = 16_777_216) () =
-    { p = Parser.create ~max_line:8192 ~max_headers:256 ~max_body (); state = Head }
+    create_framer ~max_line:8192 ~max_headers:256 ~max_body
 
-  let feed t src off n = Parser.feed t.p src off n
-  let feed_string t s = Parser.feed_string t.p s
-  let buffered t = Parser.buffered t.p
+  let feed = feed
+  let feed_string = feed_string
+  let buffered = buffered
 
-  let parse_status_line line =
-    match List.filter (( <> ) "") (String.split_on_char ' ' line) with
-    | _ :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some c -> c
-        | None -> raise (Err (Malformed "bad status code")))
-    | _ -> raise (Err (Malformed "bad status line"))
-
-  let rec next t : outcome =
-    match t.state with
-    | Broken e -> `Error e
-    | Body { status; resp_headers; need } ->
-        if t.p.Parser.len >= need then begin
-          let body = Bytes.sub_string t.p.Parser.data 0 need in
-          Parser.consume t.p need;
-          t.state <- Head;
-          `Response { status; resp_headers; body }
-        end
-        else `Await
-    | Head -> (
-        Parser.skip_leading_blanks t.p;
-        match Parser.find_head_end t.p with
-        | None -> `Await
-        | Some body_off -> (
-            match Parser.head_lines t.p body_off with
-            | [] -> `Error (Malformed "bad status line")
-            | status_line :: header_lines ->
-                let status = parse_status_line status_line in
-                let resp_headers = List.map parse_header_line header_lines in
-                let need =
-                  match List.assoc_opt "content-length" resp_headers with
-                  | None -> raise (Err (Malformed "missing content-length"))
-                  | Some v -> (
-                      match int_of_string_opt (String.trim v) with
-                      | Some n when n >= 0 && n <= t.p.Parser.lim.Parser.max_body
-                        ->
-                          n
-                      | _ -> raise (Err (Malformed "bad content-length")))
-                in
-                Parser.consume t.p body_off;
-                t.state <- Body { status; resp_headers; need };
-                next t))
-
-  let next t : outcome =
-    match next t with
-    | outcome -> outcome
-    | exception Err e ->
-        t.state <- Broken e;
-        `Error e
+  let next ?(head = false) t : outcome =
+    next_message t
+      ~head_of:(if head then head_answer else full_answer)
+      ~message:(fun (r : response) body -> `Response { r with body })
 end
 
 (* ------------------------------------------------------------------ *)
-(* Buffered blocking reading (client side)                             *)
-(* ------------------------------------------------------------------ *)
-
-type reader = {
-  fd : Unix.file_descr;
-  buf : Bytes.t;
-  mutable lo : int;
-  mutable hi : int;
-}
-
-let reader fd = { fd; buf = Bytes.create 8192; lo = 0; hi = 0 }
-
-let rec refill r =
-  match Unix.read r.fd r.buf 0 (Bytes.length r.buf) with
-  | 0 -> raise (Err Closed)
-  | n ->
-      r.lo <- 0;
-      r.hi <- n
-  | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-      raise (Err Timeout)
-  | exception Unix.Unix_error (Unix.EINTR, _, _) -> refill r
-  | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-      raise (Err Closed)
-
-let read_byte r =
-  if r.lo >= r.hi then refill r;
-  let c = Bytes.get r.buf r.lo in
-  r.lo <- r.lo + 1;
-  c
-
-(* One header/request line, CRLF (or bare LF) terminated, CR stripped. *)
-let read_line r ~max =
-  let buf = Buffer.create 64 in
-  let rec go () =
-    match read_byte r with
-    | '\n' ->
-        let s = Buffer.contents buf in
-        let l = String.length s in
-        if l > 0 && s.[l - 1] = '\r' then String.sub s 0 (l - 1) else s
-    | c ->
-        if Buffer.length buf >= max then raise (Err (Too_large "line"));
-        Buffer.add_char buf c;
-        go ()
-  in
-  go ()
-
-let read_exact r n =
-  let buf = Buffer.create n in
-  let rec go () =
-    if Buffer.length buf >= n then Buffer.contents buf
-    else begin
-      if r.lo >= r.hi then refill r;
-      let take = min (r.hi - r.lo) (n - Buffer.length buf) in
-      Buffer.add_subbytes buf r.buf r.lo take;
-      r.lo <- r.lo + take;
-      go ()
-    end
-  in
-  go ()
-
-let read_to_eof r ~max =
-  let buf = Buffer.create 256 in
-  let rec go () =
-    match refill r with
-    | () ->
-        if Buffer.length buf + (r.hi - r.lo) > max then
-          raise (Err (Too_large "body"));
-        Buffer.add_subbytes buf r.buf r.lo (r.hi - r.lo);
-        r.lo <- r.hi;
-        go ()
-    | exception Err Closed -> Buffer.contents buf
-  in
-  (* Anything still buffered counts too. *)
-  Buffer.add_subbytes buf r.buf r.lo (r.hi - r.lo);
-  r.lo <- r.hi;
-  go ()
-
-(* ------------------------------------------------------------------ *)
-(* Blocking request parsing (tests feed via socketpair)                *)
-(* ------------------------------------------------------------------ *)
-
-let read_headers r ~max_line ~max_headers =
-  let rec go acc k =
-    let line = read_line r ~max:max_line in
-    if line = "" then List.rev acc
-    else if k >= max_headers then raise (Err (Too_large "headers"))
-    else go (parse_header_line line :: acc) (k + 1)
-  in
-  go [] 0
-
-let read_request ?(max_line = 8192) ?(max_headers = 64)
-    ?(max_body = 1_048_576) fd =
-  let r = reader fd in
-  try
-    let line = read_line r ~max:max_line in
-    (* Tolerate one leading blank line (RFC 9112 §2.2). *)
-    let line = if line = "" then read_line r ~max:max_line else line in
-    let meth, target, version = parse_request_line line in
-    let headers = read_headers r ~max_line ~max_headers in
-    let need = content_length_of headers ~max_body in
-    let body = if need = 0 then "" else read_exact r need in
-    let path, query = split_target target in
-    Ok { meth; target; path; query; headers; body; version }
-  with Err e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Response writing                                                    *)
+(* Encoding                                                            *)
 (* ------------------------------------------------------------------ *)
 
 let status_text = function
@@ -520,20 +398,6 @@ let encode_response ?(headers = []) ?(head_only = false) ?(keep_alive = false)
   if not head_only then Buffer.add_string buf body;
   Buffer.contents buf
 
-let rec write_all fd s off len =
-  if len > 0 then
-    match Unix.write_substring fd s off len with
-    | n -> write_all fd s (off + n) (len - n)
-    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-let write_response ?(headers = []) ?(head_only = false) fd ~status ~body =
-  let s = encode_response ~headers ~head_only ~keep_alive:false ~status ~body () in
-  write_all fd s 0 (String.length s)
-
-(* ------------------------------------------------------------------ *)
-(* Loopback clients                                                    *)
-(* ------------------------------------------------------------------ *)
-
 let encode_request ?(meth = "GET") ?(req_headers = []) ?body path =
   let buf = Buffer.create 256 in
   Printf.bprintf buf "%s %s HTTP/1.1\r\nHost: 127.0.0.1\r\n" meth path;
@@ -545,51 +409,17 @@ let encode_request ?(meth = "GET") ?(req_headers = []) ?body path =
   | None -> Buffer.add_string buf "\r\n");
   Buffer.contents buf
 
-let read_response ?(head = false) r =
-  let status_line = read_line r ~max:8192 in
-  let status =
-    match List.filter (( <> ) "") (String.split_on_char ' ' status_line) with
-    | _ :: code :: _ -> (
-        match int_of_string_opt code with
-        | Some c -> c
-        | None -> raise (Err (Malformed "bad status code")))
-    | _ -> raise (Err (Malformed "bad status line"))
-  in
-  let resp_headers = read_headers r ~max_line:8192 ~max_headers:256 in
-  let body =
-    if head then ""
-    else
-      match List.assoc_opt "content-length" resp_headers with
-      | Some v -> (
-          match int_of_string_opt (String.trim v) with
-          | Some n when n >= 0 && n <= 16_777_216 -> read_exact r n
-          | _ -> raise (Err (Malformed "bad content-length")))
-      | None -> read_to_eof r ~max:16_777_216
-  in
-  { status; resp_headers; body }
-
-let request ?(timeout = 5.0) ?(meth = "GET") ?(req_headers = []) ?body ~port
-    path =
-  let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-  Fun.protect
-    ~finally:(fun () -> try Unix.close fd with Unix.Unix_error _ -> ())
-    (fun () ->
-      try
-        Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-        Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-        Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-        let req_headers = ("Connection", "close") :: req_headers in
-        let s = encode_request ~meth ~req_headers ?body path in
-        write_all fd s 0 (String.length s);
-        let r = reader fd in
-        Ok (read_response ~head:(meth = "HEAD") r)
-      with
-      | Err e -> Error (error_to_string e)
-      | Unix.Unix_error (e, fn, _) ->
-          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e)))
+(* ------------------------------------------------------------------ *)
+(* Loopback clients                                                    *)
+(* ------------------------------------------------------------------ *)
 
 module Client = struct
-  type t = { fd : Unix.file_descr; r : reader; mutable closed : bool }
+  type t = {
+    fd : Unix.file_descr;
+    rp : Rparser.t;
+    buf : Bytes.t;
+    mutable closed : bool;
+  }
 
   let connect ?(timeout = 5.0) ~port () =
     let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
@@ -597,7 +427,7 @@ module Client = struct
       Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
       Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
       Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Ok { fd; r = reader fd; closed = false }
+      Ok { fd; rp = Rparser.create (); buf = Bytes.create 8192; closed = false }
     with Unix.Unix_error (e, fn, _) ->
       (try Unix.close fd with Unix.Unix_error _ -> ());
       Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
@@ -608,13 +438,36 @@ module Client = struct
       try Unix.close t.fd with Unix.Unix_error _ -> ()
     end
 
+  let rec write_all fd s off len =
+    if len > 0 then
+      match Unix.write_substring fd s off len with
+      | n -> write_all fd s (off + n) (len - n)
+      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
+
+  (* Read until the parser holds a whole response.  EOF before that is
+     [Closed]; the receive deadline expiring is [Timeout]. *)
+  let rec read_answer t ~head =
+    match Rparser.next ~head t.rp with
+    | `Response r -> r
+    | `Error e -> raise (Err e)
+    | `Await ->
+        (match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
+        | 0 -> raise (Err Closed)
+        | n -> Rparser.feed t.rp t.buf 0 n
+        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
+            raise (Err Timeout)
+        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
+            raise (Err Closed));
+        read_answer t ~head
+
   let request t ?(meth = "GET") ?(req_headers = []) ?body path =
     if t.closed then Error "connection closed"
     else
       try
         let s = encode_request ~meth ~req_headers ?body path in
         write_all t.fd s 0 (String.length s);
-        Ok (read_response ~head:(meth = "HEAD") t.r)
+        Ok (read_answer t ~head:(meth = "HEAD"))
       with
       | Err e ->
           close t;
@@ -623,3 +476,14 @@ module Client = struct
           close t;
           Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 end
+
+let request ?timeout ?meth ?(req_headers = []) ?body ~port path =
+  match Client.connect ?timeout ~port () with
+  | Error _ as e -> e
+  | Ok c ->
+      Fun.protect
+        ~finally:(fun () -> Client.close c)
+        (fun () ->
+          Client.request c ?meth
+            ~req_headers:(("Connection", "close") :: req_headers)
+            ?body path)

@@ -1,24 +1,26 @@
 (** HTTP/1.1 codec for the serve plane.
 
-    Two parsing styles share one grammar:
+    One incremental parser per direction, both running on one internal
+    buffer-and-head scanner:
 
-    - {!read_request} — blocking, one request per call, used by tests
-      that feed a socketpair and by the {{!section-client} clients}.
-    - {!Parser} — incremental and non-blocking, fed arbitrary byte
-      chunks by the event loop; multiple pipelined requests can come out
-      of a single chunk, and one request can arrive split across any
+    - {!Parser} reads requests.  The daemon's event loop feeds it
+      whatever [read(2)] returned; several pipelined requests can come
+      out of one chunk, and one request can arrive split across any
       number of chunks.
+    - {!Rparser} reads responses: the load generator's pipelined
+      connections and the blocking {{!section-client} clients} both
+      decode through it.
+
+    Neither parser sees the socket, so neither sees EOF: a message cut
+    short stays [`Await] with its bytes buffered, and deciding that the
+    peer is gone is the caller's job.
 
     Supported surface: [GET]/[HEAD]/[POST] with [Content-Length] bodies
     and keep-alive ({!wants_keep_alive} implements the HTTP/1.1 /
     HTTP/1.0 defaulting rules).  Hard caps on line length, header count
     and body size bound what a hostile peer can make the daemon buffer.
     Chunked transfer encoding is deliberately rejected — a simulation
-    service controls both ends of every connection.
-
-    {!Rparser} is the mirror image for the load generator: an
-    incremental parser of {e responses} on a pipelined client
-    connection. *)
+    service controls both ends of every connection. *)
 
 type request = {
   meth : string;  (** Upper-cased method, e.g. ["GET"]. *)
@@ -30,9 +32,15 @@ type request = {
   version : string;  (** ["HTTP/1.1"] or ["HTTP/1.0"] as sent. *)
 }
 
+type response = {
+  status : int;
+  resp_headers : (string * string) list;
+  body : string;
+}
+
 type error =
-  | Timeout  (** The socket deadline expired mid-read. *)
-  | Closed  (** Peer closed before a complete request arrived. *)
+  | Timeout  (** A client's receive deadline expired mid-response. *)
+  | Closed  (** The peer closed before a complete response arrived. *)
   | Too_large of string  (** A line, header block or body over its cap. *)
   | Malformed of string  (** Anything else the parser rejects. *)
 
@@ -45,10 +53,10 @@ val wants_keep_alive : request -> bool
 (** HTTP/1.1 defaults to keep-alive unless [Connection: close];
     HTTP/1.0 defaults to close unless [Connection: keep-alive]. *)
 
-(** {2 Incremental request parsing}
+(** {2 Incremental parsing}
 
-    The event loop's codec.  Feed whatever [read(2)] returned, then
-    drain with {!Parser.next} until it says [`Await]:
+    Feed whatever [read(2)] returned, then drain with [next] until it
+    says [`Await]:
 
     {[
       Parser.feed p chunk 0 n;
@@ -62,7 +70,7 @@ val wants_keep_alive : request -> bool
     ]}
 
     Errors are sticky: after [`Error] the parser stays broken and the
-    connection should be closed (a 400 may be written first). *)
+    connection should be closed (the daemon writes a 400 or 413 first). *)
 
 module Parser : sig
   type t
@@ -70,8 +78,7 @@ module Parser : sig
   type outcome = [ `Request of request | `Await | `Error of error ]
 
   val create : ?max_line:int -> ?max_headers:int -> ?max_body:int -> unit -> t
-  (** Defaults: 8 KiB lines, 64 headers, 1 MiB body — the same caps as
-      {!read_request}. *)
+  (** Defaults: 8 KiB lines, 64 headers, 1 MiB body. *)
 
   val feed : t -> bytes -> int -> int -> unit
   (** [feed p buf off len] appends [len] bytes of input.  The bytes are
@@ -88,43 +95,28 @@ module Parser : sig
   (** Bytes fed but not yet consumed into a request. *)
 end
 
-(** {2 Incremental response parsing} *)
-
-type response = {
-  status : int;
-  resp_headers : (string * string) list;
-  body : string;
-}
-
 module Rparser : sig
   type t
 
   type outcome = [ `Response of response | `Await | `Error of error ]
 
   val create : ?max_body:int -> unit -> t
-  (** [max_body] defaults to 16 MiB.  Responses must carry
-      [Content-Length] (ours always do) — pipelining leaves no other way
-      to delimit them. *)
+  (** Caps: 8 KiB lines, 256 headers, [max_body] (default 16 MiB).
+      Responses must carry [Content-Length] (ours always do) —
+      pipelining leaves no other way to delimit them. *)
 
   val feed : t -> bytes -> int -> int -> unit
   val feed_string : t -> string -> unit
-  val next : t -> outcome
+
+  val next : ?head:bool -> t -> outcome
+  (** Like {!Parser.next}.  [~head:true] reads the answer to a [HEAD]
+      request: its [Content-Length] is kept in [resp_headers], but no
+      body follows. *)
+
   val buffered : t -> int
 end
 
-(** {2 Blocking request parsing} *)
-
-val read_request :
-  ?max_line:int ->
-  ?max_headers:int ->
-  ?max_body:int ->
-  Unix.file_descr ->
-  (request, error) result
-(** Parse one request from [fd], blocking until it is complete.
-    Defaults: 8 KiB lines, 64 headers, 1 MiB body.  Never raises on
-    protocol or socket errors — they all land in [Error]. *)
-
-(** {2 Request encoding} *)
+(** {2 Encoding} *)
 
 val encode_request :
   ?meth:string ->
@@ -136,8 +128,6 @@ val encode_request :
     [body] implies [Content-Length]).  No [Connection] header is added,
     so the exchange defaults to keep-alive — the load generator's
     pipelined connections are built from these. *)
-
-(** {2 Response encoding} *)
 
 val status_text : int -> string
 (** Reason phrase for the status codes the server emits. *)
@@ -156,17 +146,6 @@ val encode_response :
     close).  [head_only] suppresses the body while keeping its length
     header (HEAD semantics). *)
 
-val write_response :
-  ?headers:(string * string) list ->
-  ?head_only:bool ->
-  Unix.file_descr ->
-  status:int ->
-  body:string ->
-  unit
-(** {!encode_response} with [keep_alive:false], written synchronously.
-    @raise Unix.Unix_error if the peer is gone or the send deadline
-    expires — callers count and drop, they do not retry. *)
-
 (** {2 Decoding helpers} (exposed for tests) *)
 
 val percent_decode : string -> string
@@ -176,22 +155,10 @@ val parse_query : string -> (string * string) list
 
 (** {2:client Clients} *)
 
-val request :
-  ?timeout:float ->
-  ?meth:string ->
-  ?req_headers:(string * string) list ->
-  ?body:string ->
-  port:int ->
-  string ->
-  (response, string) result
-(** [request ~port path] performs one HTTP exchange against
-    [127.0.0.1:port] with [timeout] (default 5 s) as both connect-read
-    and write deadline.  A [body] implies [Content-Length].  Sends
-    [Connection: close] — one request per connection. *)
-
-(** Persistent keep-alive client: one connection, sequential requests.
-    Used by tests and the selftest to exercise connection reuse; the
-    load generator drives its own non-blocking connections instead. *)
+(** Persistent keep-alive client: one connection, sequential requests,
+    each answer read through {!Rparser}.  Used by tests and the
+    selftest to exercise connection reuse; the load generator drives
+    its own non-blocking connections instead. *)
 module Client : sig
   type t
 
@@ -211,3 +178,16 @@ module Client : sig
 
   val close : t -> unit
 end
+
+val request :
+  ?timeout:float ->
+  ?meth:string ->
+  ?req_headers:(string * string) list ->
+  ?body:string ->
+  port:int ->
+  string ->
+  (response, string) result
+(** [request ~port path] is {!Client.connect}, one {!Client.request}
+    with [Connection: close], then {!Client.close}: one exchange against
+    [127.0.0.1:port], with [timeout] (default 5 s) as both read and
+    write deadline. *)

@@ -1,6 +1,7 @@
 module Prng = Aqt_util.Prng
 module Jsonx = Aqt_util.Jsonx
 module Journal = Aqt_harness.Journal
+module Clock = Aqt_util.Clock
 
 type mode = Closed | Open of float
 
@@ -12,10 +13,8 @@ type config = {
   mode : mode;
   pipeline : int;
   paths : (int * string) list;
-  flow_cdf : (float * int) list;
   seed : int;
   run_timeout : float;
-  clock : unit -> float;
   quiet : bool;
   snapshot_every : float;
 }
@@ -23,7 +22,7 @@ type config = {
 (* Empirical web-search-style flow CDF (heavy tail), rescaled to header
    padding bytes.  Mirrors the shape of the DCTCP websearch workload:
    most exchanges are tiny, a thin tail is ~two orders larger. *)
-let default_flow_cdf =
+let flow_cdf =
   [
     (0.40, 0);
     (0.60, 64);
@@ -44,10 +43,8 @@ let default_config =
     mode = Closed;
     pipeline = 4;
     paths = [ (1, "/healthz") ];
-    flow_cdf = default_flow_cdf;
     seed = 0x10AD;
     run_timeout = 300.;
-    clock = Clock.monotonic;
     quiet = true;
     snapshot_every = 0.;
   }
@@ -177,7 +174,7 @@ let status_of st status =
 
 let enqueue_request st c ~origin =
   let path = pick_path st.rng st.cfg.paths in
-  let pad = draw_flow st.rng st.cfg.flow_cdf in
+  let pad = draw_flow st.rng flow_cdf in
   let req_headers = if pad > 0 then [ ("x-pad", String.make pad 'x') ] else [] in
   Queue.push (Http.encode_request ~req_headers path) c.wq;
   Queue.push origin c.sent;
@@ -222,7 +219,7 @@ let drain_responses st i c =
         | origin ->
             st.completed <- st.completed + 1;
             status_of st r.Http.status;
-            Metrics.observe st.latency (st.cfg.clock () -. origin)
+            Metrics.observe st.latency (Clock.monotonic () -. origin)
         | exception Queue.Empty ->
             (* A response we never asked for: protocol desync. *)
             kill_conn st i c)
@@ -315,7 +312,7 @@ let run cfg =
   in
   let ep = Evpoll.create () in
   let rbuf = Bytes.create 65536 in
-  let start = cfg.clock () in
+  let start = Clock.monotonic () in
   let hard_deadline = start +. cfg.run_timeout in
   (* Open-loop send schedule: [sched] is the next intended send instant;
      instants that have come due but found every connection saturated
@@ -342,7 +339,7 @@ let run cfg =
     st.completed + st.errors >= cfg.requests
     || (st.issued >= cfg.requests && live_slots () = 0)
   in
-  while (not (finished ())) && cfg.clock () < hard_deadline do
+  while (not (finished ())) && Clock.monotonic () < hard_deadline do
     (* Respawn dead slots while there is still work to issue. *)
     if st.issued < cfg.requests then
       Array.iteri
@@ -372,13 +369,13 @@ let run cfg =
                   st.issued < cfg.requests
                   && Queue.length c.sent < cfg.pipeline
                 do
-                  enqueue_request st c ~origin:(cfg.clock ())
+                  enqueue_request st c ~origin:(Clock.monotonic ())
                 done;
                 flush st i c
             | _ -> ())
           st.slots
     | Open rate ->
-        let now = cfg.clock () in
+        let now = Clock.monotonic () in
         let step = 1. /. rate in
         while !sched <= now && st.issued + Queue.length due < cfg.requests do
           Queue.push !sched due;
@@ -430,7 +427,7 @@ let run cfg =
       match cfg.mode with
       | Closed -> 50
       | Open _ ->
-          let now = cfg.clock () in
+          let now = Clock.monotonic () in
           if not (Queue.is_empty due) then 1
           else max 1 (min 50 (int_of_float (ceil ((!sched -. now) *. 1000.))))
     in
@@ -451,13 +448,13 @@ let run cfg =
               if readable && c.alive then on_readable st rbuf i c
             end);
     Metrics.set_gauge open_gauge (float_of_int (live_slots ()));
-    (let now = cfg.clock () in
+    (let now = Clock.monotonic () in
      if now >= !next_snap then begin
        snaps := (now -. start, Metrics.snapshot metrics) :: !snaps;
        next_snap := !next_snap +. cfg.snapshot_every
      end);
     if not cfg.quiet then begin
-      let now = cfg.clock () in
+      let now = Clock.monotonic () in
       if now >= !next_report then begin
         next_report := now +. 1.;
         Printf.printf
@@ -477,7 +474,7 @@ let run cfg =
     st.errors <- st.errors + lost;
     Metrics.inc ~by:lost st.errors_c
   end;
-  let duration = Float.max 1e-9 (cfg.clock () -. start) in
+  let duration = Float.max 1e-9 (Clock.monotonic () -. start) in
   if cfg.snapshot_every > 0. then
     snaps := (duration, Metrics.snapshot metrics) :: !snaps;
   {
@@ -605,7 +602,6 @@ let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
       client_sigma = sigma;
       sweep_rho = rho;
       sweep_sigma = sigma;
-      queue_capacity = 0;
       max_conns = conns + 64;
       max_pipeline = 32;
       campaign_dir = fresh_dir ();

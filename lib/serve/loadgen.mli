@@ -35,14 +35,8 @@ type config = {
   mode : mode;
   pipeline : int;  (** Closed-loop outstanding depth per connection. *)
   paths : (int * string) list;  (** Weighted request-path mix. *)
-  flow_cdf : (float * int) list;
-      (** Cumulative probability -> header padding bytes; drawn per
-          request.  Must be sorted and end at probability 1. *)
   seed : int;  (** PRNG seed: same seed, same workload. *)
   run_timeout : float;  (** Hard wall on the whole run, seconds. *)
-  clock : unit -> float;
-      (** Monotonic time source — {!Clock.monotonic} by default;
-          substitutable so selftests are deterministic. *)
   quiet : bool;  (** Suppress the once-a-second progress line. *)
   snapshot_every : float;
       (** Capture a metrics snapshot every this many seconds while the
@@ -53,7 +47,8 @@ type config = {
 
 val default_config : config
 (** Loopback:8080, 16 connections, 10k requests, closed-loop depth 4,
-    all [/healthz], the built-in web-search-style flow CDF. *)
+    all [/healthz].  Header padding always comes from the built-in
+    web-search-style flow CDF. *)
 
 type result = {
   issued : int;
@@ -62,7 +57,7 @@ type result = {
   ok : int;  (** 200s *)
   shed : int;  (** 429s *)
   rejected : int;  (** 503s *)
-  duration : float;  (** Seconds, on [config.clock]. *)
+  duration : float;  (** Seconds, on {!Aqt_util.Clock.monotonic}. *)
   throughput : float;  (** Completed responses per second. *)
   p50 : float;
   p99 : float;

@@ -52,7 +52,6 @@ let run ?(quiet = false) () =
       workers = 4;
       rho = 200.;
       sigma = 20;
-      queue_capacity = 0;
       read_timeout = 2.;
       write_timeout = 2.;
       campaign_dir = fresh_dir ();

@@ -1,5 +1,6 @@
 module Ratio = Aqt_util.Ratio
 module Prng = Aqt_util.Prng
+module Clock = Aqt_util.Clock
 module Jsonx = Aqt_util.Jsonx
 module Parallel = Aqt_util.Parallel
 module Network = Aqt_engine.Network
@@ -20,11 +21,9 @@ type config = {
   workers : int;
   rho : float;
   sigma : int;
-  queue_capacity : int;
   read_timeout : float;
   write_timeout : float;
   campaign_dir : string;
-  salt : string;
   snapshot_every : float;
   journal : bool;
   cache_max_bytes : int option;
@@ -33,13 +32,10 @@ type config = {
   sweep_sigma : int;
   client_rho : float;
   client_sigma : int;
-  client_buckets_max : int;
   client_key_header : string;
   max_conns : int;
   max_pipeline : int;
   idle_timeout : float;
-  sweep_shards : int;
-  clock : unit -> float;
 }
 
 let default_config =
@@ -49,11 +45,9 @@ let default_config =
     workers = max 2 (Domain.recommended_domain_count () - 2);
     rho = 50.;
     sigma = 32;
-    queue_capacity = 0;
     read_timeout = 5.;
     write_timeout = 5.;
     campaign_dir = Campaign.default_options.Campaign.dir;
-    salt = Campaign.default_options.Campaign.salt;
     snapshot_every = 10.;
     journal = true;
     cache_max_bytes = None;
@@ -62,14 +56,15 @@ let default_config =
     sweep_sigma = 0;
     client_rho = 0.;
     client_sigma = 0;
-    client_buckets_max = 1024;
     client_key_header = "";
     max_conns = 4096;
     max_pipeline = 8;
     idle_timeout = 30.;
-    sweep_shards = 0;
-    clock = Clock.monotonic;
   }
+
+(* Bound on live per-client buckets; the least-recently-used idle bucket
+   is evicted beyond it. *)
+let client_buckets_max = 1024
 
 (* ------------------------------------------------------------------ *)
 (* Metrics handles                                                     *)
@@ -217,7 +212,6 @@ type t = {
   figures : Report.figure list;
   listen_fd : Unix.file_descr;
   bound_port : int;
-  now_mono : unit -> float;
   (* admission *)
   bucket : Bucket.t; (* default endpoint class *)
   sweep_bucket : Bucket.t; (* /sweep endpoint class *)
@@ -228,7 +222,6 @@ type t = {
   qlock : Mutex.t;
   qcond : Condition.t;
   mutable draining : bool; (* under qlock *)
-  queue_cap : int;
   (* completions, workers -> event loop *)
   comps : completion Queue.t;
   comp_lock : Mutex.t;
@@ -246,7 +239,7 @@ type t = {
   m : handles;
   cache : Cache.t;
   journal : Journal.writer option;
-  figure_memo : (string, string * int ref) Hashtbl.t;
+  figure_memo : (string, string) Hashtbl.t;
   flock : Mutex.t;
   base_rng : Prng.t;
   mutable worker_domains : unit Domain.t list;
@@ -456,7 +449,7 @@ let result_payload ~name ~key ~cached ~duration result =
     ]
 
 let serve_cached t ~name ~spec ~compute =
-  let key = Spec.hash ~salt:t.cfg.salt ~name spec in
+  let key = Spec.hash ~salt:Campaign.default_options.Campaign.salt ~name spec in
   match Cache.lookup t.cache ~key with
   | Some c ->
       Metrics.inc t.m.cache_hits;
@@ -468,9 +461,9 @@ let serve_cached t ~name ~spec ~compute =
            c.Cache.result)
   | None ->
       Metrics.inc t.m.cache_misses;
-      let t0 = t.now_mono () in
+      let t0 = Clock.monotonic () in
       let result = compute () in
-      let duration = t.now_mono () -. t0 in
+      let duration = Clock.monotonic () -. t0 in
       Cache.store t.cache ~key ~name ~spec ~duration result;
       json (result_payload ~name ~key ~cached:false ~duration result)
 
@@ -481,7 +474,7 @@ let sweep_handler t p =
   let routes = Scenario_spec.route_count ~d:p.sp_d p.sp_net in
   Result.iter_error (bad "%s") (Scenario_spec.sweep_rates ~routes p.sp_rates);
   serve_cached t ~name:"serve.sweep" ~spec:(sweep_spec p) ~compute:(fun () ->
-      compute_sweep ~shards:(max 1 t.cfg.sweep_shards) p)
+      compute_sweep ~shards:t.cfg.workers p)
 
 (* ------------------------------------------------------------------ *)
 (* /experiment/<name>                                                  *)
@@ -503,14 +496,11 @@ let render_figure t (fig : Report.figure) =
     {
       Campaign.default_options with
       Campaign.dir = t.cfg.campaign_dir;
-      salt = t.cfg.salt;
       quiet = true;
     }
   in
   let ctx = Report.build_ctx ~registry:t.registry ~options [ fig ] in
   fig.Report.render ctx
-
-let max_figure_memo = 64
 
 let figure_handler t id =
   let svg body = { status = 200; ctype = "image/svg+xml"; content = body } in
@@ -522,9 +512,8 @@ let figure_handler t id =
     ~finally:(fun () -> Mutex.unlock t.flock)
     (fun () ->
       match Hashtbl.find_opt t.figure_memo id with
-      | Some (body, hits) ->
+      | Some body ->
           Metrics.inc t.m.cache_hits;
-          incr hits;
           svg body
       | None -> (
           match
@@ -534,21 +523,9 @@ let figure_handler t id =
           | Some fig ->
               Metrics.inc t.m.cache_misses;
               let body = render_figure t fig in
-              (* Bounded memo with hit-count retention: when full, the
-                 least-requested render goes first. *)
-              if Hashtbl.length t.figure_memo >= max_figure_memo then begin
-                let victim = ref None in
-                Hashtbl.iter
-                  (fun k (_, h) ->
-                    match !victim with
-                    | Some (_, hv) when hv <= !h -> ()
-                    | _ -> victim := Some (k, !h))
-                  t.figure_memo;
-                match !victim with
-                | Some (k, _) -> Hashtbl.remove t.figure_memo k
-                | None -> ()
-              end;
-              Hashtbl.replace t.figure_memo id (body, ref 1);
+              (* Only registered figures are memoised, so the memo holds
+                 at most one render per figure. *)
+              Hashtbl.replace t.figure_memo id body;
               svg body))
 
 (* ------------------------------------------------------------------ *)
@@ -670,10 +647,10 @@ let index_body t =
     t.cfg.client_rho t.cfg.client_sigma
     (if t.client_key_header = "" then "peer address"
      else t.client_key_header ^ " header")
-    t.cfg.client_buckets_max;
+    client_buckets_max;
   Printf.bprintf b
     "workers: %d, queue capacity: %d, max conns: %d, pipeline depth: %d\n\n"
-    t.cfg.workers t.queue_cap t.cfg.max_conns t.cfg.max_pipeline;
+    t.cfg.workers t.cfg.sigma t.cfg.max_conns t.cfg.max_pipeline;
   Buffer.add_string b
     "endpoints:\n\
     \  GET  /healthz              liveness\n\
@@ -746,7 +723,7 @@ let close_conn t c =
 let rearm t c =
   if c.alive then begin
     c.dl_gen <- c.dl_gen + 1;
-    let now = t.now_mono () in
+    let now = Clock.monotonic () in
     let dl =
       if c.cur <> "" || not (Queue.is_empty c.outq) then
         now +. t.cfg.write_timeout
@@ -823,7 +800,7 @@ let rec emit t c (r : resp) =
     Queue.push r.rbytes c.outq;
     c.emit_seq <- c.emit_seq + 1;
     Metrics.inc (status_counter t r.rstatus);
-    Metrics.observe t.m.latency (t.now_mono () -. r.rarrival);
+    Metrics.observe t.m.latency (Clock.monotonic () -. r.rarrival);
     if not r.rkeep then c.close_after <- true;
     match List.partition (fun p -> p.rseq = c.emit_seq) c.pending with
     | [ nxt ], rest ->
@@ -899,7 +876,7 @@ let dispatch t c ~seq ~arrival ~head ~keep req =
   let job = { jid = c.id; jseq = seq; jarrival = arrival; jhead = head;
               jkeep = keep; jreq = req } in
   Mutex.lock t.qlock;
-  if t.draining || Queue.length t.jobs >= t.queue_cap then begin
+  if t.draining || Queue.length t.jobs >= t.cfg.sigma then begin
     Mutex.unlock t.qlock;
     Metrics.inc t.m.rejected;
     let msg =
@@ -917,7 +894,7 @@ let dispatch t c ~seq ~arrival ~head ~keep req =
 
 let on_request t c (req : Http.request) =
   Metrics.inc t.m.requests;
-  let arrival = t.now_mono () in
+  let arrival = Clock.monotonic () in
   let seq = c.next_seq in
   c.next_seq <- seq + 1;
   let head = req.Http.meth = "HEAD" in
@@ -969,7 +946,7 @@ let rec drain_parser t c =
         in
         let seq = c.next_seq in
         c.next_seq <- seq + 1;
-        emit t c (make_resp t ~seq ~arrival:(t.now_mono ()) ~head:false
+        emit t c (make_resp t ~seq ~arrival:(Clock.monotonic ()) ~head:false
                     ~keep:false o)
 
 let on_eof t c =
@@ -1140,7 +1117,7 @@ let handle_accept t =
               fd;
               id;
               peer;
-              accepted_at = t.now_mono ();
+              accepted_at = Clock.monotonic ();
               parser = Http.Parser.create ();
               outq = Queue.create ();
               cur = "";
@@ -1215,7 +1192,7 @@ let drain_grace = 75.
 let event_loop t () =
   let ep = Evpoll.create () in
   let tick = if t.cfg.snapshot_every > 0. then t.cfg.snapshot_every else 3600. in
-  let next_snapshot = ref (t.now_mono () +. tick) in
+  let next_snapshot = ref (Clock.monotonic () +. tick) in
   let draining_started = ref false in
   let drain_deadline = ref Float.infinity in
   let finished = ref false in
@@ -1223,7 +1200,7 @@ let event_loop t () =
   while not !finished do
     if Atomic.get t.stop_flag && not !draining_started then begin
       draining_started := true;
-      drain_deadline := t.now_mono () +. drain_grace;
+      drain_deadline := Clock.monotonic () +. drain_grace;
       close_quietly t.listen_fd;
       Mutex.lock t.qlock;
       t.draining <- true;
@@ -1269,7 +1246,7 @@ let event_loop t () =
                 if readable && c.alive then on_readable t c
               end);
     process_completions t;
-    let now = t.now_mono () in
+    let now = Clock.monotonic () in
     Timewheel.advance t.wheel ~now (fun (cid, gen) ->
         match Hashtbl.find_opt t.conns cid with
         | Some c when c.alive && c.dl_gen = gen -> timeout_action t c
@@ -1333,16 +1310,12 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
       client_rho = (if cfg.client_rho > 0. then cfg.client_rho else cfg.rho);
       client_sigma =
         (if cfg.client_sigma > 0 then cfg.client_sigma else cfg.sigma);
-      sweep_shards =
-        (if cfg.sweep_shards > 0 then cfg.sweep_shards else cfg.workers);
-      client_buckets_max = max 1 cfg.client_buckets_max;
     }
   in
   (* Writes to half-closed keep-alive sockets must surface as EPIPE,
      not kill the process. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ | Sys_error _ -> ());
-  let queue_cap = if cfg.queue_capacity <= 0 then cfg.sigma else cfg.queue_capacity in
   let listen_fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   let t =
     try
@@ -1363,27 +1336,23 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
       Unix.set_nonblock wake_r;
       Unix.set_nonblock wake_w;
       let metrics = Metrics.create () in
-      let now_mono = cfg.clock in
       {
         cfg;
         registry;
         figures;
         listen_fd;
         bound_port;
-        now_mono;
-        bucket = Bucket.create ~now:now_mono ~rho:cfg.rho ~sigma:cfg.sigma ();
+        bucket = Bucket.create ~rho:cfg.rho ~sigma:cfg.sigma ();
         sweep_bucket =
-          Bucket.create ~now:now_mono ~rho:cfg.sweep_rho ~sigma:cfg.sweep_sigma
-            ();
+          Bucket.create ~rho:cfg.sweep_rho ~sigma:cfg.sweep_sigma ();
         client_buckets =
-          Bucket.Keyed.create ~now:now_mono ~max_entries:cfg.client_buckets_max
-            ~rho:cfg.client_rho ~sigma:cfg.client_sigma ();
+          Bucket.Keyed.create ~max_entries:client_buckets_max ~rho:cfg.client_rho
+            ~sigma:cfg.client_sigma ();
         client_key_header = String.lowercase_ascii cfg.client_key_header;
         jobs = Queue.create ();
         qlock = Mutex.create ();
         qcond = Condition.create ();
         draining = false;
-        queue_cap;
         comps = Queue.create ();
         comp_lock = Mutex.create ();
         stop_flag = Atomic.make false;
@@ -1392,7 +1361,8 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
         wake_w;
         conns = Hashtbl.create 256;
         by_fd = Hashtbl.create 256;
-        wheel = Timewheel.create ~slots:1024 ~tick:0.05 ~now:(now_mono ()) ();
+        wheel =
+          Timewheel.create ~slots:1024 ~tick:0.05 ~now:(Clock.monotonic ()) ();
         rbuf = Bytes.create 16384;
         metrics;
         m = make_handles metrics;
@@ -1418,7 +1388,7 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
       "serve: listening on %s:%d (workers=%d rho=%g sigma=%d queue=%d \
        max_conns=%d pipeline=%d)\n\
        %!"
-      cfg.host t.bound_port cfg.workers cfg.rho cfg.sigma queue_cap
+      cfg.host t.bound_port cfg.workers cfg.rho cfg.sigma cfg.sigma
       cfg.max_conns cfg.max_pipeline;
   t
 

@@ -51,14 +51,17 @@
 type config = {
   host : string;  (** Bind address, default ["127.0.0.1"]. *)
   port : int;  (** 0 picks an ephemeral port (see {!port}). *)
-  workers : int;  (** Worker domains. *)
+  workers : int;
+      (** Worker domains; one [/sweep] grid also shards across this
+          many. *)
   rho : float;  (** Default endpoint admission rate, requests/second. *)
-  sigma : int;  (** Burst budget = bucket depth = queue capacity cap. *)
-  queue_capacity : int;  (** [<= 0] means σ. *)
+  sigma : int;  (** Burst budget = bucket depth = queue capacity. *)
   read_timeout : float;  (** Mid-request read deadline, seconds. *)
   write_timeout : float;  (** Response write-progress deadline, seconds. *)
-  campaign_dir : string;  (** Cache + journal root, shared with campaigns. *)
-  salt : string;  (** Cache-key code salt ({!Aqt_harness.Campaign}). *)
+  campaign_dir : string;
+      (** Cache + journal root, shared with campaigns; cache keys carry
+          the campaign's code salt, so either side's results are hits
+          for the other. *)
   snapshot_every : float;  (** Metrics journal period; [<= 0] disables. *)
   journal : bool;  (** Write a serve journal under [campaign_dir]. *)
   cache_max_bytes : int option;
@@ -68,10 +71,10 @@ type config = {
   sweep_rho : float;  (** [/sweep] endpoint rate; [<= 0] means [rho / 10]. *)
   sweep_sigma : int;  (** [/sweep] burst; [<= 0] means [max 4 (sigma / 4)]. *)
   client_rho : float;  (** Per-client rate; [<= 0] means [rho]. *)
-  client_sigma : int;  (** Per-client burst; [<= 0] means [sigma]. *)
-  client_buckets_max : int;
-      (** Bound on live per-client buckets; the least-recently-used
-          idle bucket is evicted beyond this. *)
+  client_sigma : int;
+      (** Per-client burst; [<= 0] means [sigma].  At most 1024
+          per-client buckets live at once; the least-recently-used idle
+          bucket is evicted beyond that. *)
   client_key_header : string;
       (** Header naming the client key (e.g. ["x-client-id"]);
           [""] keys on the peer address. *)
@@ -80,14 +83,6 @@ type config = {
       (** Outstanding pipelined requests per connection before the
           event loop stops reading from it. *)
   idle_timeout : float;  (** Idle keep-alive connection expiry, seconds. *)
-  sweep_shards : int;
-      (** Domains used to shard one sweep grid; [<= 0] means
-          [workers]. *)
-  clock : unit -> float;
-      (** Monotonic time source for deadlines, latency and bucket
-          refill — {!Clock.monotonic} by default; substitutable for
-          deterministic tests.  Wall-clock time is used only for
-          journal timestamps. *)
 }
 
 val default_config : config

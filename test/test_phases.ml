@@ -19,20 +19,6 @@ let check_bool = Alcotest.(check bool)
 let eps = R.make 1 5
 let params = Aqt.Params.make ~eps ~s0:400 ()
 
-(* Run one phase to completion on a network. *)
-let run_phase net phase =
-  let duration = ref 0 in
-  let wrapped : Phased.phase =
-   fun net t ->
-    let d, dur = phase net t in
-    duration := dur;
-    (d, dur)
-  in
-  let driver = Phased.sequence [ wrapped ] in
-  ignore (Sim.run ~net ~driver ~horizon:1 ());
-  ignore (Sim.run ~net ~driver ~horizon:(!duration - 1) ());
-  !duration
-
 let fresh_seeded ~m ~seed =
   let g = G.cyclic ~n:params.n ~m () in
   let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
@@ -48,7 +34,7 @@ let slack = 4 * params.n (* generous integrality allowance *)
    2S(1-R_n) and above S(1+eps). *)
 let startup_postcondition () =
   let net, g = fresh_seeded ~m:4 ~seed in
-  let duration = run_phase net (Aqt.Startup.phase ~params ~gadget:g) in
+  let duration = Phased.run net (Aqt.Startup.phase ~params ~gadget:g) in
   check_int "duration 2S + n" (seed + params.n) duration;
   let m = I.measure net g ~k:1 in
   check_bool "invariant with slack" true
@@ -68,9 +54,9 @@ let startup_postcondition () =
    and empties gadget 1. *)
 let pump_postcondition () =
   let net, g = fresh_seeded ~m:4 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let before = I.measure net g ~k:1 in
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let after = I.measure net g ~k:2 in
   check_bool "C on gadget 2" true (I.holds_with_slack ~slack net g ~k:2);
   let factor = Aqt.Params.pump_factor ~r:params.r ~n:params.n in
@@ -88,10 +74,10 @@ let pump_postcondition () =
 (* Two pumps in sequence keep compounding. *)
 let pump_composes () =
   let net, g = fresh_seeded ~m:4 ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let s2 = (I.measure net g ~k:2).s_ingress in
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
   let m3 = I.measure net g ~k:3 in
   check_bool "C on gadget 3" true (I.holds_with_slack ~slack net g ~k:3);
   check_bool "second pump grows too" true
@@ -103,9 +89,9 @@ let pump_composes () =
 let stitch_postcondition () =
   let m_gadgets = 3 in
   let net, g = fresh_seeded ~m:m_gadgets ~seed in
-  ignore (run_phase net (Aqt.Startup.phase ~params ~gadget:g));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
-  ignore (run_phase net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
+  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+  ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2));
   (* Drain: idle until the egress holds the leftovers. *)
   let s_ing = N.buffer_len net (G.ingress g ~k:m_gadgets) in
   let driver = Phased.sequence [ Phased.idle (s_ing + params.n) ] in
@@ -123,7 +109,7 @@ let stitch_postcondition () =
     Aqt.Stitch.plan ~rate:params.rate ~relay:(G.stitch_route g)
       ~start:(tau + 1) ~s:s_before
   in
-  ignore (run_phase net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g));
+  ignore (Phased.run net (Aqt.Stitch.phase ~rate:params.rate ~gadget:g));
   let fresh = N.buffer_packets net (G.ingress g ~k:1) in
   let n_fresh = List.length fresh in
   check_bool "fresh queue ~ r^3 S" true (abs (n_fresh - plan.r3s) <= slack);
