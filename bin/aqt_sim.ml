@@ -272,30 +272,35 @@ let simulate_cmd =
     Arg.(value & flag & info [ "stochastic" ] ~doc:"Bernoulli instead of bursts.")
   in
   let run network policy d rate horizon seed stochastic =
-    let s =
-      Scenario_spec.simulate ~capacity:Aqt_capacity.Model.unbounded ~network ~d
-        ~policy ~rate ~horizon ~stochastic ~seed
-    in
-    let net = s.net in
-    Printf.printf
-      "%s on %d-edge graph, %d routes of length <= %d, rate %s (%s)\n"
-      policy.Aqt_engine.Policy_type.name
-      (Aqt_graph.Digraph.n_edges s.workload.graph)
-      (List.length s.workload.routes)
-      d (Ratio.to_string rate) s.adversary;
-    Printf.printf
-      "steps=%d injected=%d absorbed=%d in-flight=%d\n" s.steps
-      (Network.injected_count net)
-      (Network.absorbed net) (Network.in_flight net);
-    Printf.printf "max queue=%d max dwell=%d mean latency=%.2f\n"
-      (Network.max_queue_ever net)
-      (Network.max_dwell net)
-      (Network.delivered_latency_mean net)
+    match Scenario_spec.simulate_rate ~network ~d rate with
+    | Error msg -> `Error (true, "option '--rate': " ^ msg)
+    | Ok () ->
+        let s =
+          Scenario_spec.simulate ~capacity:Aqt_capacity.Model.unbounded
+            ~network ~d ~policy ~rate ~horizon ~stochastic ~seed
+        in
+        let net = s.net in
+        Printf.printf
+          "%s on %d-edge graph, %d routes of length <= %d, rate %s (%s)\n"
+          policy.Aqt_engine.Policy_type.name
+          (Aqt_graph.Digraph.n_edges s.workload.graph)
+          (List.length s.workload.routes)
+          d (Ratio.to_string rate) s.adversary;
+        Printf.printf
+          "steps=%d injected=%d absorbed=%d in-flight=%d\n" s.steps
+          (Network.injected_count net)
+          (Network.absorbed net) (Network.in_flight net);
+        Printf.printf "max queue=%d max dwell=%d mean latency=%.2f\n"
+          (Network.max_queue_ever net)
+          (Network.max_dwell net)
+          (Network.delivered_latency_mean net);
+        `Ok ()
   in
   Cmd.v (Cmd.info "simulate" ~doc:"Free-form simulation run")
     Term.(
-      const run $ net_arg $ policy_arg $ hops_arg $ rate $ horizon_arg 0 $ seed
-      $ stochastic)
+      ret
+        (const run $ net_arg $ policy_arg $ hops_arg $ rate $ horizon_arg 0
+       $ seed $ stochastic))
 
 (* ------------------------------------------------------------------ *)
 (* sweep                                                               *)

@@ -89,6 +89,3 @@ let make ?(name = "feedback") ~rate ~pool ~hot ~horizon () =
     }
   in
   { name; rate; pool; hot; driver }
-
-let run_steps ?recorder ~net adv n =
-  Sim.run_steps ?recorder ~net ~driver:adv.driver n

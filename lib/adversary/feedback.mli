@@ -63,6 +63,3 @@ val make :
     agree: both precede the step's forwards).
     @raise Invalid_argument on an empty pool, [hot < 1], or a rate outside
     (0, 1]. *)
-
-val run_steps :
-  ?recorder:Aqt_engine.Recorder.t -> net:Aqt_engine.Network.t -> t -> int -> unit

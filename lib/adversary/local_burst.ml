@@ -62,6 +62,3 @@ let make ?(name = "local-burst") ~m ~flow_rate ~flows ~horizon () =
         burst @ Flow.injections_at token_flows t)
   in
   { name; rate; sigmas; driver }
-
-let run_steps ?recorder ~net adv n =
-  Sim.run_steps ?recorder ~net ~driver:adv.driver n

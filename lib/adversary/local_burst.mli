@@ -48,6 +48,3 @@ val make :
     [rate] and [sigmas] are {!budgets} of the flow set.
     @raise Invalid_argument as {!budgets}, or if [flow_rate] is outside
     (0, 1] (per {!Flow.make}). *)
-
-val run_steps :
-  ?recorder:Aqt_engine.Recorder.t -> net:Aqt_engine.Network.t -> t -> int -> unit

@@ -158,6 +158,3 @@ let bernoulli ?(name = "bernoulli") ~prng ~rate ~routes () =
           routes)
   in
   { name; rate; window = None; exact = false; driver }
-
-let run_steps ?recorder ~net adv n =
-  Sim.run_steps ?recorder ~net ~driver:adv.driver n

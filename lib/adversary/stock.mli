@@ -93,9 +93,3 @@ val bernoulli :
 (** Each step, independently for each route, injects one packet with
     probability [rate].  Average rate [rate] per route; not an exact
     adversary. *)
-
-val run_steps :
-  ?recorder:Aqt_engine.Recorder.t -> net:Aqt_engine.Network.t -> t -> int -> unit
-(** [run_steps ~net adv n] drives [net] with [adv]'s driver for exactly [n]
-    steps via {!Aqt_engine.Sim.run_steps} — the batched fast path with no
-    per-step stop machinery.  Query the network (or the recorder) afterwards. *)

@@ -6,7 +6,7 @@
     Both produce identical trajectories — {!Aqt_check.Diff} asserts it —
     so callers choose purely on performance.  Engine-specific machinery
     (tracers, per-packet reroutes, spacetime capture) stays on the concrete
-    engines, reachable through {!net} / {!soa}. *)
+    engines: build a {!Network.t} or {!Soa.t} directly, or match on {!t}. *)
 
 type injection = Network.injection = { route : int array; tag : string }
 
@@ -23,18 +23,15 @@ val create :
   unit ->
   t
 
-val net : t -> Network.t option
-val soa : t -> Soa.t option
-
 val kind : t -> string
 (** ["record"], ["soa"], or ["soa-d<n>"] — for labelling result rows. *)
 
-val domains : t -> int
-
-val place_initial : t -> ?tag:string -> int array -> int
-(** Returns the packet id. *)
-
 val step : t -> injection list -> unit
+
+val run_steps : t -> injections_at:(int -> injection list) -> int -> unit
+(** [run_steps t ~injections_at n] executes [n] steps, calling
+    [injections_at] with each step number about to execute.
+    @raise Invalid_argument if [n] is negative. *)
 
 val shutdown : t -> unit
 (** Joins any pooled worker domains; no-op for [`Record] and single-domain
@@ -47,28 +44,11 @@ val now : t -> int
 val in_flight : t -> int
 val absorbed : t -> int
 val injected_count : t -> int
-val initial_count : t -> int
 val dropped : t -> int
-val displaced : t -> int
-val occupancy : t -> int
 val peak_occupancy : t -> int
 val max_queue_ever : t -> int
-val current_max_queue : t -> int
 val max_dwell : t -> int
-val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
-val buffer_len : t -> int -> int
 
 val injection_log : t -> (int * int array) array
 (** As {!Network.injection_log}; needs [~log_injections:true] at {!create}. *)
-
-val observe : Recorder.t -> t -> unit
-(** Samples the recorder with domain-aware GC accounting: for a parallel
-    SoA backend, worker-domain allocation is aggregated in and the sample's
-    [gc_domains] records the domain count. *)
-
-val run_steps :
-  ?recorder:Recorder.t -> t -> injections_at:(int -> injection list) -> int -> unit
-(** [run_steps t ~injections_at n] executes [n] steps, calling
-    [injections_at] with each step number about to execute — the batched
-    fast path of {!Sim.run_steps}, over either engine. *)

@@ -106,7 +106,6 @@ type t = {
   mutable max_dwell : int;
   mutable latency_sum : int;
   mutable latency_max : int;
-  latency_histo : Aqt_util.Histo.t;
   (* (injected_at, packet id, initial?, final route) of absorbed and dropped
      packets, in the order they left; [full_log] adds the buffered ones and
      puts everything back in id order. *)
@@ -160,7 +159,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     max_dwell = 0;
     latency_sum = 0;
     latency_max = 0;
-    latency_histo = Aqt_util.Histo.create ();
     absorbed_log = (if log_injections then Some (Dyn.create ()) else None);
     last_use = Array.make m min_int;
   }
@@ -329,7 +327,6 @@ let absorb t (p : Packet.t) =
   let latency = t.now - p.injected_at in
   t.latency_sum <- t.latency_sum + latency;
   if latency > t.latency_max then t.latency_max <- latency;
-  Aqt_util.Histo.record t.latency_histo latency;
   (match t.tracer with
   | None -> ()
   | Some f -> f (Trace.Absorbed { t = t.now; packet = p.id; latency }));
@@ -517,7 +514,6 @@ let max_pending_dwell t =
   !best
 
 let delivered_latency_max t = t.latency_max
-let delivered_latency_percentile t p = Aqt_util.Histo.percentile t.latency_histo p
 
 let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0

@@ -170,10 +170,6 @@ val max_pending_dwell : t -> int
 val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
 
-val delivered_latency_percentile : t -> float -> int
-(** Upper-bound estimate of a delivery-latency quantile (power-of-two
-    histogram buckets; exact at the maximum). *)
-
 val injection_log : t -> (int * int array) array
 (** [(injection time, final effective route)] for every adversary-injected
     packet so far (absorbed or in flight), in injection order.

@@ -14,12 +14,6 @@ type sample = {
   gc_major_words : float;
   gc_minor_collections : int;
   gc_major_collections : int;
-  (* How many domains the gc_* fields cover.  OCaml 5 GC counters are
-     per-domain: a sample taken on the main domain of a parallel-backend
-     run silently misses worker allocation unless the backend adds it in
-     (via [observe_raw ~extra_minor_words]), and consumers diffing samples
-     across a domain-count change must not mix them. *)
-  gc_domains : int;
 }
 
 type t = { every : int; store : sample Dyn.t }
@@ -28,42 +22,28 @@ let make ?(every = 1) () =
   if every < 1 then invalid_arg "Recorder.make";
   { every; store = Dyn.create () }
 
-let due r now = now mod r.every = 0
-
-(* Backend-agnostic sampling: the caller supplies the network-state metrics
-   and declares how many domains its allocation figure covers.
-   [extra_minor_words] is the cumulative allocation of any worker domains,
-   added to this domain's own counter. *)
-let observe_raw r ~now ~in_flight ~cur_max_queue ~absorbed ~dropped
-    ~max_dwell ~gc_domains ~extra_minor_words =
-  if due r now then begin
+(* Checked before the sample is computed: [current_max_queue] walks every
+   active buffer, and a sparse recorder skips most steps. *)
+let observe r net =
+  let now = Network.now net in
+  if now mod r.every = 0 then begin
     let gc = Gc.quick_stat () in
     Dyn.push r.store
       {
         t = now;
-        in_flight;
-        cur_max_queue;
-        absorbed;
-        dropped;
-        max_dwell;
+        in_flight = Network.in_flight net;
+        cur_max_queue = Network.current_max_queue net;
+        absorbed = Network.absorbed net;
+        dropped = Network.dropped net;
+        max_dwell = Network.max_dwell net;
         (* quick_stat's minor_words only refreshes at GC events (OCaml 5);
            Gc.minor_words reads the allocation pointer and is exact. *)
-        gc_minor_words = Gc.minor_words () +. extra_minor_words;
+        gc_minor_words = Gc.minor_words ();
         gc_major_words = gc.Gc.major_words;
         gc_minor_collections = gc.Gc.minor_collections;
         gc_major_collections = gc.Gc.major_collections;
-        gc_domains;
       }
   end
-
-(* Checked before the sample is computed: [current_max_queue] walks every
-   active buffer, and a sparse recorder skips most steps. *)
-let observe r net =
-  if due r (Network.now net) then
-    observe_raw r ~now:(Network.now net) ~in_flight:(Network.in_flight net)
-      ~cur_max_queue:(Network.current_max_queue net)
-      ~absorbed:(Network.absorbed net) ~dropped:(Network.dropped net)
-      ~max_dwell:(Network.max_dwell net) ~gc_domains:1 ~extra_minor_words:0.0
 
 let samples r = Dyn.to_array r.store
 let length r = Dyn.length r.store
@@ -81,7 +61,6 @@ let to_rows r =
            ("max_dwell", float_of_int s.max_dwell);
            ("gc_minor_words", s.gc_minor_words);
            ("gc_major_words", s.gc_major_words);
-           ("gc_domains", float_of_int s.gc_domains);
          ])
        (samples r))
 

@@ -18,12 +18,6 @@ type sample = {
           across samples = the zero-allocation steady state. *)
   gc_minor_collections : int;
   gc_major_collections : int;
-  gc_domains : int;
-      (** How many domains the gc_* counters cover.  1 for the sequential
-          engine; a parallel backend that aggregates worker allocation
-          reports its domain count here.  OCaml 5 GC counters are
-          per-domain, so samples with different [gc_domains] are not
-          comparable word-for-word. *)
 }
 
 type t
@@ -34,35 +28,15 @@ val make : ?every:int -> unit -> t
 val observe : t -> Network.t -> unit
 (** Call after each [Network.step]; samples when [now mod every = 0]. *)
 
-val due : t -> int -> bool
-(** [due r now]: whether a sample is taken at time [now].  Lets a caller of
-    {!observe_raw} skip computing metrics that would be discarded. *)
-
-val observe_raw :
-  t ->
-  now:int ->
-  in_flight:int ->
-  cur_max_queue:int ->
-  absorbed:int ->
-  dropped:int ->
-  max_dwell:int ->
-  gc_domains:int ->
-  extra_minor_words:float ->
-  unit
-(** Backend-agnostic sampling for engines that are not a {!Network.t}.
-    [extra_minor_words] is cumulative worker-domain allocation to add to
-    this domain's [Gc.minor_words] (OCaml 5 counters are per-domain);
-    [gc_domains] declares how many domains the resulting figure covers. *)
-
 val samples : t -> sample array
 val length : t -> int
 
 val to_rows : t -> (string * float) list list
 (** One labelled row per sample, in time order — the keys are [t],
     [in_flight], [max_queue], [absorbed], [dropped], [max_dwell],
-    [gc_minor_words], [gc_major_words], [gc_domains].  This is the exchange format for embedding sampled
-    trajectories in campaign journals and cached results without ad-hoc
-    formatting at the call site. *)
+    [gc_minor_words], [gc_major_words].  This is the exchange format for
+    embedding sampled trajectories in campaign journals and cached results
+    without ad-hoc formatting at the call site. *)
 
 val points : t -> (sample -> float) -> (float * float) array
 (** [(t, f sample)] pairs, for plotting. *)

@@ -85,28 +85,6 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
     dropped = Network.dropped net;
   }
 
-(* The fast path for steady-state campaigns: no outcome record, no blowup or
-   stop predicates, no per-step option checks — just drive the network.  The
-   recorder match happens once, outside the loop. *)
-let run_steps ?recorder ~net ~driver n =
-  if n < 0 then invalid_arg "Sim.run_steps: negative step count";
-  match recorder with
-  | None ->
-      for _ = 1 to n do
-        let t = Network.now net + 1 in
-        feed_queues driver net t;
-        driver.before_step net t;
-        Network.step net (driver.injections_at net t)
-      done
-  | Some r ->
-      for _ = 1 to n do
-        let t = Network.now net + 1 in
-        feed_queues driver net t;
-        driver.before_step net t;
-        Network.step net (driver.injections_at net t);
-        Recorder.observe r net
-      done
-
 let pp_stop fmt = function
   | Horizon -> Format.pp_print_string fmt "horizon"
   | Drained -> Format.pp_print_string fmt "drained"

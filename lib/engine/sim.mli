@@ -51,10 +51,4 @@ val run :
     false) stops once the network is empty after a step with no injections.
     [stop_when] is evaluated after each step. *)
 
-val run_steps : ?recorder:Recorder.t -> net:Network.t -> driver:driver -> int -> unit
-(** [run_steps ~net ~driver n] executes exactly [n] steps with none of
-    [run]'s per-step machinery (no blowup cap, stop predicate or outcome
-    value) — the batched fast path for steady-state workloads.  Query the
-    network afterwards for whatever statistics you need. *)
-
 val pp_stop : Format.formatter -> stop -> unit

@@ -48,7 +48,7 @@
       are recorded as (position, edge) pairs per domain and merged by
       position at the barrier — the exact activation order of the
       sequential engine.  Stats are accumulated per domain and folded at
-      the barrier (sums, maxima, histogram buckets — all order-free).
+      the barrier (sums and maxima, both order-free).
 
    Injections always run on the main domain at a barrier, and a shared
    (Dynamic-Threshold) capacity model forces the delivery phase sequential,
@@ -114,10 +114,6 @@ type pool = {
   mutable busy : int;
   mutable stopping : bool;
   mutable failure : (exn * Printexc.raw_backtrace) option;
-  (* Cumulative minor words allocated inside jobs, per worker.  OCaml 5 GC
-     counters are per-domain, so the main domain's [Gc.minor_words] misses
-     everything the workers allocate; [Recorder] adds this in. *)
-  worker_minor_words : float array;
 }
 
 let pool_worker pool idx () =
@@ -136,15 +132,12 @@ let pool_worker pool idx () =
       seen := pool.epoch;
       let job = Option.get pool.job in
       Mutex.unlock pool.lock;
-      let before = Gc.minor_words () in
       let failed =
         try
           job idx;
           None
         with e -> Some (e, Printexc.get_raw_backtrace ())
       in
-      pool.worker_minor_words.(idx - 1) <-
-        pool.worker_minor_words.(idx - 1) +. (Gc.minor_words () -. before);
       Mutex.lock pool.lock;
       (match failed with
       | Some _ when pool.failure = None -> pool.failure <- failed
@@ -168,7 +161,6 @@ let pool_create size =
       busy = 0;
       stopping = false;
       failure = None;
-      worker_minor_words = Array.make (max 1 (size - 1)) 0.0;
     }
   in
   pool.workers <-
@@ -323,7 +315,6 @@ type t = {
   mutable max_dwell : int;
   mutable latency_sum : int;
   mutable latency_max : int;
-  latency_histo : Aqt_util.Histo.t;
   last_use : int array;
   (* (injected_at, id, initial?, r_off, r_len) of closed packets.  Offsets
      are stable snapshots: the route arena is append-only. *)
@@ -342,7 +333,6 @@ type t = {
   d_max_queue : int array;
   d_lat_sum : int array;
   d_lat_max : int array;
-  d_histo : Aqt_util.Histo.t array;
   d_free : int Dyn.t array;
   d_log : (int * int * bool * int * int) Dyn.t array;
   (* (position, edge) streams, position-sorted by construction. *)
@@ -443,7 +433,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     max_dwell = 0;
     latency_sum = 0;
     latency_max = 0;
-    latency_histo = Aqt_util.Histo.create ();
     last_use = Array.make m min_int;
     log = (if log_injections then Some (Dyn.create ()) else None);
     ndom;
@@ -458,7 +447,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
     d_max_queue = Array.make ndom 0;
     d_lat_sum = Array.make ndom 0;
     d_lat_max = Array.make ndom 0;
-    d_histo = Array.init ndom (fun _ -> Aqt_util.Histo.create ());
     d_free = Array.init ndom (fun _ -> Dyn.create ());
     d_log = Array.init ndom (fun _ -> Dyn.create ());
     d_still_pos = Array.init ndom (fun _ -> Dyn.create ());
@@ -894,7 +882,6 @@ let absorb_seq t src spos =
   let latency = t.now - Array.unsafe_get t.inj_at s in
   t.latency_sum <- t.latency_sum + latency;
   if latency > t.latency_max then t.latency_max <- latency;
-  Aqt_util.Histo.record t.latency_histo latency;
   log_closed t 0 s
     (Array.unsafe_get src (spos + o_off))
     (Array.unsafe_get src (spos + o_len));
@@ -1227,7 +1214,6 @@ let deliver_par t n_old d =
   let lo = d * t.block and hi = (d + 1) * t.block in
   let last = t.ndom - 1 in
   let act_pos = t.d_act_pos.(d) and act_edge = t.d_act_edge.(d) in
-  let histo = t.d_histo.(d) in
   for i = 0 to n_old - 1 do
     let k = Array.unsafe_get t.pend_cnt i in
     for j = 0 to k - 1 do
@@ -1245,7 +1231,6 @@ let deliver_par t n_old d =
           let latency = t.now - Array.unsafe_get t.inj_at s in
           t.d_lat_sum.(d) <- t.d_lat_sum.(d) + latency;
           if latency > t.d_lat_max.(d) then t.d_lat_max.(d) <- latency;
-          Aqt_util.Histo.record histo latency;
           log_closed t d s
             (Array.unsafe_get t.pending (w + o_off))
             (Array.unsafe_get t.pending (w + o_len));
@@ -1310,8 +1295,6 @@ let fold_deliver_stats t =
     t.latency_sum <- t.latency_sum + t.d_lat_sum.(d);
     if t.d_lat_max.(d) > t.latency_max then t.latency_max <- t.d_lat_max.(d);
     if t.d_max_queue.(d) > t.max_queue then t.max_queue <- t.d_max_queue.(d);
-    Aqt_util.Histo.merge_into ~into:t.latency_histo t.d_histo.(d);
-    Aqt_util.Histo.reset t.d_histo.(d);
     t.d_absorbed.(d) <- 0;
     t.d_dropped.(d) <- 0;
     t.d_displaced.(d) <- 0;
@@ -1455,9 +1438,6 @@ let delivered_latency_mean t =
   if t.absorbed = 0 then 0.0
   else float_of_int t.latency_sum /. float_of_int t.absorbed
 
-let delivered_latency_percentile t p =
-  Aqt_util.Histo.percentile t.latency_histo p
-
 let reroute_count t = t.reroutes
 let last_injection_on t e = t.last_use.(e)
 let buffer_len t e = t.emeta.((estride * e) + eo_len)
@@ -1481,14 +1461,6 @@ let max_pending_dwell t =
       let d = t.now - Array.unsafe_get arena (w + o_buf) in
       if d > !best then best := d)
     t;
-  !best
-
-let current_max_queue t =
-  let best = ref 0 in
-  for i = 0 to t.n_active - 1 do
-    let l = t.emeta.((estride * Array.unsafe_get t.active i) + eo_len) in
-    if l > !best then best := l
-  done;
   !best
 
 type view = {
@@ -1584,11 +1556,3 @@ let full_log t ~want_initial =
 
 let injection_log t = full_log t ~want_initial:false
 let initial_final_routes t = Array.map snd (full_log t ~want_initial:true)
-
-(* Worker-domain allocation since creation, for GC-aware recorders: the
-   main domain's [Gc.minor_words] does not see worker allocation (OCaml 5
-   counters are per-domain). *)
-let worker_minor_words t =
-  match t.pool with
-  | None -> 0.0
-  | Some pool -> Array.fold_left ( +. ) 0.0 pool.worker_minor_words

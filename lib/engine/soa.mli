@@ -103,7 +103,6 @@ val displaced : t -> int
 val dropped_on_edge : t -> int -> int
 val occupancy : t -> int
 val peak_occupancy : t -> int
-val current_max_queue : t -> int
 val max_queue_ever : t -> int
 val max_queue_of_edge : t -> int -> int
 val sent_on_edge : t -> int -> int
@@ -111,7 +110,6 @@ val max_dwell : t -> int
 val max_pending_dwell : t -> int
 val delivered_latency_max : t -> int
 val delivered_latency_mean : t -> float
-val delivered_latency_percentile : t -> float -> int
 val reroute_count : t -> int
 val last_injection_on : t -> int -> int
 val capacity : t -> Aqt_capacity.Model.t
@@ -125,7 +123,7 @@ val initial_final_routes : t -> int array array
 (** As {!Network.initial_final_routes}.
     @raise Invalid_argument without [log_injections]. *)
 
-(** {1 Introspection for tests and recorders} *)
+(** {1 Introspection for tests} *)
 
 val pooled : t -> int
 (** Recycled packet slots currently on the free stack. *)
@@ -137,9 +135,3 @@ val slab_slots : t -> int
 val arena_words : t -> int * int
 (** [(used, capacity)] in words across the route arena and every partition's
     buffer arena — growth tests assert geometric bounds on the ratio. *)
-
-val worker_minor_words : t -> float
-(** Cumulative minor-heap words allocated by the worker domains of this
-    instance's pool (0 when [domains = 1]).  Add to the main domain's
-    [Gc.minor_words] for a process-wide figure: OCaml 5 GC counters are
-    per-domain. *)

@@ -226,18 +226,23 @@ let simulate ~capacity ~network ~d ~policy ~rate ~horizon ~stochastic ~seed =
   let outcome = Aqt_engine.Sim.run ~net ~driver:adv.driver ~horizon () in
   { workload = w; adversary = adv.name; net; steps = outcome.steps_run }
 
-let sweep_rates ~routes rates =
+(* Each of [routes] routes runs at [r / routes], which must be in (0, 1]. *)
+let rate_over ~routes r =
   let routes = max 1 routes in
-  match
-    List.find_opt (fun r -> Ratio.(r <= zero || r > of_int routes)) rates
-  with
-  | None -> Ok ()
-  | Some r when Ratio.(r <= zero) ->
-      errorf "rate %s must be positive" (Ratio.to_string r)
-  | Some r ->
-      errorf "rate %s over %d route%s exceeds one packet per route per step"
-        (Ratio.to_string r) routes
-        (if routes = 1 then "" else "s")
+  if Ratio.(r <= zero) then errorf "rate %s must be positive" (Ratio.to_string r)
+  else if Ratio.(r > of_int routes) then
+    errorf "rate %s over %d route%s exceeds one packet per route per step"
+      (Ratio.to_string r) routes
+      (if routes = 1 then "" else "s")
+  else Ok ()
+
+let sweep_rates ~routes rates =
+  List.fold_left
+    (fun acc r -> Result.bind acc (fun () -> rate_over ~routes r))
+    (Ok ()) rates
+
+let simulate_rate ~network ~d rate =
+  rate_over ~routes:(min d (route_count ~d network)) rate
 
 let sweep_headers = [ "policy"; "rate"; "verdict"; "max queue"; "final backlog" ]
 

@@ -115,7 +115,16 @@ val simulate :
   simulation
 (** Run {!workload}[ ~d network] for [horizon] steps, each route at
     [rate / max 1 (min d routes)], under a windowed burst (w = 40) or,
-    when [stochastic], a Bernoulli adversary seeded with [seed]. *)
+    when [stochastic], a Bernoulli adversary seeded with [seed].  The CLI
+    and the daemon refuse a rate that {!simulate_rate} rejects before
+    calling this. *)
+
+val simulate_rate :
+  network:Network.t -> d:int -> Aqt_util.Ratio.t -> (unit, string) result
+(** {!simulate} runs each route at [rate / max 1 (min d routes)], which
+    must be in (0, 1]: at most one packet per route per step.  A rate
+    outside that range fails with the messages of {!sweep_rates}, for
+    N = [max 1 (min d routes)]. *)
 
 val sweep_rates : routes:int -> Aqt_util.Ratio.t list -> (unit, string) result
 (** A sweep cell runs each of [routes] routes at [rate / routes], which

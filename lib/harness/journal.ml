@@ -281,18 +281,6 @@ let files ~dir =
 let latest ~dir =
   match List.rev (files ~dir) with [] -> None | f :: _ -> Some f
 
-let final_trajectories events =
-  let tbl = Hashtbl.create 16 in
-  let order = ref [] in
-  List.iter
-    (function
-      | Task_finish { name; trajectory; _ } when trajectory <> [] ->
-          if not (Hashtbl.mem tbl name) then order := name :: !order;
-          Hashtbl.replace tbl name trajectory
-      | _ -> ())
-    events;
-  List.rev_map (fun n -> (n, Hashtbl.find tbl n)) !order
-
 let load path =
   let ic = open_in path in
   Fun.protect

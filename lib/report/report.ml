@@ -15,7 +15,6 @@ module G = Aqt.Gadget
 
 type ctx = {
   results : (string * Registry.result) list;
-  trajectories : (string * (string * float) list list) list;
   bench : (string * float) list;
 }
 
@@ -90,7 +89,9 @@ let trajectory_points rows ~x ~y =
        (List.to_seq rows))
 
 let trajectory ctx experiment =
-  Option.value (List.assoc_opt experiment ctx.trajectories) ~default:[]
+  match List.assoc_opt experiment ctx.results with
+  | Some r -> r.Registry.trajectory
+  | None -> []
 
 (* ------------------------------------------------------------------ *)
 (* Figure renders                                                      *)
@@ -899,39 +900,19 @@ let bench_bars dir =
 let build_ctx ?(bench_runs = Filename.concat (Filename.concat "bench" "e2e") "runs")
     ~registry ~options figures =
   let needed = dedup (List.concat_map (fun f -> f.experiments) figures) in
-  let results, trajectories =
-    if needed = [] then ([], [])
-    else begin
+  let results =
+    if needed = [] then []
+    else
       let summary =
         Campaign.run ~registry
           { options with Campaign.only = needed; quiet = true }
       in
-      let results =
-        List.filter_map
-          (fun (tr : Scheduler.task_result) ->
-            Option.map (fun r -> (tr.Scheduler.name, r)) tr.Scheduler.result)
-          summary.Campaign.results
-      in
-      let from_journal =
-        match
-          try Some (Journal.load summary.Campaign.journal_file)
-          with _ -> None
-        with
-        | Some events -> Journal.final_trajectories events
-        | None -> []
-      in
-      let trajectories =
-        List.map
-          (fun (name, (r : Registry.result)) ->
-            match List.assoc_opt name from_journal with
-            | Some t -> (name, t)
-            | None -> (name, r.Registry.trajectory))
-          results
-      in
-      (results, trajectories)
-    end
+      List.filter_map
+        (fun (tr : Scheduler.task_result) ->
+          Option.map (fun r -> (tr.Scheduler.name, r)) tr.Scheduler.result)
+        summary.Campaign.results
   in
-  { results; trajectories; bench = bench_bars bench_runs }
+  { results; bench = bench_bars bench_runs }
 
 let generate ?figures ?only ?bench_runs ~registry ~options ~out () =
   let figures =

@@ -7,7 +7,7 @@
     - the campaign layer: the experiments a figure declares are run
       through {!Aqt_harness.Campaign.run} (cache hits resolve instantly,
       so a warm [_campaign/] directory makes regeneration cheap), and
-      their {!Aqt_harness.Registry.result} tables and journalled
+      their {!Aqt_harness.Registry.result} tables and sampled
       trajectories become plot inputs;
     - direct simulation: structural figures (the Figure 3.1/3.2 gadget
       renders, the spacetime heatmap, the stability sweep) run small
@@ -24,10 +24,6 @@ type ctx = {
   results : (string * Aqt_harness.Registry.result) list;
       (** Experiment name -> campaign result, for every experiment some
           requested figure declared. *)
-  trajectories : (string * (string * float) list list) list;
-      (** Experiment name -> the trajectory recovered from the campaign
-          journal ({!Aqt_harness.Journal.final_trajectories}), falling
-          back to the result's own trajectory field. *)
   bench : (string * float) list;
       (** One [label -> median] bar per workload and end-to-end metric of
           the committed benchmark calibration runs, over the untraced runs
@@ -84,8 +80,7 @@ val build_ctx :
   ctx
 (** Assemble the data context for a set of figures without rendering
     anything: run the union of their declared experiments through the
-    campaign (cache hits instant), recover journalled trajectories, and
-    read the benchmark runs in directory [bench_runs] (default
+    campaign (cache hits instant) and read the benchmark runs in directory [bench_runs] (default
     [bench/e2e/runs]; tests pass their own).  [generate] is [build_ctx] plus rendering to
     disk; the serve daemon uses [build_ctx] directly to render single
     figures in memory. *)

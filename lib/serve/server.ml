@@ -184,7 +184,7 @@ type conn = {
   mutable inflight : int; (* dispatched to workers, not yet back *)
   mutable close_after : bool; (* stop reading; close once flushed *)
   mutable eof : bool;
-  mutable dl_gen : int; (* invalidates stale timer-wheel entries *)
+  mutable deadline : float; (* monotonic; set by [rearm] *)
   mutable alive : bool;
 }
 
@@ -233,7 +233,6 @@ type t = {
   (* event-loop-owned connection state (no lock needed) *)
   conns : (int, conn) Hashtbl.t; (* by conn id *)
   by_fd : (int, conn) Hashtbl.t; (* by raw fd *)
-  wheel : (int * int) Timewheel.t; (* (conn id, dl_gen) *)
   rbuf : Bytes.t; (* shared read scratch *)
   metrics : Metrics.t;
   m : handles;
@@ -537,7 +536,7 @@ let simulate_handler t rng q =
   let d = check_hops (q_int q "d" 4) in
   let horizon = check_horizon (q_int q "horizon" 5_000) in
   let rate = token ~what:"rate: " (module Scenario_spec.Rate) (q_str q "rate" "1/4") in
-  if Ratio.(rate <= zero) then bad "rate must be positive";
+  Result.iter_error (bad "%s") (Scenario_spec.simulate_rate ~network ~d rate);
   let policy = token (module Scenario_spec.Policy) (q_str q "policy" "fifo") in
   let stochastic =
     match String.lowercase_ascii (q_str q "stochastic" "false") with
@@ -718,23 +717,19 @@ let close_conn t c =
     Metrics.add_gauge t.m.open_conns (-1.)
   end
 
-(* Re-arm the connection's single deadline for its current state.  The
-   generation counter lazily invalidates whatever was already filed. *)
+(* Re-arm the connection's single deadline for its current state. *)
 let rearm t c =
   if c.alive then begin
-    c.dl_gen <- c.dl_gen + 1;
     let now = Clock.monotonic () in
-    let dl =
-      if c.cur <> "" || not (Queue.is_empty c.outq) then
-        now +. t.cfg.write_timeout
-      else if Http.Parser.buffered c.parser > 0 then now +. t.cfg.read_timeout
-      else now +. t.cfg.idle_timeout
-    in
-    Timewheel.add t.wheel ~deadline:dl (c.id, c.dl_gen)
+    c.deadline <-
+      (if c.cur <> "" || not (Queue.is_empty c.outq) then
+         now +. t.cfg.write_timeout
+       else if Http.Parser.buffered c.parser > 0 then now +. t.cfg.read_timeout
+       else now +. t.cfg.idle_timeout)
   end
 
-(* A fired deadline with a current generation: no progress since the
-   arm, so act on whatever the connection is stuck in. *)
+(* A passed deadline: no progress since the last arm, so act on whatever
+   the connection is stuck in. *)
 let timeout_action t c =
   if c.cur <> "" || not (Queue.is_empty c.outq) then begin
     (* Peer is not draining its responses. *)
@@ -1128,7 +1123,7 @@ let handle_accept t =
               inflight = 0;
               close_after = false;
               eof = false;
-              dl_gen = 0;
+              deadline = Float.infinity;
               alive = true;
             }
           in
@@ -1247,10 +1242,12 @@ let event_loop t () =
               end);
     process_completions t;
     let now = Clock.monotonic () in
-    Timewheel.advance t.wheel ~now (fun (cid, gen) ->
-        match Hashtbl.find_opt t.conns cid with
-        | Some c when c.alive && c.dl_gen = gen -> timeout_action t c
-        | _ -> ());
+    (* Collected first: [timeout_action] may close a connection, which
+       removes it from [t.conns]. *)
+    Hashtbl.fold
+      (fun _ c acc -> if c.deadline <= now then c :: acc else acc)
+      t.conns []
+    |> List.iter (timeout_action t);
     if now >= !next_snapshot then begin
       next_snapshot := now +. tick;
       if t.cfg.snapshot_every > 0. then write_snapshot t;
@@ -1361,8 +1358,6 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
         wake_w;
         conns = Hashtbl.create 256;
         by_fd = Hashtbl.create 256;
-        wheel =
-          Timewheel.create ~slots:1024 ~tick:0.05 ~now:(Clock.monotonic ()) ();
         rbuf = Bytes.create 16384;
         metrics;
         m = make_handles metrics;

@@ -8,8 +8,8 @@
     - {b Connections} are multiplexed by a single poll(2) event-loop
       domain ({!Evpoll}): persistent keep-alive connections with
       HTTP/1.1 pipelining, nonblocking incremental parsing
-      ({!Http.Parser}), and per-connection deadlines tracked on a
-      hashed timer wheel ({!Timewheel}).  Pipelined responses leave in
+      ({!Http.Parser}), and one deadline per connection, checked on
+      every loop wake-up.  Pipelined responses leave in
       request order; read interest is dropped once [max_pipeline]
       requests are outstanding, which is TCP backpressure on the peer.
     - {b Admission} is layered (ρ,σ)-token buckets ({!Bucket}): a

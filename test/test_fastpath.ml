@@ -176,10 +176,10 @@ let steady_state_zero_major_growth () =
         else [])
   in
   (* Warm up: intern every route, size every buffer, fill the pool. *)
-  Sim.run_steps ~net ~driver 2_000;
+  ignore (Sim.run ~net ~driver ~horizon:2_000 ());
   Gc.full_major ();
   let recorder = Recorder.make ~every:100 () in
-  Sim.run_steps ~recorder ~net ~driver 50_000;
+  ignore (Sim.run ~recorder ~net ~driver ~horizon:50_000 ());
   Gc.full_major ();
   let growth = Recorder.major_words_per_step recorder in
   if growth > 1.0 then
@@ -418,35 +418,6 @@ let prop_fastpath_differential =
         [ ("instrumented", false); ("fast", true) ];
       true)
 
-(* run_steps must drive the network exactly like the same number of
-   Network.step calls through Sim.run. *)
-let run_steps_equivalence () =
-  let ring = B.ring 6 in
-  let routes =
-    Array.init 6 (fun i -> Array.init 3 (fun j -> ring.edges.((i + j) mod 6)))
-  in
-  let mk () = N.create ~graph:ring.graph ~policy:Policies.fifo () in
-  let driver_of t =
-    Sim.injections_only (fun _ _ ->
-        incr t;
-        if !t mod 3 = 0 then [ { N.route = routes.(!t mod 6); tag = "r" } ]
-        else [])
-  in
-  let net1 = mk () in
-  let t1 = ref 0 in
-  ignore (Sim.run ~net:net1 ~driver:(driver_of t1) ~horizon:500 ());
-  let net2 = mk () in
-  let t2 = ref 0 in
-  Sim.run_steps ~net:net2 ~driver:(driver_of t2) 500;
-  check_int "same now" (N.now net1) (N.now net2);
-  check_int "same absorbed" (N.absorbed net1) (N.absorbed net2);
-  check_int "same in flight" (N.in_flight net1) (N.in_flight net2);
-  check_int "same max queue" (N.max_queue_ever net1) (N.max_queue_ever net2);
-  check_int "same max dwell" (N.max_dwell net1) (N.max_dwell net2);
-  Alcotest.check_raises "negative count rejected"
-    (Invalid_argument "Sim.run_steps: negative step count") (fun () ->
-      Sim.run_steps ~net:net2 ~driver:Sim.null_driver (-1))
-
 let q = QCheck_alcotest.to_alcotest
 
 let () =
@@ -470,9 +441,5 @@ let () =
           Alcotest.test_case "loaded step allocates no records" `Quick
             loaded_step_allocation;
         ] );
-      ( "differential",
-        [
-          q prop_fastpath_differential;
-          Alcotest.test_case "run_steps == run" `Quick run_steps_equivalence;
-        ] );
+      ("differential", [ q prop_fastpath_differential ]);
     ]

@@ -291,20 +291,11 @@ let journal_readers () =
     (match Journal.latest ~dir with
     | Some f -> Filename.basename f = "run-b.jsonl"
     | None -> false);
-  let events =
-    [
-      finish "early" ~trajectory:[ [ ("t", 0.0); ("v", 1.0) ] ];
-      finish "empty";
-      finish "early" ~trajectory:[ [ ("t", 1.0); ("v", 2.0) ] ];
-      finish "late" ~trajectory:[ [ ("t", 0.0) ] ];
-    ]
-  in
-  match Journal.final_trajectories events with
-  | [ ("early", tr); ("late", _) ] ->
-      check_bool "last trajectory wins" true (tr = [ [ ("t", 1.0); ("v", 2.0) ] ])
-  | other ->
-      Alcotest.failf "unexpected trajectories: %d entries, order broken"
-        (List.length other)
+  check_bool "the latest journal carries its trajectory" true
+    (match Journal.load (Option.get (Journal.latest ~dir)) with
+    | [ Journal.Task_finish { trajectory; _ } ] ->
+        trajectory = [ [ ("t", 1.0) ] ]
+    | _ -> false)
 
 (* ------------------------------------------------------------------ *)
 (* Report helpers                                                      *)
@@ -392,13 +383,13 @@ let synthetic_figures () =
     {
       Report.id = "syn_traj";
       title = "Synthetic trajectory";
-      caption = "the journalled trajectory.";
+      caption = "the sampled trajectory.";
       experiments = [ "syn" ];
       render =
         (fun ctx ->
           let rows =
-            match List.assoc_opt "syn" ctx.Report.trajectories with
-            | Some r -> r
+            match List.assoc_opt "syn" ctx.Report.results with
+            | Some r -> r.Registry.trajectory
             | None -> []
           in
           Plot.render ~title:"Synthetic trajectory"
