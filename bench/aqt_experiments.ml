@@ -343,9 +343,9 @@ let thm_4_1_greedy rb =
         :: !rows)
     policies;
   (* Workloads B..G: the standard scenario grid, each at r = 1/(d+1) with
-     per-route rates scaled by the worst edge overlap.  The grid cells are
-     independent simulations, so they run across domains; policies are
-     constructed inside each task (the random policy carries a PRNG). *)
+     per-route rates scaled by the worst edge overlap.  The cells run one
+     after another inside this experiment's scheduler task; each builds
+     its own policy (the random policy carries a PRNG). *)
   let tasks =
     List.concat_map
       (fun (scenario : Aqt_workload.Workloads.t) ->
@@ -359,7 +359,7 @@ let thm_4_1_greedy rb =
       (Aqt_workload.Workloads.standard_grid ())
   in
   let grid_rows =
-    Aqt_util.Parallel.map
+    List.map
       (fun ((scenario : Aqt_workload.Workloads.t), mk_policy) ->
         let policy = mk_policy () in
         let d = scenario.d in
@@ -714,7 +714,7 @@ let ring_universal_stability rb =
     Ratio.div rate (Ratio.of_int (Aqt_workload.Workloads.max_overlap scenario))
   in
   let rows =
-    Aqt_util.Parallel.map
+    List.map
       (fun mk_policy ->
         let policy : Policies.t = mk_policy () in
         let prng = Aqt_util.Prng.create 99 in

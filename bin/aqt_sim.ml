@@ -37,6 +37,35 @@ let at_least ~what lo c =
   in
   Arg.conv (parse, Arg.conv_printer c)
 
+(* [record] or [soa], the engine name alone as [--backend] takes it. *)
+let engine_conv =
+  Arg.conv'
+    ( Scenario_spec.Backend.engine,
+      fun fmt e ->
+        Format.pp_print_string fmt
+          (match e with `Record -> "record" | `Soa -> "soa") )
+
+(* A name that [find] knows.  Error: [unknown WHAT "NAME" (HINT)]. *)
+let name_conv ~what ~hint ~print find =
+  let parse s =
+    Option.to_result
+      ~none:(Printf.sprintf "unknown %s %S (%s)" what s hint)
+      (find s)
+  in
+  Arg.conv' (parse, fun fmt x -> Format.pp_print_string fmt (print x))
+
+(* A comma-separated list of [c], checked as a whole so that the error is
+   the first bad element's own, on one line. *)
+let list_conv c =
+  let rec parse_all = function
+    | [] -> Ok []
+    | x :: xs ->
+        Result.bind (Arg.conv_parser c x) (fun v ->
+            Result.map (List.cons v) (parse_all xs))
+  in
+  let parse s = Result.bind (Arg.conv_parser Arg.(list string) s) parse_all in
+  Arg.conv (parse, Arg.conv_printer Arg.(list c))
+
 (* ------------------------------------------------------------------ *)
 (* params                                                              *)
 (* ------------------------------------------------------------------ *)
@@ -311,7 +340,7 @@ let sweep_cmd =
     Arg.(
       value
       & opt
-          (list (spec_conv (module Scenario_spec.Rate)))
+          (list_conv (spec_conv (module Scenario_spec.Rate)))
           [ Ratio.make 1 8; Ratio.make 1 4; Ratio.make 1 2; Ratio.make 3 4 ]
       & info [ "rates" ] ~doc:"Comma-separated rates to test.")
   in
@@ -320,20 +349,10 @@ let sweep_cmd =
     match Scenario_spec.sweep_rates ~routes:(List.length w.routes) rates with
     | Error msg -> `Error (true, msg)
     | Ok () ->
-        (* One intern table for the whole grid: every cell runs the same
-           routes on the same graph, so each route is validated once per
-           sweep. *)
-        let route_table = Aqt_engine.Route_intern.create () in
         let tbl = Tbl.create ~headers:Scenario_spec.sweep_headers in
-        List.iter
-          (fun policy ->
-            List.iter
-              (fun rate ->
-                Tbl.add_row tbl
-                  (Scenario_spec.sweep_cell ~route_table w ~policy ~rate
-                     ~horizon))
-              rates)
-          Policies.all_deterministic;
+        Tbl.add_rows tbl
+          (Scenario_spec.sweep w ~policies:Policies.all_deterministic ~rates
+             ~horizon);
         Tbl.print tbl;
         `Ok ()
   in
@@ -608,21 +627,26 @@ let spacetime_cmd =
 
 let campaign_cmd =
   let module Campaign = Aqt_harness.Campaign in
+  let module Registry = Aqt_harness.Registry in
   let dir_arg =
     Arg.(
       value
       & opt string Campaign.default_options.dir
       & info [ "dir" ] ~docv:"DIR" ~doc:"Campaign state directory.")
   in
+  let registry () = Aqt_experiments.registry () in
   let only_arg =
+    let id =
+      name_conv ~what:"experiment" ~hint:"see main.exe list" ~print:Fun.id
+        (fun s -> List.find_opt (String.equal s) (Registry.names (registry ())))
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list_conv id) []
       & info [ "only" ] ~docv:"IDS"
           ~doc:"Comma-separated experiment ids (default: every registered \
                 experiment; see `main.exe list`).")
   in
-  let registry () = Aqt_experiments.registry () in
   let run_cmd =
     let force =
       Arg.(
@@ -632,7 +656,7 @@ let campaign_cmd =
     let jobs =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (at_least ~what:"jobs" 1 int)) None
         & info [ "jobs"; "j" ] ~docv:"N"
             ~doc:"Worker domains (default: cores - 1).")
     in
@@ -652,25 +676,12 @@ let campaign_cmd =
         & info [ "retries" ] ~docv:"N"
             ~doc:"Re-attempts after a crashed experiment.")
     in
-    let fail =
-      Arg.(
-        value
-        & opt (list string) []
-        & info [ "fail" ] ~docv:"IDS"
-            ~doc:"Force these experiments to raise (graceful-degradation \
-                  check: they report Failed while the campaign completes).")
-    in
     let quiet =
       Arg.(
         value & flag
         & info [ "quiet"; "q" ] ~doc:"No progress lines or summary table.")
     in
-    let run dir only force jobs timeout retries fail quiet =
-      (match jobs with
-      | Some j when j < 1 ->
-          Printf.eprintf "aqt_sim campaign: --jobs must be >= 1\n";
-          exit 2
-      | _ -> ());
+    let run dir only force jobs timeout retries quiet =
       let options =
         {
           Campaign.default_options with
@@ -680,16 +691,12 @@ let campaign_cmd =
           jobs;
           timeout;
           retries;
-          fail;
           quiet;
         }
       in
       match Campaign.run ~registry:(registry ()) options with
       | { Campaign.failed = 0; _ } -> ()
       | _ -> exit 1
-      | exception Failure msg ->
-          Printf.eprintf "aqt_sim campaign: %s\n" msg;
-          exit 2
     in
     Cmd.v
       (Cmd.info "run"
@@ -699,16 +706,12 @@ let campaign_cmd =
             and every event lands in a JSONL journal under $(b,DIR)/journal.")
       Term.(
         const run $ dir_arg $ only_arg $ force $ jobs $ timeout $ retries
-        $ fail $ quiet)
+        $ quiet)
   in
   let status_cmd =
     let run dir only =
-      let options = { Campaign.default_options with dir; only } in
-      match Campaign.status ~registry:(registry ()) options with
-      | () -> ()
-      | exception Failure msg ->
-          Printf.eprintf "aqt_sim campaign: %s\n" msg;
-          exit 2
+      Campaign.status ~registry:(registry ())
+        { Campaign.default_options with dir; only }
     in
     Cmd.v
       (Cmd.info "status"
@@ -721,7 +724,7 @@ let campaign_cmd =
     let max_bytes =
       Arg.(
         value
-        & opt (some int) None
+        & opt (some (at_least ~what:"max-bytes" 0 int)) None
         & info [ "max-bytes" ] ~docv:"BYTES"
             ~doc:
               "Instead of deleting everything, evict the oldest cached \
@@ -733,9 +736,6 @@ let campaign_cmd =
       | None ->
           let n = Campaign.clean { Campaign.default_options with dir } in
           Printf.printf "removed %d file(s) under %s\n" n dir
-      | Some max_bytes when max_bytes < 0 ->
-          Printf.eprintf "aqt_sim campaign: --max-bytes must be >= 0\n";
-          exit 2
       | Some max_bytes ->
           let n =
             Campaign.trim { Campaign.default_options with dir } ~max_bytes
@@ -777,9 +777,15 @@ let report_cmd =
           ~doc:"Campaign state directory (cache + journals).")
   in
   let only_arg =
+    let id =
+      name_conv ~what:"figure" ~hint:"see --list" ~print:Fun.id (fun s ->
+          List.find_map
+            (fun (f : Report.figure) -> if f.id = s then Some s else None)
+            (Report.default_figures ()))
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list_conv id) []
       & info [ "only" ] ~docv:"IDS"
           ~doc:"Comma-separated figure ids (default: all; see --list).")
   in
@@ -795,15 +801,11 @@ let report_cmd =
         (Report.default_figures ())
     else begin
       let options = { Campaign.default_options with dir; quiet = true } in
-      match
+      let paths =
         Report.generate ~only ~registry:(Aqt_experiments.registry ())
           ~options ~out ()
-      with
-      | paths ->
-          Printf.printf "wrote %d file(s) under %s\n" (List.length paths) out
-      | exception Failure msg ->
-          Printf.eprintf "aqt_sim report: %s\n" msg;
-          exit 2
+      in
+      Printf.printf "wrote %d file(s) under %s\n" (List.length paths) out
     end
   in
   Cmd.v
@@ -821,7 +823,6 @@ let report_cmd =
 
 let serve_cmd =
   let module Server = Aqt_serve.Server in
-  let module Selftest = Aqt_serve.Selftest in
   let dflt = Server.default_config in
   let port =
     Arg.(
@@ -937,61 +938,49 @@ let serve_cmd =
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:"Idle keep-alive connection expiry.")
   in
-  let selftest =
-    Arg.(
-      value & flag
-      & info [ "selftest" ]
-          ~doc:
-            "Boot a throwaway server on an ephemeral port, drive it through \
-             admissible load, overload, cache-warm and graceful-drain \
-             phases, and exit 0 iff all pass.")
-  in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No chatter.") in
   let run port host workers rate burst dir snapshot_every cache_max_bytes
       no_journal sweep_rate sweep_burst client_rate client_burst
-      client_key_header max_conns pipeline idle_timeout selftest quiet =
-    if selftest then exit (if Selftest.run ~quiet () then 0 else 1)
-    else begin
-      let cfg =
-        {
-          Server.default_config with
-          Server.host;
-          port;
-          workers;
-          rho = rate;
-          sigma = burst;
-          campaign_dir = dir;
-          snapshot_every;
-          cache_max_bytes;
-          journal = not no_journal;
-          sweep_rho = sweep_rate;
-          sweep_sigma = sweep_burst;
-          client_rho = client_rate;
-          client_sigma = client_burst;
-          client_key_header;
-          max_conns;
-          max_pipeline = pipeline;
-          idle_timeout;
-          quiet;
-        }
-      in
-      match
-        Server.start ~registry:(Aqt_experiments.registry ())
-          ~figures:(Aqt_report.Report.default_figures ())
-          cfg
-      with
-      | srv ->
-          let stop _ = Server.request_stop srv in
-          Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-          Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
-          Server.wait srv
-      | exception Invalid_argument msg ->
-          Printf.eprintf "aqt_sim serve: %s\n" msg;
-          exit 2
-      | exception Unix.Unix_error (err, fn, _) ->
-          Printf.eprintf "aqt_sim serve: %s: %s\n" fn (Unix.error_message err);
-          exit 2
-    end
+      client_key_header max_conns pipeline idle_timeout quiet =
+    let cfg =
+      {
+        Server.default_config with
+        Server.host;
+        port;
+        workers;
+        rho = rate;
+        sigma = burst;
+        campaign_dir = dir;
+        snapshot_every;
+        cache_max_bytes;
+        journal = not no_journal;
+        sweep_rho = sweep_rate;
+        sweep_sigma = sweep_burst;
+        client_rho = client_rate;
+        client_sigma = client_burst;
+        client_key_header;
+        max_conns;
+        max_pipeline = pipeline;
+        idle_timeout;
+        quiet;
+      }
+    in
+    match
+      Server.start ~registry:(Aqt_experiments.registry ())
+        ~figures:(Aqt_report.Report.default_figures ())
+        cfg
+    with
+    | srv ->
+        let stop _ = Server.request_stop srv in
+        Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+        Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
+        Server.wait srv
+    | exception Invalid_argument msg ->
+        Printf.eprintf "aqt_sim serve: %s\n" msg;
+        exit 2
+    | exception Unix.Unix_error (err, fn, _) ->
+        Printf.eprintf "aqt_sim serve: %s: %s\n" fn (Unix.error_message err);
+        exit 2
   in
   Cmd.v
     (Cmd.info "serve"
@@ -1006,7 +995,7 @@ let serve_cmd =
       const run $ port $ host $ workers $ rate $ burst $ dir $ snapshot_every
       $ cache_max_bytes $ no_journal $ sweep_rate $ sweep_burst $ client_rate
       $ client_burst $ client_key_header $ max_conns $ pipeline $ idle_timeout
-      $ selftest $ quiet)
+      $ quiet)
 
 (* ------------------------------------------------------------------ *)
 (* loadgen: latency-measuring load generator                           *)
@@ -1184,21 +1173,11 @@ let loadgen_cmd =
       $ selftest_burst $ snapshot_every $ quiet)
 
 (* ------------------------------------------------------------------ *)
-(* check: differential conformance + fault-injection self-test         *)
+(* check: differential conformance and mutant detection               *)
 (* ------------------------------------------------------------------ *)
 
 let check_cmd =
   let open Aqt_check in
-  let run_faults () =
-    let outcomes = Faults.selftest () in
-    List.iter
-      (fun (o : Faults.outcome) ->
-        Printf.printf "%-32s %s%s\n" o.case
-          (if o.passed then "ok" else "FAILED")
-          (if o.passed then "" else ": " ^ o.detail))
-      outcomes;
-    List.for_all (fun (o : Faults.outcome) -> o.passed) outcomes
-  in
   let run_mutant_demo ?families () =
     (* The self-check that the differ can catch bugs: corrupt the engine
        arms five different ways and demand a shrunk reproducer each time.
@@ -1254,34 +1233,16 @@ let check_cmd =
               false)
       mutants
   in
-  let run seeds base seed backend domains family faults mutant_demo quiet =
+  let run seeds base seed backend domains family mutant_demo quiet =
     let ok = ref true in
-    let families =
-      match family with
-      | [] -> None
-      | names ->
-          Some
-            (List.map
-               (fun name ->
-                 match Gen.family_of_string name with
-                 | Some f -> f
-                 | None ->
-                     Printf.eprintf
-                       "unknown family %S (free|shared-bucket|windowed|leaky|capacity|local|feedback|fabric)\n"
-                       name;
-                     exit 2)
-               names)
-    in
+    let families = match family with [] -> None | fs -> Some fs in
     (* [--backend soa] adds struct-of-arrays arms (one per domain count in
        [--domains]) to the lockstep comparison alongside the record
        engine. *)
     let soa_domains =
-      match Scenario_spec.Backend.engine backend with
-      | Ok `Record -> None
-      | Ok `Soa -> Some (if domains = [] then [ 1 ] else domains)
-      | Error msg ->
-          prerr_endline msg;
-          exit 2
+      match backend with
+      | `Record -> None
+      | `Soa -> Some (if domains = [] then [ 1 ] else domains)
     in
     (match seed with
     | Some k -> (
@@ -1297,7 +1258,7 @@ let check_cmd =
               original Diff.pp_failure failure Gen.pp shrunk;
             ok := false)
     | None ->
-        if not (faults || mutant_demo) || seeds > 0 then begin
+        if (not mutant_demo) || seeds > 0 then begin
           let progress =
             if quiet then None
             else
@@ -1312,7 +1273,6 @@ let check_cmd =
           Format.printf "%a" Check.pp_summary summary;
           if summary.Check.failures <> [] then ok := false
         end);
-    if faults then if not (run_faults ()) then ok := false;
     if mutant_demo then if not (run_mutant_demo ?families ()) then ok := false;
     if not !ok then exit 1
   in
@@ -1338,7 +1298,7 @@ let check_cmd =
   in
   let backend =
     Arg.(
-      value & opt string "record"
+      value & opt engine_conv `Record
       & info [ "backend" ] ~docv:"ENGINE"
           ~doc:
             "$(b,record) (default) checks the record engine only; $(b,soa) \
@@ -1346,29 +1306,22 @@ let check_cmd =
              arm per domain count in $(b,--domains).")
   in
   let domains =
-    (* Checked as a whole list, so that the error fits on one line. *)
-    let counts = Arg.(list int) in
-    let parse s =
-      match Arg.conv_parser counts s with
-      | Ok ds when List.exists (fun d -> d < 1) ds ->
-          Error
-            (`Msg
-              (Printf.sprintf "domain count %d must be at least 1"
-                 (List.find (fun d -> d < 1) ds)))
-      | r -> r
-    in
     Arg.(
       value
-      & opt (conv (parse, conv_printer counts)) []
+      & opt (list_conv (at_least ~what:"domain count" 1 int)) []
       & info [ "domains" ] ~docv:"N,..."
           ~doc:
             "Domain counts for the SoA arms (default 1).  Only meaningful \
              with $(b,--backend soa).")
   in
   let family =
+    let name =
+      name_conv ~what:"family" ~hint:"see --help" ~print:Gen.family_name
+        Gen.family_of_string
+    in
     Arg.(
       value
-      & opt (list string) []
+      & opt (list_conv name) []
       & info [ "family" ] ~docv:"NAME,..."
           ~doc:
             "Restrict generation to the listed scenario families \
@@ -1376,12 +1329,6 @@ let check_cmd =
              $(b,capacity), $(b,local), $(b,feedback), $(b,fabric)).  \
              Default: all eight.  Note the seed-to-scenario mapping \
              depends on the restriction.")
-  in
-  let faults =
-    Arg.(
-      value & flag
-      & info [ "faults" ]
-          ~doc:"Also run the harness fault-injection self-test.")
   in
   let mutant_demo =
     Arg.(
@@ -1401,10 +1348,9 @@ let check_cmd =
           through a naive reference model and the fast engine in lockstep, \
           verify adversary admissibility and the paper's dwell-bound \
           invariants, and shrink any divergence to a minimal reproducer \
-          replayable by seed.  $(b,--faults) adds the campaign-harness \
-          fault-injection self-test.")
+          replayable by seed.")
     Term.(
-      const run $ seeds $ base $ seed $ backend $ domains $ family $ faults
+      const run $ seeds $ base $ seed $ backend $ domains $ family
       $ mutant_demo $ quiet)
 
 (* ------------------------------------------------------------------ *)
@@ -1460,25 +1406,12 @@ let fabric_cmd =
     else begin
       let base =
         match name_arg with
-        | Some n -> (
-            match Scenario.find_catalog n with
-            | Some t -> t
-            | None ->
-                Printf.eprintf
-                  "unknown scenario %S (try fabric --list)\n" n;
-                exit 2)
+        | Some t -> t
         | None ->
             Scenario.make ~topo ~pattern ~utilisation:util
               ~conns_per_pair:conns ~policy ~capacity ~horizon ~drain ~seed ()
       in
-      let engine =
-        match Scenario_spec.Backend.engine backend with
-        | Ok e -> e
-        | Error msg ->
-            prerr_endline msg;
-            exit 2
-      in
-      match Scenario_spec.Backend.with_domains domains engine with
+      match Scenario_spec.Backend.with_domains domains backend with
       | Error msg -> `Error (true, "option '--domains': " ^ msg)
       | Ok backend ->
           let _, compiled = Scenario.compile base in
@@ -1493,9 +1426,14 @@ let fabric_cmd =
     Arg.(value & flag & info [ "list" ] ~doc:"List the canned scenarios.")
   in
   let name_arg =
+    let name =
+      name_conv ~what:"scenario" ~hint:"try fabric --list"
+        ~print:(fun (t : Scenario.t) -> t.name)
+        Scenario.find_catalog
+    in
     Arg.(
       value
-      & opt (some string) None
+      & opt (some name) None
       & info [ "name" ] ~docv:"NAME"
           ~doc:"Run a canned scenario from $(b,--list) instead of building \
                 one from flags.")
@@ -1567,7 +1505,7 @@ let fabric_cmd =
   in
   let backend =
     Arg.(
-      value & opt string "record"
+      value & opt engine_conv `Record
       & info [ "backend" ] ~docv:"ENGINE"
           ~doc:"$(b,record) (default) or $(b,soa).")
   in

@@ -15,8 +15,8 @@
     reported honestly, the journal keeps a readable prefix, and the
     content-addressed cache is never corrupted (no stray temp files, no
     partially-written entries, failed and timed-out results never
-    published).  Both the CLI ([aqt_sim check --faults]) and the test
-    suite run it. *)
+    published).  test/test_check.ml runs it as [harness degrades
+    gracefully]. *)
 
 type action =
   | Fail  (** Raise {!Aqt_harness.Fault.Injected} at the point. *)

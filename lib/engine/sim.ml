@@ -84,9 +84,3 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
     max_dwell = Network.max_dwell net;
     dropped = Network.dropped net;
   }
-
-let pp_stop fmt = function
-  | Horizon -> Format.pp_print_string fmt "horizon"
-  | Drained -> Format.pp_print_string fmt "drained"
-  | Blowup q -> Format.fprintf fmt "blowup(%d)" q
-  | Stopped s -> Format.fprintf fmt "stopped(%s)" s

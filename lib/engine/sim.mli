@@ -50,5 +50,3 @@ val run :
     when any buffer ever exceeds that many packets.  [drain_stop] (default
     false) stops once the network is empty after a step with no injections.
     [stop_when] is evaluated after each step. *)
-
-val pp_stop : Format.formatter -> stop -> unit

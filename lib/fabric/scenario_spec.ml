@@ -264,3 +264,14 @@ let sweep_cell ~route_table (w : Workloads.t) ~policy ~rate ~horizon =
     string_of_int r.max_queue;
     string_of_int r.final_backlog;
   ]
+
+(* One intern table for the whole grid: every cell runs the same routes on
+   the same graph, so each route is validated once per sweep. *)
+let sweep (w : Workloads.t) ~policies ~rates ~horizon =
+  let route_table = Aqt_engine.Route_intern.create () in
+  List.concat_map
+    (fun policy ->
+      List.map
+        (fun rate -> sweep_cell ~route_table w ~policy ~rate ~horizon)
+        rates)
+    policies

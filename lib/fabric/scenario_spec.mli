@@ -14,7 +14,7 @@
     command's positivity rule) stay with that front end.
 
     The module also owns the two runs both front ends execute on a line
-    or a ring: {!simulate} and one cell of a rate sweep, {!sweep_cell}. *)
+    or a ring: {!simulate} and a policy × rate sweep, {!sweep}. *)
 
 module type TOKEN = sig
   type t
@@ -134,16 +134,16 @@ val sweep_rates : routes:int -> Aqt_util.Ratio.t list -> (unit, string) result
 
 val sweep_headers : string list
 
-val sweep_cell :
-  route_table:Aqt_engine.Route_intern.t ->
+val sweep :
   Aqt_workload.Workloads.t ->
-  policy:Aqt_engine.Policy_type.t ->
-  rate:Aqt_util.Ratio.t ->
+  policies:Aqt_engine.Policy_type.t list ->
+  rates:Aqt_util.Ratio.t list ->
   horizon:int ->
-  string list
-(** Classify one (policy, rate) cell with {!Aqt.Sweep.classify}: every
-    route at [rate / routes] from one shared token bucket, labelled with
-    the aggregate [rate].  Returns the row under {!sweep_headers}: policy,
-    rate, verdict, max queue, final backlog.  Cells that share
-    [route_table] must share the workload's graph.
+  string list list
+(** Classify every (policy, rate) cell with {!Aqt.Sweep.classify}, policy
+    by policy and, within a policy, rate by rate, on one route table in the
+    calling domain.  In each cell every route runs at [rate / routes] from
+    one shared token bucket, labelled with the aggregate [rate].  Each row
+    is under {!sweep_headers}: policy, rate, verdict, max queue, final
+    backlog.
     @raise Invalid_argument on a rate that {!sweep_rates} rejects. *)

@@ -368,24 +368,3 @@ let fat_tree ~k =
       (cores :: (Array.to_list edge_sw @ Array.to_list agg_sw))
   in
   { graph = g; hosts = host_ids; switches; routes; ecmp_degree }
-
-(* The G(n, m) counterpart of [random_dag]: [edges] forward pairs drawn
-   uniformly, O(E) regardless of n — [random_dag]'s Bernoulli sweep is
-   O(n^2), hopeless at the million-edge scale.  Parallel edges may repeat a
-   pair (the model allows multigraphs); self-pairs are redrawn. *)
-let random_dag_edges ~prng ~nodes ~edges =
-  if nodes < 2 then invalid_arg "Build.random_dag_edges: need >= 2 nodes";
-  if edges < 0 then invalid_arg "Build.random_dag_edges: negative edge count";
-  let g = D.create () in
-  ignore (D.add_nodes g nodes);
-  for _ = 1 to edges do
-    let u = ref (Aqt_util.Prng.int prng nodes)
-    and v = ref (Aqt_util.Prng.int prng nodes) in
-    while !u = !v do
-      u := Aqt_util.Prng.int prng nodes;
-      v := Aqt_util.Prng.int prng nodes
-    done;
-    let src = min !u !v and dst = max !u !v in
-    ignore (D.add_edge g ~src ~dst)
-  done;
-  g

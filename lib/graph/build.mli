@@ -119,11 +119,4 @@ val random_dag :
   prng:Aqt_util.Prng.t -> nodes:int -> edge_prob_num:int -> edge_prob_den:int ->
   Digraph.t
 (** Random DAG on [nodes] nodes: each forward pair (i,j), i<j, gets an edge
-    with probability [edge_prob_num/edge_prob_den].  O(n²) — use
-    {!random_dag_edges} at scale. *)
-
-val random_dag_edges :
-  prng:Aqt_util.Prng.t -> nodes:int -> edges:int -> Digraph.t
-(** Seeded G(n, m) DAG: exactly [edges] edges, each a uniform forward pair
-    (oriented low id -> high id; parallel edges possible).  O(E), so a
-    10⁶-edge DAG builds in well under a second. *)
+    with probability [edge_prob_num/edge_prob_den].  O(n²). *)

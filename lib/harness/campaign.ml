@@ -14,7 +14,6 @@ type options = {
   timeout : float option;
   retries : int;
   salt : string;
-  fail : string list;
   quiet : bool;
 }
 
@@ -27,7 +26,6 @@ let default_options =
     timeout = None;
     retries = 1;
     salt = code_salt;
-    fail = [];
     quiet = false;
   }
 
@@ -48,7 +46,6 @@ let select ~(registry : Registry.t) (options : options) =
           (Printf.sprintf "unknown experiment %S (known: %s)" name
              (String.concat ", " (Registry.names registry)))
   in
-  List.iter (fun n -> ignore (resolve n)) options.fail;
   match options.only with
   | [] -> Registry.all registry
   | names -> List.map resolve names
@@ -112,7 +109,7 @@ let run ~registry options =
   let results =
     Scheduler.run ?jobs:options.jobs ?timeout:options.timeout
       ~retries:options.retries ~salt:options.salt ~force:options.force
-      ~fail:options.fail ~on_done ~cache ~journal entries
+      ~on_done ~cache ~journal entries
   in
   let count p = List.length (List.filter p results) in
   let ran =

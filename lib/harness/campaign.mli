@@ -15,7 +15,6 @@ type options = {
   timeout : float option;  (** Per-task seconds (cooperative). *)
   retries : int;
   salt : string;  (** Code-version salt mixed into every cache key. *)
-  fail : string list;  (** Scenarios forced to raise (degradation demo). *)
   quiet : bool;  (** Suppress progress lines and the summary table. *)
 }
 
@@ -32,7 +31,7 @@ type summary = {
 }
 
 val run : registry:Registry.t -> options -> summary
-(** @raise Failure if a name in [only] (or [fail]) is not registered. *)
+(** @raise Failure if a name in [only] is not registered. *)
 
 val status : registry:Registry.t -> options -> unit
 (** Print, per registered (or selected) scenario, whether a cached result

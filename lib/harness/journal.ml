@@ -269,18 +269,6 @@ let close w = close_out_noerr w.oc
 (* Reader                                                              *)
 (* ------------------------------------------------------------------ *)
 
-let files ~dir =
-  let jd = Filename.concat dir "journal" in
-  if Sys.file_exists jd && Sys.is_directory jd then
-    Sys.readdir jd |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".jsonl")
-    |> List.sort compare
-    |> List.map (Filename.concat jd)
-  else []
-
-let latest ~dir =
-  match List.rev (files ~dir) with [] -> None | f :: _ -> Some f
-
 let load path =
   let ic = open_in path in
   Fun.protect

@@ -88,11 +88,3 @@ val close : writer -> unit
 
 val load : string -> event list
 (** @raise Failure on an unparseable line (blank lines are skipped). *)
-
-val files : dir:string -> string list
-(** Journal files under [dir/journal], oldest first.  File names embed a
-    UTC timestamp, so lexicographic order is chronological.  [[]] when
-    the directory does not exist. *)
-
-val latest : dir:string -> string option
-(** The newest journal file under [dir/journal], if any. *)

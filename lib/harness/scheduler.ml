@@ -34,14 +34,9 @@ let finish_event ?gc journal name outcome duration
          trajectory;
        })
 
-let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
-    (entry : Registry.entry) =
+let run_one ?timeout ~retries ~salt ~cache ~journal (entry : Registry.entry) =
   let name = entry.name in
   let key = Cache.key ?salt entry in
-  let forced_failure () =
-    if List.mem name fail then
-      failwith (Printf.sprintf "forced failure of %s (--fail)" name)
-  in
   let rec attempt k =
     Journal.write journal
       (Journal.Task_start { name; at = Clock.wall (); attempt = k });
@@ -60,7 +55,6 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
        campaign.  (The cache itself guarantees a crashed store publishes
        nothing; see Cache.store.) *)
     match
-      forced_failure ();
       Fault.hit Fault.Task_run;
       let result = entry.run () in
       let duration = Clock.monotonic () -. t0 in
@@ -124,14 +118,14 @@ let run_one ?timeout ~retries ~salt ~fail ~cache ~journal
   in
   attempt 1
 
-let run ?jobs ?timeout ?(retries = 1) ?salt ?(force = false) ?(fail = [])
-    ?on_done ~cache ~journal entries =
+let run ?jobs ?timeout ?(retries = 1) ?salt ?(force = false) ?on_done ~cache
+    ~journal entries =
   (* Resolve cache hits inline first: they cost a file read, not a domain. *)
   let resolved =
     List.map
       (fun (entry : Registry.entry) ->
         let hit =
-          if force || List.mem entry.name fail then None
+          if force then None
           else Cache.lookup cache ~key:(Cache.key ?salt entry)
         in
         match hit with
@@ -157,7 +151,7 @@ let run ?jobs ?timeout ?(retries = 1) ?salt ?(force = false) ?(fail = [])
   in
   let ran =
     Aqt_util.Parallel.map ?workers:jobs ?on_done
-      (run_one ?timeout ~retries ~salt ~fail ~cache ~journal)
+      (run_one ?timeout ~retries ~salt ~cache ~journal)
       to_run
   in
   let by_name = Hashtbl.create 17 in

@@ -38,7 +38,6 @@ val run :
   ?retries:int ->
   ?salt:string ->
   ?force:bool ->
-  ?fail:string list ->
   ?on_done:(int -> unit) ->
   cache:Cache.t ->
   journal:Journal.writer ->
@@ -50,8 +49,6 @@ val run :
     [timeout] the per-task budget in monotonic seconds (default none);
     [retries] the extra attempts after a raise (default 1); [salt] the
     cache salt (see {!Spec.hash}); [force] skips cache lookups (results
-    are still stored); [fail] names scenarios forced to raise, which
-    exercises the degradation path end-to-end (used by
-    [campaign run --fail] and the test suite); [on_done] is a progress
-    callback invoked with the completed count (1-based) after each
-    non-cached task, possibly from a worker domain. *)
+    are still stored); [on_done] is a progress callback invoked with the
+    completed count (1-based) after each non-cached task, possibly from a
+    worker domain. *)

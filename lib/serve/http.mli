@@ -156,9 +156,9 @@ val parse_query : string -> (string * string) list
 (** {2:client Clients} *)
 
 (** Persistent keep-alive client: one connection, sequential requests,
-    each answer read through {!Rparser}.  Used by tests and the
-    selftest to exercise connection reuse; the load generator drives
-    its own non-blocking connections instead. *)
+    each answer read through {!Rparser}.  Used by the tests to exercise
+    connection reuse; the load generator drives its own non-blocking
+    connections instead. *)
 module Client : sig
   type t
 

@@ -558,7 +558,7 @@ let write_journal ~path (r : result) =
   Journal.close j
 
 (* ------------------------------------------------------------------ *)
-(* Selftest                                                            *)
+(* loadgen --selftest                                                  *)
 (* ------------------------------------------------------------------ *)
 
 let fresh_dir () =

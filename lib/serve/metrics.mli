@@ -39,8 +39,8 @@ val gauge_value : gauge -> float
 
 val gauge_peak : gauge -> float
 (** Largest value ever passed to [set_gauge]/reached by [add_gauge];
-    how the selftest checks "queue depth never exceeded σ" without
-    sampling races. *)
+    how the tests check "queue depth never exceeded σ" without sampling
+    races. *)
 
 (** {2 Histograms} — cumulative buckets, Prometheus-style. *)
 

@@ -2,7 +2,6 @@ module Ratio = Aqt_util.Ratio
 module Prng = Aqt_util.Prng
 module Clock = Aqt_util.Clock
 module Jsonx = Aqt_util.Jsonx
-module Parallel = Aqt_util.Parallel
 module Network = Aqt_engine.Network
 module Policies = Aqt_policy.Policies
 module Scenario_spec = Aqt_fabric.Scenario_spec
@@ -173,7 +172,6 @@ type conn = {
   fd : Unix.file_descr;
   id : int;
   peer : string;
-  accepted_at : float;
   parser : Http.Parser.t;
   outq : string Queue.t;
   mutable cur : string; (* partially-written head of outq *)
@@ -413,28 +411,19 @@ let sweep_spec p =
   ]
 
 (* Same grid as `aqt_sim sweep`, built into a Registry.result so it can be
-   content-addressed into the shared campaign cache.  Cells are
-   independent (policy, rate) classifications, so they shard across
-   domains; each cell interns its own routes, which costs a little
-   duplicate work in exchange for no shared mutable state. *)
-let compute_sweep ?(shards = 1) p =
+   content-addressed into the shared campaign cache.  The cells run one
+   after another on the worker that admitted the request: a sweep never
+   starts a domain of its own. *)
+let compute_sweep p =
   let w = Scenario_spec.workload ~d:p.sp_d p.sp_net in
-  let cells =
-    List.concat_map
-      (fun policy -> List.map (fun rate -> (policy, rate)) p.sp_rates)
-      p.sp_policies
+  let rows =
+    Scenario_spec.sweep w ~policies:p.sp_policies ~rates:p.sp_rates
+      ~horizon:p.sp_horizon
   in
-  let run_cell (policy, rate) =
-    Scenario_spec.sweep_cell
-      ~route_table:(Aqt_engine.Route_intern.create ())
-      w ~policy ~rate ~horizon:p.sp_horizon
-  in
-  let workers = max 1 (min shards (List.length cells)) in
-  let rows = Parallel.map ~workers run_cell cells in
   let rb = Registry.Rb.create () in
   Registry.Rb.table rb ~id:"serve_sweep" ~headers:Scenario_spec.sweep_headers
     rows;
-  Registry.Rb.metric rb "cells" (float_of_int (List.length cells));
+  Registry.Rb.metric rb "cells" (float_of_int (List.length rows));
   Registry.Rb.result rb
 
 let result_payload ~name ~key ~cached ~duration result =
@@ -473,7 +462,7 @@ let sweep_handler t p =
   let routes = Scenario_spec.route_count ~d:p.sp_d p.sp_net in
   Result.iter_error (bad "%s") (Scenario_spec.sweep_rates ~routes p.sp_rates);
   serve_cached t ~name:"serve.sweep" ~spec:(sweep_spec p) ~compute:(fun () ->
-      compute_sweep ~shards:t.cfg.workers p)
+      compute_sweep p)
 
 (* ------------------------------------------------------------------ *)
 (* /experiment/<name>                                                  *)
@@ -1112,7 +1101,6 @@ let handle_accept t =
               fd;
               id;
               peer;
-              accepted_at = Clock.monotonic ();
               parser = Http.Parser.create ();
               outq = Queue.create ();
               cur = "";

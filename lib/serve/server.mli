@@ -30,8 +30,10 @@
       responses are keyed by {!Aqt_harness.Spec.hash} into
       {!Aqt_harness.Cache}, shared with the campaign harness; a cache
       hit refreshes the entry ({!Aqt_harness.Cache.touch}) so trim
-      evicts least-recently-used results.  [/sweep] grid cells shard
-      across domains with {!Aqt_util.Parallel.map}.
+      evicts least-recently-used results.  A [/sweep] grid runs its
+      cells one after another on the worker that admitted it, so the
+      daemon's domains are the workers and the event loop, fixed at
+      {!start}.
     - {b Observability}: a {!Metrics} registry exported at
       [/metrics] (request latency quantiles up to p999), periodically
       journalled as {!Aqt_harness.Journal.Snapshot} events, and an
@@ -51,9 +53,7 @@
 type config = {
   host : string;  (** Bind address, default ["127.0.0.1"]. *)
   port : int;  (** 0 picks an ephemeral port (see {!port}). *)
-  workers : int;
-      (** Worker domains; one [/sweep] grid also shards across this
-          many. *)
+  workers : int;  (** Worker domains. *)
   rho : float;  (** Default endpoint admission rate, requests/second. *)
   sigma : int;  (** Burst budget = bucket depth = queue capacity. *)
   read_timeout : float;  (** Mid-request read deadline, seconds. *)

@@ -1,6 +1,6 @@
 type 'b outcome = Value of 'b | Failed of exn * Printexc.raw_backtrace
 
-let map ?workers ?(chunk = 1) ?on_done f xs =
+let map ?workers ?on_done f xs =
   let n = List.length xs in
   let workers =
     match workers with
@@ -8,7 +8,6 @@ let map ?workers ?(chunk = 1) ?on_done f xs =
     | Some _ -> invalid_arg "Parallel.map: workers must be >= 1"
     | None -> max 1 (Domain.recommended_domain_count () - 1)
   in
-  if chunk < 1 then invalid_arg "Parallel.map: chunk must be >= 1";
   let progress =
     match on_done with Some g -> g | None -> fun _ -> ()
   in
@@ -27,20 +26,17 @@ let map ?workers ?(chunk = 1) ?on_done f xs =
     let completed = Atomic.make 0 in
     let worker () =
       let rec go () =
-        let start = Atomic.fetch_and_add next chunk in
-        if start < n then begin
-          let stop = min n (start + chunk) in
-          for i = start to stop - 1 do
-            (* Capture the backtrace at the failure site: the exception is
-               re-raised on the caller's domain, where the original trace
-               would otherwise be lost. *)
-            let r =
-              try Value (f tasks.(i))
-              with e -> Failed (e, Printexc.get_raw_backtrace ())
-            in
-            results.(i) <- Some r;
-            progress (1 + Atomic.fetch_and_add completed 1)
-          done;
+        let i = Atomic.fetch_and_add next 1 in
+        if i < n then begin
+          (* Capture the backtrace at the failure site: the exception is
+             re-raised on the caller's domain, where the original trace
+             would otherwise be lost. *)
+          let r =
+            try Value (f tasks.(i))
+            with e -> Failed (e, Printexc.get_raw_backtrace ())
+          in
+          results.(i) <- Some r;
+          progress (1 + Atomic.fetch_and_add completed 1);
           go ()
         end
       in

@@ -1,14 +1,13 @@
 (** Embarrassingly parallel map over OCaml 5 domains.
 
-    Experiment grids (policy x rate x scenario) are independent
-    single-threaded simulations, so the harness fans them out across
-    domains.  Tasks must not share mutable state; every simulator object in
-    this repository is created inside the task closure, so runs are isolated
-    by construction. *)
+    A campaign's experiments are independent single-threaded simulations,
+    so the harness scheduler fans them out across domains.  Tasks must not
+    share mutable state; every simulator object in this repository is
+    created inside the task closure, so runs are isolated by
+    construction. *)
 
 val map :
   ?workers:int ->
-  ?chunk:int ->
   ?on_done:(int -> unit) ->
   ('a -> 'b) ->
   'a list ->
@@ -19,10 +18,6 @@ val map :
     re-raised in the caller (the first one encountered in input order), with
     the backtrace captured at the failure site inside the worker domain —
     not the useless one of the re-raise.
-
-    [chunk] (default 1) makes each idle worker claim that many consecutive
-    tasks at a time: larger chunks amortize contention on the shared task
-    counter when tasks are tiny, at the cost of coarser load balancing.
 
     [on_done] is called with the total number of completed tasks (1-based,
     each value exactly once) after each task finishes; long grids use it to

@@ -298,6 +298,9 @@ let () =
             (mutant_is_caught "flip-tie-order" Diff.Flip_tie_order);
           Alcotest.test_case "catches skip-reroutes" `Quick
             (mutant_is_caught "skip-reroutes" Diff.Skip_reroutes);
+          Alcotest.test_case "catches ignore-capacity" `Quick
+            (mutant_is_caught ~families:[ Gen.Capacity_regime ]
+               "ignore-capacity" Diff.Ignore_capacity);
           Alcotest.test_case "catches violate-local-budget" `Quick
             (mutant_is_caught ~families:[ Gen.Local_bursty ]
                "violate-local-budget" Diff.Violate_local_budget);

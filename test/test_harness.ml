@@ -491,26 +491,6 @@ let scheduler_retry_then_fail () =
   check_int "two starts journalled" 2 (List.length starts);
   check_int "one retry journalled" 1 (List.length retries)
 
-let scheduler_forced_fail_degrades () =
-  let cache, journal = scheduler_fixture () in
-  let entries = [ dummy_entry "a"; dummy_entry "b"; dummy_entry "c" ] in
-  let results =
-    Scheduler.run ~jobs:1 ~retries:0 ~fail:[ "b" ] ~cache ~journal entries
-  in
-  let by_outcome =
-    List.map
-      (fun r ->
-        match r.Scheduler.outcome with
-        | Journal.Done -> "done"
-        | Journal.Failed _ -> "failed"
-        | Journal.Cached -> "cached"
-        | Journal.Timed_out -> "timeout")
-      results
-  in
-  check_bool "only b fails, rest complete" true
-    (by_outcome = [ "done"; "failed"; "done" ]);
-  Journal.close journal
-
 let scheduler_timeout_cooperative () =
   let cache, journal = scheduler_fixture () in
   let slow =
@@ -609,8 +589,6 @@ let () =
         [
           Alcotest.test_case "cache flow" `Quick scheduler_cache_flow;
           Alcotest.test_case "retry then fail" `Quick scheduler_retry_then_fail;
-          Alcotest.test_case "forced failure degrades" `Quick
-            scheduler_forced_fail_degrades;
           Alcotest.test_case "cooperative timeout" `Quick
             scheduler_timeout_cooperative;
           Alcotest.test_case "parallel campaign" `Quick

@@ -344,7 +344,8 @@ let test_figure =
     render = (fun _ -> "<svg xmlns=\"http://www.w3.org/2000/svg\"></svg>");
   }
 
-let boot ?(rho = 10_000.) ?(sigma = 100) ?(workers = 2) ?(read_timeout = 2.)
+let boot ?(rho = 10_000.) ?(sigma = 100) ?(sweep_rho = 0.) ?(sweep_sigma = 0)
+    ?(workers = 2) ?(read_timeout = 2.)
     ?(idle_timeout = Server.default_config.Server.idle_timeout) ?registry
     ?figures () =
   Server.start ?registry ?figures
@@ -354,6 +355,8 @@ let boot ?(rho = 10_000.) ?(sigma = 100) ?(workers = 2) ?(read_timeout = 2.)
       workers;
       rho;
       sigma;
+      sweep_rho;
+      sweep_sigma;
       read_timeout;
       idle_timeout;
       write_timeout = 2.;
@@ -363,10 +366,11 @@ let boot ?(rho = 10_000.) ?(sigma = 100) ?(workers = 2) ?(read_timeout = 2.)
       quiet = true;
     }
 
-let with_server ?rho ?sigma ?workers ?read_timeout ?idle_timeout ?registry
-    ?figures f =
+let with_server ?rho ?sigma ?sweep_rho ?sweep_sigma ?workers ?read_timeout
+    ?idle_timeout ?registry ?figures f =
   let srv =
-    boot ?rho ?sigma ?workers ?read_timeout ?idle_timeout ?registry ?figures ()
+    boot ?rho ?sigma ?sweep_rho ?sweep_sigma ?workers ?read_timeout
+      ?idle_timeout ?registry ?figures ()
   in
   Fun.protect ~finally:(fun () -> Server.stop srv) (fun () -> f srv)
 
@@ -549,18 +553,77 @@ let serve_simulate_seeded () =
    admission), so capacity tests drive a tiny seeded /simulate. *)
 let sim_tiny_path = "/simulate?network=ring:6&policy=fifo&rate=1/4&horizon=200&seed=3"
 
+(* One client domain per path in [paths], each sending [each] requests
+   one after another, and sleeping [pause] plus up to a quarter more before
+   each.  The statuses per path, [-1] standing for no complete answer. *)
+let fire ?(pause = 0.) ~each srv paths =
+  let port = Server.port srv in
+  let client ci path () =
+    let rng = Prng.stream (Prng.create 0xC11E57) ci in
+    List.init each (fun _ ->
+        if pause > 0. then Unix.sleepf (pause +. Prng.float rng (pause /. 4.));
+        match Http.request ~timeout:10. ~port path with
+        | Ok r -> r.Http.status
+        | Error _ -> -1)
+  in
+  List.map Domain.join
+    (List.mapi (fun ci path -> Domain.spawn (client ci path)) paths)
+
+let count status statuses =
+  List.length (List.filter (Int.equal status) statuses)
+
 (* Below capacity: an admissible client stream is never shed (the serving
-   layer's Theorem 4.1 analogue). *)
+   layer's Theorem 4.1 analogue).  Two streams: three clients back to back
+   far under the budget, and four clients paced at about 0.8 rho against a
+   tight one.  A paced client sends at most one request per 25 ms, so four
+   of them stay under 4 + 160 t <= sigma + rho t at any t. *)
 let serve_below_capacity () =
   with_server ~rho:10_000. ~sigma:100 (fun srv ->
+      let statuses = fire ~each:10 srv (List.init 3 (fun _ -> sim_tiny_path)) in
+      check_int "back to back: every request answered 200" 30
+        (count 200 (List.concat statuses)));
+  with_server ~rho:200. ~sigma:20 (fun srv ->
       let statuses =
-        List.concat_map Domain.join
-          (List.init 3 (fun _ ->
-               Domain.spawn (fun () ->
-                   List.init 10 (fun _ -> (get srv sim_tiny_path).Http.status))))
+        fire ~pause:0.025 ~each:20 srv (List.init 4 (fun _ -> sim_tiny_path))
       in
-      check_int "every request answered 200" 30
-        (List.length (List.filter (Int.equal 200) statuses)))
+      check_int "paced at 0.8 rho: every request answered 200" 80
+        (count 200 (List.concat statuses)))
+
+(* A storm of /sweep requests sheds on the expensive class's own bucket,
+   while /simulate in the default class and /healthz on the fast path,
+   sent at the same time, answer 200 every time. *)
+let serve_sweep_storm_isolation () =
+  with_server ~rho:1000. ~sigma:100 ~sweep_rho:2. ~sweep_sigma:2 (fun srv ->
+      let storm =
+        Domain.spawn (fun () ->
+            match Http.Client.connect ~port:(Server.port srv) () with
+            | Error e -> Error e
+            | Ok cl ->
+                let statuses =
+                  List.init 30 (fun _ ->
+                      Unix.sleepf 0.005;
+                      match Http.Client.request cl sweep_path with
+                      | Ok r -> r.Http.status
+                      | Error _ -> -1)
+                in
+                Http.Client.close cl;
+                Ok statuses)
+      in
+      let cheap =
+        fire ~pause:0.015 ~each:15 srv [ sim_tiny_path; "/healthz" ]
+      in
+      let sweeps =
+        match Domain.join storm with
+        | Ok s -> s
+        | Error e -> Alcotest.failf "sweep client: %s" e
+      in
+      check_int "every sweep answered 200 or 429" 30
+        (count 200 sweeps + count 429 sweeps);
+      check_bool "the sweep class sheds" true (count 429 sweeps > 0);
+      List.iter2
+        (fun path statuses ->
+          check_int (path ^ " answered 200 throughout") 15 (count 200 statuses))
+        [ "/simulate"; "/healthz" ] cheap)
 
 (* Above capacity: bounded shedding, no hangs, queue bounded by sigma. *)
 let serve_above_capacity () =
@@ -756,10 +819,11 @@ let serve_journal_snapshot () =
   in
   ignore (get srv "/healthz");
   Server.stop srv;
-  match Journal.files ~dir with
-  | [] -> Alcotest.fail "no journal written"
+  let jd = Filename.concat dir "journal" in
+  match Array.to_list (Sys.readdir jd) with
+  | [] | (exception Sys_error _) -> Alcotest.fail "no journal written"
   | file :: _ -> (
-      let events = Journal.load file in
+      let events = Journal.load (Filename.concat jd file) in
       match
         List.filter_map
           (function
@@ -1314,6 +1378,8 @@ let () =
             serve_sweep_out_of_model_rate;
           Alcotest.test_case "sweep cache key pinned" `Quick
             serve_sweep_key_pinned;
+          Alcotest.test_case "sweep storm spares cheap endpoints" `Quick
+            serve_sweep_storm_isolation;
         ] );
       ( "deadlines",
         [

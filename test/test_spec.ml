@@ -372,25 +372,26 @@ let reference_cell ~d network ~policy ~rate ~horizon =
     string_of_int report.final_backlog;
   ]
 
+(* The grid is the reference cells, policy-major, on one shared route
+   table. *)
 let sweep_cell_matches_reference () =
-  let route_table = Aqt_engine.Route_intern.create () in
   let network = Spec.Network.Ring 6 and d = 3 and horizon = 400 in
   let w = Spec.workload ~d network in
-  List.iter
-    (fun policy ->
-      List.iter
-        (fun rate ->
-          let a = reference_cell ~d network ~policy ~rate ~horizon in
-          let b = Spec.sweep_cell ~route_table w ~policy ~rate ~horizon in
-          Alcotest.(check (list string))
-            (Printf.sprintf "%s at %s" policy.Aqt_engine.Policy_type.name
-               (Ratio.to_string rate))
-            a b)
-        [ Ratio.make 1 8; Ratio.make 1 2; Ratio.of_int 6 ])
-    Policies.all_deterministic;
+  let policies = Policies.all_deterministic
+  and rates = [ Ratio.make 1 8; Ratio.make 1 2; Ratio.of_int 6 ] in
+  let want =
+    List.concat_map
+      (fun policy ->
+        List.map
+          (fun rate -> reference_cell ~d network ~policy ~rate ~horizon)
+          rates)
+      policies
+  in
+  Alcotest.(check (list (list string)))
+    "every cell" want
+    (Spec.sweep w ~policies ~rates ~horizon);
   match
-    Spec.sweep_cell ~route_table w ~policy:Policies.fifo ~rate:(Ratio.of_int 7)
-      ~horizon
+    Spec.sweep w ~policies:[ Policies.fifo ] ~rates:[ Ratio.of_int 7 ] ~horizon
   with
   | _ -> Alcotest.fail "a rate above one packet per route per step ran"
   | exception Invalid_argument _ -> ()

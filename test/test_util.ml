@@ -265,16 +265,6 @@ let parallel_simulations_deterministic () =
   check_bool "domain isolation" true
     (Par.map ~workers:4 run seeds = List.map run seeds)
 
-let parallel_chunked_matches () =
-  let xs = List.init 97 Fun.id in
-  let f x = (3 * x) - 1 in
-  check_bool "chunk 8" true (Par.map ~workers:3 ~chunk:8 f xs = List.map f xs);
-  check_bool "chunk > n" true
-    (Par.map ~workers:3 ~chunk:1000 f xs = List.map f xs);
-  Alcotest.check_raises "chunk >= 1"
-    (Invalid_argument "Parallel.map: chunk must be >= 1") (fun () ->
-      ignore (Par.map ~chunk:0 Fun.id [ 1 ]))
-
 let parallel_progress_callback () =
   (* Each completed count in 1..n is reported exactly once, in any order. *)
   let n = 50 in
@@ -617,7 +607,6 @@ let () =
           Alcotest.test_case "bad workers" `Quick parallel_rejects_bad_workers;
           Alcotest.test_case "simulation isolation" `Quick
             parallel_simulations_deterministic;
-          Alcotest.test_case "chunked claiming" `Quick parallel_chunked_matches;
           Alcotest.test_case "progress callback" `Quick
             parallel_progress_callback;
         ] );
