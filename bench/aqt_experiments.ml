@@ -666,7 +666,7 @@ let approach_to_half rb =
       (fun den ->
         let eps = Ratio.make 1 den in
         let p = Aqt.Params.make ~eps () in
-        let m = Aqt.Params.chain_length_actual ~r:p.r ~n:p.n () in
+        let m = Aqt.Params.chain_length_actual ~r:p.r ~n:p.n in
         let growth = Aqt.Params.cycle_growth_actual ~r:p.r ~n:p.n ~m in
         (* Steps of one cycle, by the exact model: startup 2S+n, pumps
            (2S_k + n) with S_k growing by the pump factor, drain, stitch. *)

@@ -37,6 +37,35 @@ let at_least ~what lo c =
   in
   Arg.conv (parse, Arg.conv_printer c)
 
+(* A finite float that [ok] accepts; [need] completes "rate -1 must
+   be ...". *)
+let float_conv ~what ~need ok =
+  let parse s =
+    match Arg.conv_parser Arg.float s with
+    | Ok x when not (Float.is_finite x) ->
+        Error (`Msg (Printf.sprintf "%s %s is not finite" what s))
+    | Ok x when not (ok x) ->
+        Error (`Msg (Printf.sprintf "%s %s must be %s" what s need))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.float)
+
+let positive ~what = float_conv ~what ~need:"positive" (fun x -> x > 0.)
+let non_negative ~what = float_conv ~what ~need:"at least 0" (fun x -> x >= 0.)
+
+(* For the flags whose values <= 0 mean "inherit". *)
+let finite ~what = float_conv ~what ~need:"finite" (fun _ -> true)
+
+(* A TCP port; [lo] is 0 where 0 asks the kernel for one. *)
+let port_conv lo =
+  let parse s =
+    match Arg.conv_parser Arg.int s with
+    | Ok n when n < lo || n > 65535 ->
+        Error (`Msg (Printf.sprintf "port %d must be in %d..65535" n lo))
+    | r -> r
+  in
+  Arg.conv (parse, Arg.conv_printer Arg.int)
+
 (* [record] or [soa], the engine name alone as [--backend] takes it. *)
 let engine_conv =
   Arg.conv'
@@ -100,12 +129,12 @@ let params_cmd =
         ];
         [
           "M (theorem)";
-          Tbl.fi (Aqt.Params.chain_length ~eps:(Ratio.to_float eps) ());
+          Tbl.fi (Aqt.Params.chain_length ~eps:(Ratio.to_float eps));
           "gadgets by the paper's pessimistic bound";
         ];
         [
           "M (actual)";
-          Tbl.fi (Aqt.Params.chain_length_actual ~r:p.r ~n:p.n ());
+          Tbl.fi (Aqt.Params.chain_length_actual ~r:p.r ~n:p.n);
           "gadgets by the exact growth model";
         ];
       ];
@@ -826,7 +855,7 @@ let serve_cmd =
   let dflt = Server.default_config in
   let port =
     Arg.(
-      value & opt int dflt.Server.port
+      value & opt (port_conv 0) dflt.Server.port
       & info [ "port"; "p" ] ~docv:"PORT"
           ~doc:"TCP port to listen on (0 picks an ephemeral port).")
   in
@@ -837,12 +866,13 @@ let serve_cmd =
   in
   let workers =
     Arg.(
-      value & opt int dflt.Server.workers
+      value
+      & opt (at_least ~what:"workers" 1 int) dflt.Server.workers
       & info [ "workers"; "j" ] ~docv:"N" ~doc:"Worker domains.")
   in
   let rate =
     Arg.(
-      value & opt float dflt.Server.rho
+      value & opt (positive ~what:"rate") dflt.Server.rho
       & info [ "rate" ] ~docv:"RHO"
           ~doc:
             "Admission rate rho in requests/second: over any interval t at \
@@ -851,7 +881,7 @@ let serve_cmd =
   in
   let burst =
     Arg.(
-      value & opt int dflt.Server.sigma
+      value & opt (at_least ~what:"burst" 1 int) dflt.Server.sigma
       & info [ "burst" ] ~docv:"SIGMA"
           ~doc:
             "Burst budget sigma: token-bucket depth and the worker queue's \
@@ -866,14 +896,15 @@ let serve_cmd =
   in
   let snapshot_every =
     Arg.(
-      value & opt float dflt.Server.snapshot_every
+      value
+      & opt (non_negative ~what:"snapshot-every") dflt.Server.snapshot_every
       & info [ "snapshot-every" ] ~docv:"SECONDS"
           ~doc:"Metrics journal snapshot period (0 disables).")
   in
   let cache_max_bytes =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (at_least ~what:"cache-max-bytes" 0 int)) None
       & info [ "cache-max-bytes" ] ~docv:"BYTES"
           ~doc:
             "Trim the result cache oldest-first to this size budget on \
@@ -884,7 +915,7 @@ let serve_cmd =
   in
   let sweep_rate =
     Arg.(
-      value & opt float dflt.Server.sweep_rho
+      value & opt (finite ~what:"sweep-rate") dflt.Server.sweep_rho
       & info [ "sweep-rate" ] ~docv:"RHO"
           ~doc:
             "Separate admission rate for /sweep so grid computations cannot \
@@ -898,7 +929,7 @@ let serve_cmd =
   in
   let client_rate =
     Arg.(
-      value & opt float dflt.Server.client_rho
+      value & opt (finite ~what:"client-rate") dflt.Server.client_rho
       & info [ "client-rate" ] ~docv:"RHO"
           ~doc:
             "Per-client admission rate, keyed by peer address or \
@@ -920,13 +951,15 @@ let serve_cmd =
   in
   let max_conns =
     Arg.(
-      value & opt int dflt.Server.max_conns
+      value
+      & opt (at_least ~what:"max-conns" 1 int) dflt.Server.max_conns
       & info [ "max-conns" ] ~docv:"N"
           ~doc:"Concurrent connection cap; excess accepts get 503.")
   in
   let pipeline =
     Arg.(
-      value & opt int dflt.Server.max_pipeline
+      value
+      & opt (at_least ~what:"pipeline" 1 int) dflt.Server.max_pipeline
       & info [ "pipeline" ] ~docv:"N"
           ~doc:
             "Outstanding pipelined requests per connection before the event \
@@ -934,7 +967,8 @@ let serve_cmd =
   in
   let idle_timeout =
     Arg.(
-      value & opt float dflt.Server.idle_timeout
+      value
+      & opt (positive ~what:"idle-timeout") dflt.Server.idle_timeout
       & info [ "idle-timeout" ] ~docv:"SECONDS"
           ~doc:"Idle keep-alive connection expiry.")
   in
@@ -1006,7 +1040,7 @@ let loadgen_cmd =
   let dflt = Loadgen.default_config in
   let port =
     Arg.(
-      value & opt int dflt.Loadgen.port
+      value & opt (port_conv 1) dflt.Loadgen.port
       & info [ "port"; "p" ] ~docv:"PORT" ~doc:"Target server port.")
   in
   let host =
@@ -1016,18 +1050,19 @@ let loadgen_cmd =
   in
   let conns =
     Arg.(
-      value & opt int dflt.Loadgen.conns
+      value & opt (at_least ~what:"conns" 1 int) dflt.Loadgen.conns
       & info [ "conns"; "c" ] ~docv:"N"
           ~doc:"Concurrent keep-alive connections.")
   in
   let requests =
     Arg.(
-      value & opt int dflt.Loadgen.requests
+      value
+      & opt (at_least ~what:"requests" 1 int) dflt.Loadgen.requests
       & info [ "requests"; "n" ] ~docv:"N" ~doc:"Total requests to issue.")
   in
   let rate =
     Arg.(
-      value & opt float 0.
+      value & opt (non_negative ~what:"rate") 0.
       & info [ "rate" ] ~docv:"RPS"
           ~doc:
             "Open-loop aggregate send rate in requests/second; 0 (the \
@@ -1035,7 +1070,8 @@ let loadgen_cmd =
   in
   let pipeline =
     Arg.(
-      value & opt int dflt.Loadgen.pipeline
+      value
+      & opt (at_least ~what:"pipeline" 1 int) dflt.Loadgen.pipeline
       & info [ "pipeline" ] ~docv:"N"
           ~doc:"Closed-loop outstanding requests per connection.")
   in
@@ -1056,7 +1092,8 @@ let loadgen_cmd =
   in
   let run_timeout =
     Arg.(
-      value & opt float dflt.Loadgen.run_timeout
+      value
+      & opt (positive ~what:"timeout") dflt.Loadgen.run_timeout
       & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Hard wall on the whole run.")
   in
   let csv =
@@ -1086,19 +1123,19 @@ let loadgen_cmd =
   in
   let selftest_rate =
     Arg.(
-      value & opt float 2000.
+      value & opt (positive ~what:"selftest-rate") 2000.
       & info [ "selftest-rate" ] ~docv:"RHO"
           ~doc:"Admission rate of the throwaway selftest server.")
   in
   let selftest_burst =
     Arg.(
-      value & opt int 200
+      value & opt (at_least ~what:"selftest-burst" 1 int) 200
       & info [ "selftest-burst" ] ~docv:"SIGMA"
           ~doc:"Burst budget of the throwaway selftest server.")
   in
   let snapshot_every =
     Arg.(
-      value & opt float 0.
+      value & opt (non_negative ~what:"snapshot-every") 0.
       & info [ "snapshot-every" ] ~docv:"SECONDS"
           ~doc:
             "Capture an in-run metrics snapshot every $(docv); the series \

@@ -9,11 +9,11 @@ type t = {
   driver : Sim.driver;
 }
 
-let of_flows ~name ~rate ?window flows =
+let of_flows ~name ~rate flows =
   {
     name;
     rate;
-    window;
+    window = None;
     exact = true;
     driver = Sim.injections_only (fun _ t -> Flow.injections_at flows t);
   }

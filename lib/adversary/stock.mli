@@ -14,8 +14,7 @@ type t = {
   driver : Aqt_engine.Sim.driver;
 }
 
-val of_flows :
-  name:string -> rate:Aqt_util.Ratio.t -> ?window:int -> Flow.t list -> t
+val of_flows : name:string -> rate:Aqt_util.Ratio.t -> Flow.t list -> t
 (** Wrap explicit flows; the caller asserts the constraint (tests verify). *)
 
 val token_bucket :

@@ -14,13 +14,13 @@ type config = {
 }
 
 let config ?n ?s0 ?m ?f_len ?seed ?cycles:(cycles_ = 3)
-    ?(max_steps = 30_000_000) ?(log_injections = false) ~eps () =
+    ?(log_injections = false) ~eps () =
   let params = Params.make ?n ?s0 ~eps () in
   let m =
     match m with
     | Some m when m >= 2 -> m
     | Some _ -> invalid_arg "Instability.config: need at least 2 gadgets"
-    | None -> Params.chain_length_actual ~r:params.r ~n:params.n ()
+    | None -> Params.chain_length_actual ~r:params.r ~n:params.n
   in
   let seed =
     match seed with
@@ -34,6 +34,7 @@ let config ?n ?s0 ?m ?f_len ?seed ?cycles:(cycles_ = 3)
     | Some _ -> invalid_arg "Instability.config: f_len must be in [1, n]"
     | None -> params.n
   in
+  let max_steps = 30_000_000 in
   { params; m; f_len; seed; cycles = cycles_; max_steps; log_injections }
 
 type cycle_stat = { cycle : int; start_step : int; seed : int }

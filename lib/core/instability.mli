@@ -33,7 +33,6 @@ val config :
   ?f_len:int ->
   ?seed:int ->
   ?cycles:int ->
-  ?max_steps:int ->
   ?log_injections:bool ->
   eps:Aqt_util.Ratio.t ->
   unit ->

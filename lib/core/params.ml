@@ -58,11 +58,9 @@ let growth_per_cycle ~eps ~m =
   let r = 0.5 +. eps in
   r ** 3.0 *. ((1.0 +. eps) ** float_of_int m) /. 4.0
 
-let chain_length ~eps ?(margin = 1.25) () =
+let chain_length ~eps =
   if eps <= 0.0 then invalid_arg "Params.chain_length";
-  let rec go m =
-    if growth_per_cycle ~eps ~m > margin then m else go (m + 1)
-  in
+  let rec go m = if growth_per_cycle ~eps ~m > 1.25 then m else go (m + 1) in
   go 1
 
 let pump_factor ~r ~n = 2.0 *. (1.0 -. ri ~r n)
@@ -70,10 +68,8 @@ let pump_factor ~r ~n = 2.0 *. (1.0 -. ri ~r n)
 let cycle_growth_actual ~r ~n ~m =
   (1.0 -. ri ~r n) *. (pump_factor ~r ~n ** float_of_int (m - 1)) *. (r ** 3.0)
 
-let chain_length_actual ~r ~n ?(margin = 1.5) () =
+let chain_length_actual ~r ~n =
   if pump_factor ~r ~n <= 1.0 then
     invalid_arg "Params.chain_length_actual: pump factor not expansive";
-  let rec go m =
-    if cycle_growth_actual ~r ~n ~m > margin then m else go (m + 1)
-  in
+  let rec go m = if cycle_growth_actual ~r ~n ~m > 1.5 then m else go (m + 1) in
   go 2

@@ -54,10 +54,10 @@ val x_param : r:float -> n:int -> total_old:int -> s_ingress:int -> int
     ingress-buffer population; clamped to [0, floor (r * s_ingress)] (Claim
     3.7 guarantees the clamp is vacuous for admissible parameters). *)
 
-val chain_length : eps:float -> ?margin:float -> unit -> int
+val chain_length : eps:float -> int
 (** The M of Theorem 3.17: gadgets needed so a full cycle multiplies the seed
-    queue by more than [margin] (default 1.25), i.e. the least M with
-    [r^3 (1+eps)^M / 4 > margin]. *)
+    queue by more than 1.25, i.e. the least M with
+    [r^3 (1+eps)^M / 4 > 1.25]. *)
 
 val growth_per_cycle : eps:float -> m:int -> float
 (** The theorem's lower bound [r^3 (1+eps)^M / 4] on per-cycle seed growth. *)
@@ -78,5 +78,5 @@ val cycle_growth_actual : r:float -> n:int -> m:int -> float
     [(1 - R_n) * (2 (1 - R_n))^(m-1) * r^3] (startup halves the seed count
     before its pump factor; the drain loss of ~n is ignored). *)
 
-val chain_length_actual : r:float -> n:int -> ?margin:float -> unit -> int
-(** Least M whose {!cycle_growth_actual} exceeds [margin] (default 1.5). *)
+val chain_length_actual : r:float -> n:int -> int
+(** Least M whose {!cycle_growth_actual} exceeds 1.5. *)

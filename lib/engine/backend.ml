@@ -10,16 +10,16 @@ type injection = Network.injection = { route : int array; tag : string }
 
 type t = Record of Network.t | Soa of Soa.t
 
-let create ?log_injections ?validate_routes ?tie_order ?capacity
-    ?(backend = `Record) ~graph ~policy () =
+let create ?log_injections ?tie_order ?capacity ?(backend = `Record) ~graph
+    ~policy () =
   match backend with
   | `Record ->
       Record
-        (Network.create ?log_injections ?validate_routes ?tie_order ?capacity
+        (Network.create ?log_injections ?tie_order ?capacity
            ~graph ~policy ())
   | `Soa domains ->
       Soa
-        (Soa.create ?log_injections ?validate_routes ?tie_order ?capacity
+        (Soa.create ?log_injections ?tie_order ?capacity
            ~domains ~graph ~policy ())
 
 let kind = function Record _ -> "record" | Soa s ->

@@ -53,7 +53,6 @@ type t = {
   graph : Digraph.t;
   policy : Policy_type.t;
   buffers : Buffer_q.t array;
-  validate_routes : bool;
   tie_order : tie_order;
   tracer : (Trace.event -> unit) option;
   (* Hash-consed routes: packets injected with equal routes share one
@@ -113,15 +112,13 @@ type t = {
   last_use : int array; (* per edge: latest injection whose route used it *)
 }
 
-let create ?(log_injections = false) ?(validate_routes = true)
-    ?(tie_order = Transit_first) ?tracer ?route_table
-    ?(capacity = Capacity.unbounded) ~graph ~policy () =
+let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
+    ?route_table ?(capacity = Capacity.unbounded) ~graph ~policy () =
   let m = Digraph.n_edges graph in
   {
     graph;
     policy;
     buffers = Array.init m (fun _ -> Buffer_q.create policy);
-    validate_routes;
     tie_order;
     tracer;
     routes =
@@ -170,7 +167,7 @@ let route_table t = t.routes
 let pooled t = t.pool.len
 
 let check_route t route =
-  if t.validate_routes && not (Digraph.route_is_simple t.graph route) then
+  if not (Digraph.route_is_simple t.graph route) then
     invalid_arg
       (Format.asprintf "Network: route %a is not a simple path"
          (Digraph.pp_route t.graph) route)

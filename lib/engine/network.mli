@@ -31,7 +31,6 @@ type t
 
 val create :
   ?log_injections:bool ->
-  ?validate_routes:bool ->
   ?tie_order:tie_order ->
   ?tracer:(Trace.event -> unit) ->
   ?route_table:Route_intern.t ->
@@ -43,9 +42,8 @@ val create :
 (** [log_injections] (default false) retains [(time, final route)] for every
     adversary-injected packet, including absorbed ones — needed by the rate
     checker, costs memory proportional to the injection count.
-    [validate_routes] (default true) checks that every injected route is a
-    simple directed path; with interning the check runs once per {e
-    distinct} route, not once per injection.
+    Every injected route must be a simple directed path; with interning
+    the check runs once per {e distinct} route, not once per injection.
     [tracer] receives every packet event (see {!Trace}); omit it for zero
     tracing overhead — with no tracer the step loop builds no event values
     at all.

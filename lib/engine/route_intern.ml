@@ -58,7 +58,7 @@ end)
 
 type t = { table : int array H.t; mutable hits : int; mutable misses : int }
 
-let create ?(size = 64) () = { table = H.create size; hits = 0; misses = 0 }
+let create () = { table = H.create 64; hits = 0; misses = 0 }
 
 let find t route =
   match H.find_opt t.table route with

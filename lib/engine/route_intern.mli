@@ -20,8 +20,7 @@
 
 type t
 
-val create : ?size:int -> unit -> t
-(** [size] is the initial hash-table sizing hint (default 64). *)
+val create : unit -> t
 
 val find : t -> int array -> int array option
 (** The canonical array for these contents, if already interned.  Counts as

@@ -247,7 +247,6 @@ type t = {
   lifo : bool; (* Reverse_arrival: serve the back of the deque *)
   fast : bool; (* FIFO + unbounded: fused pop/enqueue fast paths apply *)
   tie_order : Network.tie_order;
-  validate_routes : bool;
   m : int;
   (* Compiled capacity model, as in [Network]. *)
   capacity : Capacity.t;
@@ -357,9 +356,9 @@ type t = {
   mutable sink : int;
 }
 
-let create ?(log_injections = false) ?(validate_routes = true)
-    ?(tie_order = Network.Transit_first) ?(capacity = Capacity.unbounded)
-    ?(domains = 1) ~graph ~(policy : Policy_type.t) () =
+let create ?(log_injections = false) ?(tie_order = Network.Transit_first)
+    ?(capacity = Capacity.unbounded) ?(domains = 1) ~graph
+    ~(policy : Policy_type.t) () =
   if domains < 1 then invalid_arg "Soa.create: domains must be >= 1";
   let m = Digraph.n_edges graph in
   let ndom = max 1 (min domains (max 1 m)) in
@@ -385,7 +384,6 @@ let create ?(log_injections = false) ?(validate_routes = true)
       policy.discipline = Policy_type.Arrival_order
       && Capacity.is_unbounded capacity;
     tie_order;
-    validate_routes;
     m;
     capacity;
     bounded = not (Capacity.is_unbounded capacity);
@@ -515,7 +513,7 @@ let append_route t (route : int array) =
   off
 
 let check_route t route =
-  if t.validate_routes && not (Digraph.route_is_simple t.graph route) then
+  if not (Digraph.route_is_simple t.graph route) then
     invalid_arg
       (Format.asprintf "Soa: route %a is not a simple path"
          (Digraph.pp_route t.graph) route)

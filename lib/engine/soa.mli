@@ -26,7 +26,6 @@ type t
 
 val create :
   ?log_injections:bool ->
-  ?validate_routes:bool ->
   ?tie_order:Network.tie_order ->
   ?capacity:Aqt_capacity.Model.t ->
   ?domains:int ->

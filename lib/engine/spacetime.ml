@@ -44,7 +44,10 @@ let matrix t =
 
 let glyphs = [| '.'; ':'; '-'; '='; '+'; '*'; '#'; '@' |]
 
-let render ?(max_rows = 64) t =
+(* Cap on edge rows; the busiest edges are kept. *)
+let max_rows = 64
+
+let render t =
   let samples = Dyn.to_array t.samples in
   let n_samples = Array.length samples in
   if n_samples = 0 then "(no samples)\n"
@@ -102,4 +105,4 @@ let render ?(max_rows = 64) t =
     Buffer.contents buf
   end
 
-let print ?max_rows t = print_string (render ?max_rows t)
+let print t = print_string (render t)

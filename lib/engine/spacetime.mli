@@ -41,10 +41,10 @@ val matrix : t -> float array array
     one column per observation; rows are empty when nothing was
     observed. *)
 
-val render : ?max_rows:int -> t -> string
+val render : t -> string
 (** Heat map with one row per edge (edge label as the row header), glyphs
     scaled to the maximum observed queue: ['.' ':' '-' '=' '+' '*' '#' '@'].
-    Columns are down-sampled to at most 100 sample points.  [max_rows] caps
-    the number of edge rows (default 64; busiest edges are kept). *)
+    Columns are down-sampled to at most 100 sample points, and rows to the
+    64 busiest edges. *)
 
-val print : ?max_rows:int -> t -> unit
+val print : t -> unit

@@ -1,11 +1,6 @@
-type point = Cache_write | Journal_append | Task_run
+type point = Cache_write | Journal_append
 
 exception Injected of string
-
-let pp_point fmt = function
-  | Cache_write -> Format.pp_print_string fmt "cache-write"
-  | Journal_append -> Format.pp_print_string fmt "journal-append"
-  | Task_run -> Format.pp_print_string fmt "task-run"
 
 (* A single atomic holding the hook: scheduler domains read it concurrently
    with the (test-side) install/clear writes. *)

@@ -1,12 +1,13 @@
 (** Fault-injection points for the campaign harness.
 
-    The harness calls {!hit} at the I/O and execution boundaries that can
-    fail in production — cache publication, journal appends, task bodies.
-    By default a hit is free (one atomic load); a test installs a hook with
-    {!install} to make chosen points raise {!Injected} (simulating a crash
-    mid-write), sleep (simulating a hang that overruns a timeout budget),
-    or anything else.  [Aqt_check.Faults] builds the standard fail-once /
-    fail-always / delay policies on top of this primitive.
+    The harness calls {!hit} at the two I/O boundaries that only a hook
+    can fail at a chosen moment: between a cache store's temp write and
+    its rename, and at a journal append in the middle of a run.  By
+    default a hit is free (one atomic load); a test installs a hook with
+    {!install} to make a point raise {!Injected}.  A crashing or hanging
+    task needs no hook: an entry whose [run] raises or sleeps reaches the
+    same retry and timeout paths.  test/test_harness.ml drives both
+    points through the scheduler.
 
     Hooks run on whichever domain reaches the fault point, so an installed
     hook must be domain-safe (use [Atomic] counters for fail-N-times
@@ -24,23 +25,15 @@ type point =
           simulates a full disk / closed descriptor; the writer degrades
           to a no-op rather than failing the campaign (see
           {!Journal.degraded}). *)
-  | Task_run
-      (** Inside [Scheduler.run_one], at the start of every task attempt,
-          before the experiment body.  Raising simulates a crashing
-          experiment (retry path); sleeping simulates a hung experiment
-          (timeout path). *)
 
 exception Injected of string
 (** The canonical exception raised by fault hooks.  Harness code that
     degrades gracefully on real I/O errors ([Sys_error]) treats [Injected]
     the same way, so tests exercise exactly the production error paths. *)
 
-val pp_point : Format.formatter -> point -> unit
-
 val install : (point -> unit) -> unit
 (** [install hook] makes every subsequent {!hit} call [hook].  The hook may
-    raise to fail the point or sleep to delay it.  Replaces any previous
-    hook. *)
+    raise to fail the point.  Replaces any previous hook. *)
 
 val clear : unit -> unit
 (** Remove the hook; all points become free again. *)

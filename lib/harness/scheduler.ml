@@ -55,7 +55,6 @@ let run_one ?timeout ~retries ~salt ~cache ~journal (entry : Registry.entry) =
        campaign.  (The cache itself guarantees a crashed store publishes
        nothing; see Cache.store.) *)
     match
-      Fault.hit Fault.Task_run;
       let result = entry.run () in
       let duration = Clock.monotonic () -. t0 in
       let gc =

@@ -20,9 +20,9 @@
     {e is} detected, the journal records a distinct post-hoc
     [Journal.Task_timeout] event with the configured budget and the real
     duration, so tooling can tell "ran 30s against a 10s budget" from
-    "was stopped at 10s" (the latter never happens).  The fault-injection
-    suite ([Aqt_check.Faults]) covers both the within-budget and the
-    overrun path. *)
+    "was stopped at 10s" (the latter never happens).  test/test_harness.ml's
+    [cooperative timeout] covers both the within-budget and the overrun
+    path. *)
 
 type task_result = {
   name : string;

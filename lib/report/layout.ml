@@ -71,8 +71,8 @@ let arrow_head ~x ~y ~dx ~dy ~color =
     ]
     []
 
-let render ?(w = 640.0) ?edge_color ?(edge_labels = true) ?(node_labels = true)
-    ?(legend = []) ~title g =
+let render ?(w = 640.0) ?edge_color ?(node_labels = true) ?(legend = []) ~title
+    g =
   let open Svg in
   let color_of =
     match edge_color with Some f -> f | None -> fun _ -> text_secondary
@@ -124,27 +124,24 @@ let render ?(w = 640.0) ?edge_color ?(edge_labels = true) ?(node_labels = true)
     let tx = x2 -. (ux *. (node_r +. 2.0)) and ty = y2 -. (uy *. (node_r +. 2.0)) in
     let color = color_of e in
     let label =
-      if not edge_labels then []
-      else begin
-        let mx = (sx +. tx) /. 2.0 and my = (sy +. ty) /. 2.0 in
-        (* Offset the label perpendicular to the edge, favoring "above". *)
-        let ox = -.uy *. 9.0 and oy = Float.min (ux *. -9.0) (-6.0) in
-        [
-          text_at ~x:(mx +. ox) ~y:(my +. oy)
-            ~attrs:
-              [
-                ("text-anchor", "middle"); ("font-size", "9");
-                ("fill", text_secondary);
-              ]
-            (D.label g eid);
-        ]
-      end
+      let mx = (sx +. tx) /. 2.0 and my = (sy +. ty) /. 2.0 in
+      (* Offset the label perpendicular to the edge, favoring "above". *)
+      let ox = -.uy *. 9.0 and oy = Float.min (ux *. -9.0) (-6.0) in
+      text_at ~x:(mx +. ox) ~y:(my +. oy)
+        ~attrs:
+          [
+            ("text-anchor", "middle"); ("font-size", "9");
+            ("fill", text_secondary);
+          ]
+        (D.label g eid)
     in
-    line ~x1:sx ~y1:sy ~x2:tx ~y2:ty
-      ~attrs:[ ("stroke", color); ("stroke-width", "1.5") ]
-      ()
-    :: arrow_head ~x:tx ~y:ty ~dx:ux ~dy:uy ~color
-    :: label
+    [
+      line ~x1:sx ~y1:sy ~x2:tx ~y2:ty
+        ~attrs:[ ("stroke", color); ("stroke-width", "1.5") ]
+        ();
+      arrow_head ~x:tx ~y:ty ~dx:ux ~dy:uy ~color;
+      label;
+    ]
   in
   let feedback_edge eid =
     let e = D.edge g eid in
@@ -158,21 +155,20 @@ let render ?(w = 640.0) ?edge_color ?(edge_labels = true) ?(node_labels = true)
         (Svg.f (y2 +. node_r +. 2.0))
     in
     let label =
-      if not edge_labels then []
-      else
-        [
-          text_at ~x:((x1 +. x2) /. 2.0) ~y:(y_arc -. 5.0)
-            ~attrs:
-              [
-                ("text-anchor", "middle"); ("font-size", "9");
-                ("fill", text_secondary);
-              ]
-            (D.label g eid);
-        ]
+      text_at ~x:((x1 +. x2) /. 2.0) ~y:(y_arc -. 5.0)
+        ~attrs:
+          [
+            ("text-anchor", "middle"); ("font-size", "9");
+            ("fill", text_secondary);
+          ]
+        (D.label g eid)
     in
-    path d ~attrs:[ ("stroke", color); ("stroke-width", "1.5"); ("fill", "none") ]
-    :: arrow_head ~x:x2 ~y:(y2 +. node_r +. 2.0) ~dx:0.0 ~dy:(-1.0) ~color
-    :: label
+    [
+      path d
+        ~attrs:[ ("stroke", color); ("stroke-width", "1.5"); ("fill", "none") ];
+      arrow_head ~x:x2 ~y:(y2 +. node_r +. 2.0) ~dx:0.0 ~dy:(-1.0) ~color;
+      label;
+    ]
   in
   let edges_svg =
     List.concat

@@ -15,7 +15,6 @@
 val render :
   ?w:float ->
   ?edge_color:(Aqt_graph.Digraph.edge -> string) ->
-  ?edge_labels:bool ->
   ?node_labels:bool ->
   ?legend:(string * string) list ->
   title:string ->
@@ -25,7 +24,7 @@ val render :
 
     Nodes become dots with their {!Aqt_graph.Digraph.node_name} beneath
     (suppress with [node_labels:false]); edges become arrows with their
-    label at the midpoint (suppress with [edge_labels:false]).
+    label at the midpoint.
     [edge_color] maps each edge to a stroke color — default a neutral
     dark gray; use it to distinguish edge classes (e-paths, f-paths,
     shared edges).  [legend] adds color-swatch/label pairs in the top

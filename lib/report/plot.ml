@@ -96,8 +96,7 @@ let frame ~w ~h ~title ?x_label ?y_label () =
       ]
   | None -> []
 
-let render ?(w = 640.0) ?(h = 400.0) ?x_label ?y_label ?(y_from_zero = true)
-    ~title series_list =
+let render ?(w = 640.0) ?(h = 400.0) ?x_label ?y_label ~title series_list =
   let open Svg in
   let plots = List.map (fun s -> (s, finite_points s)) series_list in
   let all = List.concat_map (fun (_, p) -> Array.to_list p) plots in
@@ -124,7 +123,7 @@ let render ?(w = 640.0) ?(h = 400.0) ?x_label ?y_label ?(y_from_zero = true)
       let xmax = List.fold_left Float.max Float.neg_infinity xs in
       let ymin = List.fold_left Float.min Float.infinity ys in
       let ymax = List.fold_left Float.max Float.neg_infinity ys in
-      let ymin = if y_from_zero && ymin >= 0.0 then 0.0 else ymin in
+      let ymin = if ymin >= 0.0 then 0.0 else ymin in
       let xmin, xmax = pad_range xmin xmax in
       let ymin, ymax = pad_range ymin ymax in
       let sx x = x0 +. ((x -. xmin) /. (xmax -. xmin) *. (x1 -. x0)) in

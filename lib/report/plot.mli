@@ -24,7 +24,6 @@ val render :
   ?h:float ->
   ?x_label:string ->
   ?y_label:string ->
-  ?y_from_zero:bool ->
   title:string ->
   series list ->
   string
@@ -32,8 +31,8 @@ val render :
     grid, one polyline per series in fixed palette order, point markers
     when a series has few points, and a legend when there are at least
     two series.  Non-finite points are dropped; if nothing remains the
-    frame renders with a "no data" note.  [y_from_zero] (default [true])
-    anchors the y-axis at 0 when all values are non-negative. *)
+    frame renders with a "no data" note.  The y-axis starts at 0 when all
+    values are non-negative. *)
 
 val hbars :
   ?w:float ->

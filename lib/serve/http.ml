@@ -14,15 +14,9 @@ type response = {
   body : string;
 }
 
-type error =
-  | Timeout
-  | Closed
-  | Too_large of string
-  | Malformed of string
+type error = Too_large of string | Malformed of string
 
 let error_to_string = function
-  | Timeout -> "timeout"
-  | Closed -> "peer closed"
   | Too_large what -> "too large: " ^ what
   | Malformed what -> "malformed: " ^ what
 
@@ -408,82 +402,3 @@ let encode_request ?(meth = "GET") ?(req_headers = []) ?body path =
       Buffer.add_string buf b
   | None -> Buffer.add_string buf "\r\n");
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Loopback clients                                                    *)
-(* ------------------------------------------------------------------ *)
-
-module Client = struct
-  type t = {
-    fd : Unix.file_descr;
-    rp : Rparser.t;
-    buf : Bytes.t;
-    mutable closed : bool;
-  }
-
-  let connect ?(timeout = 5.0) ~port () =
-    let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
-    try
-      Unix.setsockopt_float fd Unix.SO_RCVTIMEO timeout;
-      Unix.setsockopt_float fd Unix.SO_SNDTIMEO timeout;
-      Unix.connect fd (Unix.ADDR_INET (Unix.inet_addr_loopback, port));
-      Ok { fd; rp = Rparser.create (); buf = Bytes.create 8192; closed = false }
-    with Unix.Unix_error (e, fn, _) ->
-      (try Unix.close fd with Unix.Unix_error _ -> ());
-      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-
-  let close t =
-    if not t.closed then begin
-      t.closed <- true;
-      try Unix.close t.fd with Unix.Unix_error _ -> ()
-    end
-
-  let rec write_all fd s off len =
-    if len > 0 then
-      match Unix.write_substring fd s off len with
-      | n -> write_all fd s (off + n) (len - n)
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd s off len
-
-  (* Read until the parser holds a whole response.  EOF before that is
-     [Closed]; the receive deadline expiring is [Timeout]. *)
-  let rec read_answer t ~head =
-    match Rparser.next ~head t.rp with
-    | `Response r -> r
-    | `Error e -> raise (Err e)
-    | `Await ->
-        (match Unix.read t.fd t.buf 0 (Bytes.length t.buf) with
-        | 0 -> raise (Err Closed)
-        | n -> Rparser.feed t.rp t.buf 0 n
-        | exception Unix.Unix_error ((Unix.EAGAIN | Unix.EWOULDBLOCK), _, _) ->
-            raise (Err Timeout)
-        | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error ((Unix.ECONNRESET | Unix.EPIPE), _, _) ->
-            raise (Err Closed));
-        read_answer t ~head
-
-  let request t ?(meth = "GET") ?(req_headers = []) ?body path =
-    if t.closed then Error "connection closed"
-    else
-      try
-        let s = encode_request ~meth ~req_headers ?body path in
-        write_all t.fd s 0 (String.length s);
-        Ok (read_answer t ~head:(meth = "HEAD"))
-      with
-      | Err e ->
-          close t;
-          Error (error_to_string e)
-      | Unix.Unix_error (e, fn, _) ->
-          close t;
-          Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
-end
-
-let request ?timeout ?meth ?(req_headers = []) ?body ~port path =
-  match Client.connect ?timeout ~port () with
-  | Error _ as e -> e
-  | Ok c ->
-      Fun.protect
-        ~finally:(fun () -> Client.close c)
-        (fun () ->
-          Client.request c ?meth
-            ~req_headers:(("Connection", "close") :: req_headers)
-            ?body path)

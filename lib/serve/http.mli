@@ -7,9 +7,8 @@
       whatever [read(2)] returned; several pipelined requests can come
       out of one chunk, and one request can arrive split across any
       number of chunks.
-    - {!Rparser} reads responses: the load generator's pipelined
-      connections and the blocking {{!section-client} clients} both
-      decode through it.
+    - {!Rparser} reads responses, for the load generator's pipelined
+      connections and for the tests' blocking client.
 
     Neither parser sees the socket, so neither sees EOF: a message cut
     short stays [`Await] with its bytes buffered, and deciding that the
@@ -39,8 +38,6 @@ type response = {
 }
 
 type error =
-  | Timeout  (** A client's receive deadline expired mid-response. *)
-  | Closed  (** The peer closed before a complete response arrived. *)
   | Too_large of string  (** A line, header block or body over its cap. *)
   | Malformed of string  (** Anything else the parser rejects. *)
 
@@ -152,42 +149,3 @@ val percent_decode : string -> string
 (** [%XX] unescaping plus [+] to space; malformed escapes pass through. *)
 
 val parse_query : string -> (string * string) list
-
-(** {2:client Clients} *)
-
-(** Persistent keep-alive client: one connection, sequential requests,
-    each answer read through {!Rparser}.  Used by the tests to exercise
-    connection reuse; the load generator drives its own non-blocking
-    connections instead. *)
-module Client : sig
-  type t
-
-  val connect : ?timeout:float -> port:int -> unit -> (t, string) result
-  (** Connect to [127.0.0.1:port]; [timeout] (default 5 s) bounds each
-      subsequent read and write. *)
-
-  val request :
-    t ->
-    ?meth:string ->
-    ?req_headers:(string * string) list ->
-    ?body:string ->
-    string ->
-    (response, string) result
-  (** One exchange on the shared connection.  On any error the
-      connection is closed and further requests fail fast. *)
-
-  val close : t -> unit
-end
-
-val request :
-  ?timeout:float ->
-  ?meth:string ->
-  ?req_headers:(string * string) list ->
-  ?body:string ->
-  port:int ->
-  string ->
-  (response, string) result
-(** [request ~port path] is {!Client.connect}, one {!Client.request}
-    with [Connection: close], then {!Client.close}: one exchange against
-    [127.0.0.1:port], with [timeout] (default 5 s) as both read and
-    write deadline. *)

@@ -7,8 +7,8 @@
 
 type t
 
-val create : ?width:int -> ?height:int -> ?logy:bool -> title:string -> unit -> t
-(** Default raster is 72x20 characters. [logy] plots log10(max 1 y). *)
+val create : ?logy:bool -> title:string -> unit -> t
+(** The raster is 72x20 characters. [logy] plots log10(max 1 y). *)
 
 val add_series : t -> glyph:char -> (float * float) array -> unit
 

@@ -44,7 +44,7 @@ let floor_mul r k = fdiv (r.p * k) r.q
 let ceil_mul r k = cdiv (r.p * k) r.q
 let to_float r = float_of_int r.p /. float_of_int r.q
 
-let of_float_approx ?(max_den = 10_000) x =
+let of_float_approx x =
   (* [int_of_float] of an infinity would feed the continued fraction below
      forever, and of a NaN an arbitrary integer. *)
   if not (Float.is_finite x) then
@@ -59,7 +59,7 @@ let of_float_approx ?(max_den = 10_000) x =
     let rec go x (h1, k1) (h0, k0) =
       let a = int_of_float (Float.floor x) in
       let h = (a * h1) + h0 and k = (a * k1) + k0 in
-      if k > max_den then (h1, k1)
+      if k > 10_000 then (h1, k1)
       else
         let frac = x -. Float.floor x in
         if Stdlib.( < ) frac 1e-12 then (h, k)

@@ -57,8 +57,8 @@ val ceil_mul : t -> int -> int
 
 val to_float : t -> float
 
-val of_float_approx : ?max_den:int -> float -> t
-(** Best rational approximation with denominator [<= max_den] (default 10_000),
+val of_float_approx : float -> t
+(** Best rational approximation with denominator [<= 10_000],
     by continued fractions.  Used only to parse rates typed as decimals.
     @raise Invalid_argument on an infinity or a NaN. *)
 

@@ -1,7 +1,6 @@
 (* The conformance subsystem's own tests: reference-model semantics on
    hand-built scenarios, the differential driver over a block of seeds,
-   mutant detection + shrinking (the proof the differ can fail), and the
-   harness fault-injection selftest. *)
+   and mutant detection + shrinking (the proof the differ can fail). *)
 
 module B = Aqt_graph.Build
 module N = Aqt_engine.Network
@@ -11,7 +10,6 @@ module Gen = Aqt_check.Gen
 module Diff = Aqt_check.Diff
 module Shrink = Aqt_check.Shrink
 module Check = Aqt_check.Check
-module Faults = Aqt_check.Faults
 
 let check_bool = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -254,19 +252,6 @@ let shrink_reduces () =
         (count shrunk <= count original
         && Gen.horizon shrunk <= Gen.horizon original)
 
-(* ------------------------------------------------------------------ *)
-(* Fault injection                                                     *)
-(* ------------------------------------------------------------------ *)
-
-let fault_selftest_passes () =
-  let outcomes = Faults.selftest () in
-  check_bool "has cases" true (List.length outcomes >= 6);
-  List.iter
-    (fun (o : Faults.outcome) ->
-      if not o.Faults.passed then
-        Alcotest.failf "fault case %s failed: %s" o.Faults.case o.Faults.detail)
-    outcomes
-
 let () =
   Alcotest.run "aqt_check"
     [
@@ -306,7 +291,4 @@ let () =
                "violate-local-budget" Diff.Violate_local_budget);
           Alcotest.test_case "shrink reduces" `Quick shrink_reduces;
         ] );
-      ( "faults",
-        [ Alcotest.test_case "harness degrades gracefully" `Quick
-            fault_selftest_passes ] );
     ]

@@ -131,12 +131,12 @@ let ti_monotone () =
   done
 
 let chain_lengths () =
-  let m = P.chain_length ~eps:0.1 () in
+  let m = P.chain_length ~eps:0.1 in
   check_bool "theorem growth exceeded" true
     (P.growth_per_cycle ~eps:0.1 ~m > 1.25);
   check_bool "minimal" true (P.growth_per_cycle ~eps:0.1 ~m:(m - 1) <= 1.25);
   let p = P.make ~eps:(R.make 1 10) () in
-  let ma = P.chain_length_actual ~r:p.r ~n:p.n () in
+  let ma = P.chain_length_actual ~r:p.r ~n:p.n in
   check_bool "actual growth exceeded" true
     (P.cycle_growth_actual ~r:p.r ~n:p.n ~m:ma > 1.5);
   check_bool "actual model needs fewer gadgets" true (ma <= m)
