@@ -252,17 +252,78 @@ let lemma_3_16_stitch rb =
     rows
 
 (* ------------------------------------------------------------------ *)
+(* The Theorem 3.17 run that six experiments read                      *)
+(* ------------------------------------------------------------------ *)
+
+(* [Instability.run]'s result without its network. *)
+type construction = {
+  stats : Aqt.Instability.cycle_stat array;
+  growth : float array;
+  outcome : Sim.outcome;
+  gadget : G.t;
+  collapsed : string option;
+}
+
+let construction_of (r : Aqt.Instability.result) =
+  {
+    stats = r.stats;
+    growth = r.growth;
+    outcome = r.outcome;
+    gadget = r.gadget;
+    collapsed = r.collapsed;
+  }
+
+(* E5, E10's replay and FIFO arm, A3 at M = 7, A4 at l = 9, A5
+   transit-first and A7 without noise all read FIFO's construction at
+   eps = 1/5, s0 = 400 and two cycles.  A process computes it once, with
+   its injection log, when the first of them needs it; a reader on another
+   domain waits meanwhile.  The cell keeps what the readers use and drops
+   the network, which with its log is about twice the size. *)
+type thm317 = {
+  run : construction;
+  reroutes : int;
+  log : (int * int array) array;
+  initial : int array array;
+}
+
+let thm317_cfg =
+  Aqt.Instability.config ~eps:(Ratio.make 1 5) ~s0:400 ~cycles:2
+    ~log_injections:true ()
+
+(* Resilient, so that E10's FIFO arm and A7 report a collapse as their own
+   runs did; [thm317_strict] raises it for the readers that ran strictly. *)
+let thm317 =
+  Aqt_util.Parallel.once (fun () ->
+      let r = Aqt.Instability.run ~resilient:true thm317_cfg in
+      {
+        run = construction_of r;
+        reroutes = Network.reroute_count r.net;
+        log = Network.injection_log r.net;
+        initial = Network.initial_final_routes r.net;
+      })
+
+let thm317_strict () =
+  let t = thm317 () in
+  match t.run.collapsed with Some msg -> failwith msg | None -> t
+
+(* [Instability.run ?tie_order cfg] without its network: the shared run
+   when [cfg] and [tie_order] are its own, a fresh one otherwise. *)
+let construction ?(tie_order = Network.Transit_first) cfg =
+  if
+    tie_order = Network.Transit_first
+    && { cfg with Aqt.Instability.log_injections = true } = thm317_cfg
+  then (thm317_strict ()).run
+  else construction_of (Aqt.Instability.run ~tie_order cfg)
+
+(* ------------------------------------------------------------------ *)
 (* E5: Lemma 3.3                                                       *)
 (* ------------------------------------------------------------------ *)
 
 let lemma_3_3_rerouting rb =
-  let eps = Ratio.make 1 5 in
-  let cfg =
-    Aqt.Instability.config ~eps ~s0:400 ~cycles:2 ~log_injections:true ()
-  in
-  let res = Aqt.Instability.run cfg in
-  let m = D.n_edges res.gadget.graph in
-  let log = Network.injection_log res.net in
+  let cfg = thm317_cfg in
+  let t = thm317_strict () in
+  let m = D.n_edges t.run.gadget.graph in
+  let log = t.log in
   let check =
     match RC.check_rate ~m ~rate:cfg.params.rate log with
     | Ok () -> "LEGAL"
@@ -273,7 +334,7 @@ let lemma_3_3_rerouting rb =
     [
       [ "rate r"; Ratio.to_string cfg.params.rate ];
       [ "injections logged"; Tbl.fi (Array.length log) ];
-      [ "reroute operations"; Tbl.fi (Network.reroute_count res.net) ];
+      [ "reroute operations"; Tbl.fi t.reroutes ];
       [ "all-intervals rate check"; check ];
       [
         "burstiness vs ceil(r*len)";
@@ -505,15 +566,11 @@ let appendix_asymptotics rb =
 
 let threshold_sweep rb =
   let eps = Ratio.make 1 5 in
-  let cfg =
-    Aqt.Instability.config ~eps ~s0:400 ~cycles:2 ~log_injections:true ()
-  in
-  let res = Aqt.Instability.run cfg in
-  let log = Network.injection_log res.net in
+  let cfg = thm317_cfg in
+  let t = thm317_strict () in
   let results =
-    Aqt.Baselines.replay_against
-      ~initial:(Network.initial_final_routes res.net)
-      ~graph:res.gadget.graph ~rate:cfg.params.rate ~log
+    Aqt.Baselines.replay_against ~initial:t.initial ~graph:t.run.gadget.graph
+      ~rate:cfg.params.rate ~log:t.log
       ~policies:Policies.all_deterministic
       ~settle:(4 * cfg.params.s0) ()
   in
@@ -542,8 +599,11 @@ let threshold_sweep rb =
     List.map
       (fun policy ->
         let r =
-          Aqt.Instability.run ~policy ~resilient:true
-            (Aqt.Instability.config ~eps ~s0:400 ~cycles:2 ())
+          if policy == Policies.fifo then (thm317 ()).run
+          else
+            construction_of
+              (Aqt.Instability.run ~policy ~resilient:true
+                 (Aqt.Instability.config ~eps ~s0:400 ~cycles:2 ()))
         in
         let seeds =
           String.concat " -> "
@@ -950,7 +1010,7 @@ let ablation_chain_length rb =
     List.map
       (fun m ->
         let cfg = Aqt.Instability.config ~eps ~s0:400 ~m ~cycles:2 () in
-        let res = Aqt.Instability.run cfg in
+        let res = construction cfg in
         let g0 = res.growth.(0) in
         [
           Tbl.fi m;
@@ -976,7 +1036,7 @@ let lean_gadget rb =
     List.map
       (fun f_len ->
         let cfg = Aqt.Instability.config ~eps ~s0:400 ~f_len ~cycles:2 () in
-        let res = Aqt.Instability.run cfg in
+        let res = construction cfg in
         let d = (cfg.m * (cfg.params.n + 1)) + 1 in
         [
           Tbl.fi cfg.params.n;
@@ -1010,7 +1070,7 @@ let ablation_tie_order rb =
     List.map
       (fun (name, tie_order) ->
         let cfg = Aqt.Instability.config ~eps ~s0:400 ~cycles:2 () in
-        let res = Aqt.Instability.run ~tie_order cfg in
+        let res = construction ~tie_order cfg in
         [
           name;
           Tbl.fi res.stats.(0).seed;
@@ -1061,68 +1121,71 @@ let ablation_pump_factor_vs_n rb =
 
 (* A7: robustness — superimpose uncoordinated Bernoulli cross-traffic on the
    Theorem 3.17 run and see whether the crafted schedule still pumps. *)
+
+(* The seed trajectory under noise of [num/den] per edge, and the message
+   of the phase that collapsed, if one did. *)
+let noisy_run (cfg : Aqt.Instability.config) ~num ~den =
+  let gadget = G.cyclic ~n:cfg.params.n ~m:cfg.m () in
+  let net = Network.create ~graph:gadget.graph ~policy:Policies.fifo () in
+  for _ = 1 to cfg.seed do
+    ignore (Network.place_initial ~tag:"seed" net (G.seed_route gadget))
+  done;
+  let seeds = ref [] in
+  let ingress = G.ingress gadget ~k:1 in
+  let base =
+    Aqt_adversary.Phased.cycle
+      ~on_cycle:(fun _ _ -> seeds := Network.buffer_len net ingress :: !seeds)
+      (Aqt.Instability.phases cfg gadget)
+  in
+  (* Single-edge noise packets on uniformly random edges: they impose
+     load num/den on every edge on top of the crafted schedule, as
+     exogenous traffic outside the adversary's budget. *)
+  let prng = Aqt_util.Prng.create 2718 in
+  let m_edges = D.n_edges gadget.graph in
+  let noise =
+    Array.init m_edges (fun e : Network.injection ->
+        { route = [| e |]; tag = "noise" })
+  in
+  let hit = Array.make m_edges false in
+  let result =
+    match
+      while List.length !seeds <= cfg.cycles do
+        let t = Network.now net + 1 in
+        base.Sim.before_step net t;
+        let injections = base.Sim.injections_at net t in
+        (* Coins in edge order, then the injection list built back to
+           front so it is in edge order too. *)
+        for e = 0 to m_edges - 1 do
+          hit.(e) <- Aqt_util.Prng.bernoulli prng ~num ~den
+        done;
+        let exogenous = ref [] in
+        for e = m_edges - 1 downto 0 do
+          if hit.(e) then exogenous := noise.(e) :: !exogenous
+        done;
+        Network.step net ~exogenous:!exogenous injections;
+        if t > cfg.max_steps then failwith "horizon exceeded"
+      done
+    with
+    | () -> None
+    | exception (Failure msg | Invalid_argument msg) -> Some msg
+  in
+  (List.rev !seeds, result)
+
 let noise_robustness rb =
-  let eps = Ratio.make 1 5 in
+  let cfg =
+    Aqt.Instability.config ~eps:(Ratio.make 1 5) ~s0:400 ~cycles:2 ()
+  in
   let rows =
     List.map
       (fun (label, num, den) ->
-        let cfg = Aqt.Instability.config ~eps ~s0:400 ~cycles:2 () in
-        let gadget =
-          G.cyclic ~n:cfg.params.n ~m:cfg.m ()
+        (* Without noise, the trajectory is the shared run's. *)
+        let seeds, result =
+          if num = 0 then
+            let r = (thm317 ()).run in
+            let seed (s : Aqt.Instability.cycle_stat) = s.seed in
+            (List.map seed (Array.to_list r.stats), r.collapsed)
+          else noisy_run cfg ~num ~den
         in
-        let net =
-          Network.create ~graph:gadget.graph ~policy:Policies.fifo ()
-        in
-        for _ = 1 to cfg.seed do
-          ignore (Network.place_initial ~tag:"seed" net (G.seed_route gadget))
-        done;
-        let seeds = ref [] in
-        let ingress = G.ingress gadget ~k:1 in
-        let base =
-          Aqt_adversary.Phased.cycle
-            ~on_cycle:(fun _ _ ->
-              seeds := Network.buffer_len net ingress :: !seeds)
-            (Aqt.Instability.phases cfg gadget)
-        in
-        (* Single-edge noise packets on uniformly random edges: they impose
-           load num/den on every edge on top of the crafted schedule, as
-           exogenous traffic outside the adversary's budget. *)
-        let prng = Aqt_util.Prng.create 2718 in
-        let m_edges = D.n_edges gadget.graph in
-        let noise =
-          Array.init m_edges (fun e : Network.injection ->
-              { route = [| e |]; tag = "noise" })
-        in
-        let hit = Array.make m_edges false in
-        let result =
-          match
-            while List.length !seeds <= cfg.cycles do
-              let t = Network.now net + 1 in
-              base.Sim.before_step net t;
-              let injections = base.Sim.injections_at net t in
-              (* Coins in edge order, then the injection list built back to
-                 front so it is in edge order too. *)
-              let exogenous =
-                if num = 0 then []
-                else begin
-                  for e = 0 to m_edges - 1 do
-                    hit.(e) <- Aqt_util.Prng.bernoulli prng ~num ~den
-                  done;
-                  let acc = ref [] in
-                  for e = m_edges - 1 downto 0 do
-                    if hit.(e) then acc := noise.(e) :: !acc
-                  done;
-                  !acc
-                end
-              in
-              Network.step net ~exogenous injections;
-              if t > cfg.max_steps then failwith "horizon exceeded"
-            done
-          with
-          | () -> None
-          | exception (Failure msg | Invalid_argument msg) -> Some msg
-        in
-        let seeds = List.rev !seeds in
         [
           label;
           String.concat " -> " (List.map string_of_int seeds);

@@ -1327,6 +1327,10 @@ let start ?(registry = Registry.create ()) ?(figures = []) cfg =
   if cfg.max_pipeline < 1 then
     invalid_arg "Server.start: max_pipeline must be >= 1";
   if cfg.max_conns < 1 then invalid_arg "Server.start: max_conns must be >= 1";
+  (match cfg.cache_max_bytes with
+  | Some b when b < 0 ->
+      invalid_arg "Server.start: cache_max_bytes must be >= 0"
+  | _ -> ());
   (* Resolve the <= 0 "inherit" sentinels once, so both the buckets and
      the index page see the effective values. *)
   let cfg =

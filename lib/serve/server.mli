@@ -65,8 +65,8 @@ type config = {
   snapshot_every : float;  (** Metrics journal period; [<= 0] disables. *)
   journal : bool;  (** Write a serve journal under [campaign_dir]. *)
   cache_max_bytes : int option;
-      (** When set, {!Aqt_harness.Cache.trim} runs on every snapshot
-          tick so the daemon's cache cannot grow unboundedly. *)
+      (** When set ([>= 0]), {!Aqt_harness.Cache.trim} runs on every
+          snapshot tick so the daemon's cache cannot grow unboundedly. *)
   quiet : bool;
   sweep_rho : float;  (** [/sweep] endpoint rate; [<= 0] means [rho / 10]. *)
   sweep_sigma : int;  (** [/sweep] burst; [<= 0] means [max 4 (sigma / 4)]. *)

@@ -53,3 +53,15 @@ let map ?workers ?on_done f xs =
          | Some (Failed (e, bt)) -> Printexc.raise_with_backtrace e bt
          | None -> assert false)
   end
+
+let once f =
+  let lock = Mutex.create () in
+  let cell = ref None in
+  fun () ->
+    Mutex.protect lock (fun () ->
+        match !cell with
+        | Some v -> v
+        | None ->
+            let v = f () in
+            cell := Some v;
+            v)

@@ -905,30 +905,39 @@ let serve_stops_without_stdout () =
   Server.wait srv
 
 (* An exception that ends the event loop reaches [wait]'s caller, with
-   the port closed by then.  A negative cache budget makes the loop's
-   first trim raise: the CLI refuses one, [Server.start] does not. *)
+   the port closed by then.  [Server.start] refuses a negative cache
+   budget, so the loop is made to fail from outside: the cache directory
+   becomes a regular file, and the next snapshot tick's trim raises on
+   reading it.  (While the path is missing a trim sees an empty cache.) *)
 let serve_loop_failure_reaches_wait () =
-  let srv =
-    Server.start
-      {
-        Server.default_config with
-        Server.port = 0;
-        workers = 1;
-        campaign_dir = temp_dir ();
-        snapshot_every = 0.05;
-        cache_max_bytes = Some (-1);
-        journal = true;
-        quiet = true;
-      }
+  let config =
+    {
+      Server.default_config with
+      Server.port = 0;
+      workers = 1;
+      campaign_dir = temp_dir ();
+      snapshot_every = 0.05;
+      cache_max_bytes = Some 0;
+      journal = true;
+      quiet = true;
+    }
   in
+  Alcotest.check_raises "start refuses a negative cache budget"
+    (Invalid_argument "Server.start: cache_max_bytes must be >= 0") (fun () ->
+      ignore (Server.start { config with cache_max_bytes = Some (-1) }));
+  let srv = Server.start config in
+  let cache = Filename.concat config.campaign_dir "cache" in
+  let file = cache ^ ".file" in
+  Out_channel.with_open_bin file ignore;
+  Unix.rmdir cache;
+  Unix.rename file cache;
   let deadline = Unix.gettimeofday () +. 5. in
   while (not (Server.stopped srv)) && Unix.gettimeofday () < deadline do
     Unix.sleepf 0.02
   done;
   check_bool "stopped within 5 s" true (Server.stopped srv);
   Alcotest.check_raises "wait re-raises the loop's exception"
-    (Invalid_argument "Cache.trim: max_bytes must be >= 0") (fun () ->
-      Server.wait srv);
+    (Sys_error (cache ^ ": Not a directory")) (fun () -> Server.wait srv);
   check_bool "port closed" true
     (match Client.connect ~port:(Server.port srv) () with
     | Error _ -> true

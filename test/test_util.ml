@@ -285,6 +285,41 @@ let parallel_progress_callback () =
        [ 10; 20; 30 ]);
   check_bool "sequential progress" true (List.rev !calls = [ 1; 2; 3 ])
 
+(* Two domains that read the cell while its thunk runs wait for it: the
+   thunk runs once, and all three readers hold the same value. *)
+let parallel_once_across_domains () =
+  let runs = Atomic.make 0 and started = Atomic.make false in
+  let cell =
+    Par.once (fun () ->
+        Atomic.incr runs;
+        Atomic.set started true;
+        Unix.sleepf 0.05;
+        ref 0)
+  in
+  let first = Domain.spawn cell in
+  while not (Atomic.get started) do
+    Domain.cpu_relax ()
+  done;
+  let later = List.init 2 (fun _ -> Domain.spawn cell) in
+  let v = Domain.join first in
+  let vs = List.map Domain.join later in
+  check_int "thunk runs once" 1 (Atomic.get runs);
+  check_bool "one value" true (List.for_all (fun w -> w == v) vs)
+
+let parallel_once_retries_after_raise () =
+  let runs = ref 0 in
+  let cell =
+    Par.once (fun () ->
+        incr runs;
+        if !runs = 1 then failwith "first" else ref !runs)
+  in
+  Alcotest.check_raises "first call raises" (Failure "first") (fun () ->
+      ignore (cell ()));
+  let v = cell () in
+  check_int "second call runs the thunk" 2 !v;
+  check_bool "third call reads the value" true (cell () == v);
+  check_int "thunk runs twice" 2 !runs
+
 (* ------------------------------------------------------------------ *)
 (* Tbl / Csv / Ascii_plot                                              *)
 (* ------------------------------------------------------------------ *)
@@ -609,6 +644,10 @@ let () =
             parallel_simulations_deterministic;
           Alcotest.test_case "progress callback" `Quick
             parallel_progress_callback;
+          Alcotest.test_case "once runs once across domains" `Quick
+            parallel_once_across_domains;
+          Alcotest.test_case "once retries after a raise" `Quick
+            parallel_once_retries_after_raise;
         ] );
       ( "output",
         [
