@@ -2,12 +2,12 @@ module Dyn = Aqt_util.Dynarray_compat
 module Digraph = Aqt_graph.Digraph
 module Capacity = Aqt_capacity.Model
 
-(* Growable stacks for the step loop, one per element type and defined in
-   this module.  Dune's dev profile compiles every module [-opaque], so no
-   call into another module is inlined: through [Dynarray_compat] each
-   [get] is an indirect call via [caml_apply2], and a polymorphic [push] of
-   an [int] still runs [caml_modify].  Here the compiler knows the element
-   type and calls are direct. *)
+(* The step loop's containers are defined in this module.  Dune's dev
+   profile compiles every module [-opaque], so no call into another module
+   is inlined: through [Dynarray_compat] each [get] is an indirect call via
+   [caml_apply2], and a polymorphic [push] of an [int] still runs
+   [caml_modify].  Here the compiler knows the element types, calls are
+   direct, and the [@inline] primitives below are expanded in place. *)
 module Int_stack = struct
   type t = { mutable data : int array; mutable len : int }
 
@@ -18,32 +18,279 @@ module Int_stack = struct
     Array.blit s.data 0 bigger 0 s.len;
     s.data <- bigger
 
-  let push s x =
+  let[@inline] push s x =
     if s.len = Array.length s.data then grow s;
     Array.unsafe_set s.data s.len x;
     s.len <- s.len + 1
-end
-
-module Packet_stack = struct
-  type t = { mutable data : Packet.t array; mutable len : int }
-
-  let create () = { data = [||]; len = 0 }
-
-  (* The pushed packet fills the fresh slots: no dummy record needed. *)
-  let grow s (p : Packet.t) =
-    let bigger = Array.make (max 8 (2 * Array.length s.data)) p in
-    Array.blit s.data 0 bigger 0 s.len;
-    s.data <- bigger
-
-  let push s p =
-    if s.len = Array.length s.data then grow s p;
-    Array.unsafe_set s.data s.len p;
-    s.len <- s.len + 1
 
   (* Callers check [len > 0]. *)
-  let pop s =
+  let[@inline] pop s =
     s.len <- s.len - 1;
     Array.unsafe_get s.data s.len
+end
+
+(* The packet store: a slab of records, each at a slot number it keeps for
+   life.  Buffers, the in-transit stack and the free list hold slots, so
+   moving a packet stores an [int] and never runs the write barrier
+   ([caml_modify]) that storing a pointer into a heap array costs.  Only a
+   new record is written here; a recycled one keeps its slot. *)
+module Store = struct
+  type t = { mutable pkts : Packet.t array; mutable len : int }
+
+  let create () = { pkts = [||]; len = 0 }
+  let[@inline] get s slot = Array.unsafe_get s.pkts slot
+
+  (* Places [p] at the next slot and returns it.  The new record fills the
+     fresh slots of a grown slab: no dummy record needed. *)
+  let add s (p : Packet.t) =
+    if s.len = Array.length s.pkts then begin
+      let bigger = Array.make (max 8 (2 * s.len)) p in
+      Array.blit s.pkts 0 bigger 0 s.len;
+      s.pkts <- bigger
+    end;
+    let slot = s.len in
+    Array.unsafe_set s.pkts slot p;
+    s.len <- slot + 1;
+    slot
+end
+
+(* The buffer at the tail of one link, holding the slots of its packets.
+
+   Arrival-ordered policies keep a ring in [slots].  Capacities are 0 or
+   8 * 2^k (see [grow]), so positions wrap with [land (cap - 1)]; FIFO
+   serves the front of the ring and LIFO the back.  Every other policy
+   keeps a binary min-heap over the parallel arrays [slots], [keys] and
+   [ties], ordered by (key, tie) with the tie the arrival sequence number,
+   so equal keys leave in arrival order.  Ties are distinct, so the order
+   is strict.  The two representations are observationally equivalent for
+   their disciplines (tested in test_buffer and test_policy). *)
+module Buffer_q = struct
+  type kind = Fifo | Lifo | Keyed
+
+  type t = {
+    kind : kind;
+    store : Store.t; (* where this buffer's slots point *)
+    mutable slots : int array;
+    mutable keys : int array; (* Keyed only *)
+    mutable ties : int array; (* Keyed only *)
+    mutable head : int; (* ring index of the front slot; Fifo and Lifo *)
+    mutable len : int;
+    mutable seq : int;
+  }
+
+  let create_in store (policy : Policy_type.t) =
+    let kind =
+      match policy.discipline with
+      | Policy_type.Arrival_order -> Fifo
+      | Policy_type.Reverse_arrival -> Lifo
+      | Policy_type.By_key -> Keyed
+    in
+    {
+      kind;
+      store;
+      slots = [||];
+      keys = [||];
+      ties = [||];
+      head = 0;
+      len = 0;
+      seq = 0;
+    }
+
+  let[@inline] length b = b.len
+  let[@inline] is_empty b = b.len = 0
+  let[@inline] ring_index b i = (b.head + i) land (Array.length b.slots - 1)
+
+  (* Capacity 8, then doubling; a ring is unwrapped to start at 0. *)
+  let grow b =
+    let cap = Array.length b.slots in
+    let ncap = if cap = 0 then 8 else 2 * cap in
+    let slots = Array.make ncap 0 in
+    (match b.kind with
+    | Fifo | Lifo ->
+        for i = 0 to b.len - 1 do
+          slots.(i) <- b.slots.(ring_index b i)
+        done;
+        b.head <- 0
+    | Keyed ->
+        let keys = Array.make ncap 0 and ties = Array.make ncap 0 in
+        Array.blit b.slots 0 slots 0 b.len;
+        Array.blit b.keys 0 keys 0 b.len;
+        Array.blit b.ties 0 ties 0 b.len;
+        b.keys <- keys;
+        b.ties <- ties);
+    b.slots <- slots
+
+  let[@inline] push_back b s =
+    if b.len = Array.length b.slots then grow b;
+    b.slots.(ring_index b b.len) <- s;
+    b.len <- b.len + 1
+
+  (* Callers check [len > 0]. *)
+  let[@inline] pop_front b =
+    let s = b.slots.(b.head) in
+    b.head <- ring_index b 1;
+    b.len <- b.len - 1;
+    if b.len = 0 then b.head <- 0;
+    s
+
+  let[@inline] pop_back b =
+    let s = b.slots.(ring_index b (b.len - 1)) in
+    b.len <- b.len - 1;
+    if b.len = 0 then b.head <- 0;
+    s
+
+  (* The heap sifts move a hole instead of swapping: the entry being placed
+     is compared against the same neighbours a swap-based sift would compare
+     it with, and written once into the final hole, so the array ends up
+     exactly as the swapping version leaves it. *)
+
+  (* The hole at [i] rises past every parent greater than (key, tie);
+     returns the hole's final index. *)
+  let rec sift_up b i key tie =
+    if i = 0 then 0
+    else begin
+      let parent = (i - 1) lsr 1 in
+      let pk = b.keys.(parent) in
+      if key < pk || (key = pk && tie < b.ties.(parent)) then begin
+        b.slots.(i) <- b.slots.(parent);
+        b.keys.(i) <- pk;
+        b.ties.(i) <- b.ties.(parent);
+        sift_up b parent key tie
+      end
+      else i
+    end
+
+  (* The hole at [i] sinks below every smaller child, the smaller of two
+     children first (the left one unless the right is strictly smaller). *)
+  let rec sift_down b i key tie =
+    let l = (2 * i) + 1 in
+    if l >= b.len then i
+    else begin
+      let r = l + 1 in
+      let c =
+        if
+          r < b.len
+          && (b.keys.(r) < b.keys.(l)
+             || (b.keys.(r) = b.keys.(l) && b.ties.(r) < b.ties.(l)))
+        then r
+        else l
+      in
+      let ck = b.keys.(c) in
+      if ck < key || (ck = key && b.ties.(c) < tie) then begin
+        b.slots.(i) <- b.slots.(c);
+        b.keys.(i) <- ck;
+        b.ties.(i) <- b.ties.(c);
+        sift_down b c key tie
+      end
+      else i
+    end
+
+  let[@inline] heap_add b ~key ~tie s =
+    if b.len = Array.length b.slots then grow b;
+    let i = sift_up b b.len key tie in
+    b.slots.(i) <- s;
+    b.keys.(i) <- key;
+    b.ties.(i) <- tie;
+    b.len <- b.len + 1
+
+  (* Callers check [len > 0].  The last entry fills the root's hole. *)
+  let[@inline] pop_min b =
+    let top = b.slots.(0) in
+    let last = b.len - 1 in
+    b.len <- last;
+    if last > 0 then begin
+      let s = b.slots.(last) and key = b.keys.(last) and tie = b.ties.(last) in
+      let i = sift_down b 0 key tie in
+      b.slots.(i) <- s;
+      b.keys.(i) <- key;
+      b.ties.(i) <- tie
+    end;
+    top
+
+  (* Inserts slot [s], which holds [p]; a keyed policy reads its key from
+     the packet. *)
+  let[@inline] push b (policy : Policy_type.t) ~now s (p : Packet.t) =
+    let seq = b.seq in
+    b.seq <- seq + 1;
+    match b.kind with
+    | Fifo | Lifo -> push_back b s
+    | Keyed -> heap_add b ~key:(policy.key p ~now ~seq) ~tie:seq s
+
+  (* The slot the policy forwards next.  The step loop only visits active
+     edges, so raising here means the active-list invariant broke — an
+     engine bug, not control flow. *)
+  let[@inline] take_slot b =
+    if b.len = 0 then raise Not_found;
+    match b.kind with
+    | Fifo -> pop_front b
+    | Lifo -> pop_back b
+    | Keyed -> pop_min b
+
+  (* Capacity-aware insertion of slot [s].  A full buffer either rejects the
+     arrival (drop-tail) or, with [drop_head], evicts the slot the policy
+     would forward next — the head of the service order, so FIFO sheds its
+     oldest packet and LIFO its newest.  [cap = 0] rejects unconditionally:
+     there is no occupant to displace in favour of the arrival.  The arrival
+     sequence counter advances only for packets actually admitted.  Returns
+     [admitted], [rejected] or the evicted slot. *)
+  let admitted = -1
+  let rejected = -2
+
+  let offer b policy ~now ~cap ~drop_head s p =
+    let len = b.len in
+    if len < cap then begin
+      push b policy ~now s p;
+      admitted
+    end
+    else if drop_head && len > 0 then begin
+      let victim = take_slot b in
+      push b policy ~now s p;
+      victim
+    end
+    else rejected
+
+  let iter f b =
+    match b.kind with
+    | Fifo | Lifo ->
+        for i = 0 to b.len - 1 do
+          f (Store.get b.store b.slots.(ring_index b i))
+        done
+    | Keyed ->
+        for i = 0 to b.len - 1 do
+          f (Store.get b.store b.slots.(i))
+        done
+
+  let to_sorted_list b =
+    let packet s = Store.get b.store s in
+    match b.kind with
+    | Fifo -> List.init b.len (fun i -> packet b.slots.(ring_index b i))
+    | Lifo ->
+        List.init b.len (fun i -> packet b.slots.(ring_index b (b.len - 1 - i)))
+    | Keyed ->
+        let order = Array.init b.len Fun.id in
+        Array.sort
+          (fun i j ->
+            let c = Int.compare b.keys.(i) b.keys.(j) in
+            if c <> 0 then c else Int.compare b.ties.(i) b.ties.(j))
+          order;
+        Array.to_list (Array.map (fun i -> packet b.slots.(i)) order)
+
+  let arrivals b = b.seq
+
+  (* The packet-level interface of a standalone buffer: it owns a private
+     store, and every enqueued packet takes a fresh slot there. *)
+  let create policy = create_in (Store.create ()) policy
+
+  let enqueue b policy ~now p = push b policy ~now (Store.add b.store p) p
+  let take b = Store.get b.store (take_slot b)
+
+  type admit = Admitted | Rejected | Displaced of Packet.t
+
+  let enqueue_capped b policy ~now ~cap ~drop_head p =
+    let outcome = offer b policy ~now ~cap ~drop_head (Store.add b.store p) p in
+    if outcome = admitted then Admitted
+    else if outcome = rejected then Rejected
+    else Displaced (Store.get b.store outcome)
 end
 
 type injection = { route : int array; tag : string }
@@ -59,9 +306,11 @@ type t = {
      canonical array, validated once.  May be shared across networks on the
      same graph (see Route_intern). *)
   routes : Route_intern.t;
-  (* Free-list of absorbed and dropped packet records, reused by
-     [fresh_packet] so steady-state runs stop churning the heap. *)
-  pool : Packet_stack.t;
+  (* Every packet record, at the slot it keeps for life. *)
+  store : Store.t;
+  (* Slots of absorbed and dropped packets, reused by [fresh_packet] so
+     steady-state runs stop churning the heap. *)
+  free : Int_stack.t;
   (* The capacity model, compiled: [bounded] gates every drop branch, so the
      unbounded regime runs the original code path; [caps] holds the static
      per-edge limits (max_int where none applies); a Shared model sets
@@ -97,7 +346,7 @@ type t = {
   mutable active : Int_stack.t;
   mutable active_scratch : Int_stack.t;
   active_flag : bool array;
-  pending : Packet_stack.t; (* packets in transit within the current step *)
+  pending : Int_stack.t; (* slots of packets in transit within the step *)
   (* Instrumentation. *)
   mutable max_queue : int;
   max_queue_edge : int array;
@@ -115,17 +364,19 @@ type t = {
 let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
     ?route_table ?(capacity = Capacity.unbounded) ~graph ~policy () =
   let m = Digraph.n_edges graph in
+  let store = Store.create () in
   {
     graph;
     policy;
-    buffers = Array.init m (fun _ -> Buffer_q.create policy);
+    buffers = Array.init m (fun _ -> Buffer_q.create_in store policy);
     tie_order;
     tracer;
     routes =
       (match route_table with
       | Some t -> t
       | None -> Route_intern.create ());
-    pool = Packet_stack.create ();
+    store;
+    free = Int_stack.create ();
     capacity;
     bounded = not (Capacity.is_unbounded capacity);
     speedup = Capacity.speedup capacity;
@@ -149,7 +400,7 @@ let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
     active = Int_stack.create ();
     active_scratch = Int_stack.create ();
     active_flag = Array.make m false;
-    pending = Packet_stack.create ();
+    pending = Int_stack.create ();
     max_queue = 0;
     max_queue_edge = Array.make m 0;
     sent_edge = Array.make m 0;
@@ -164,7 +415,7 @@ let graph t = t.graph
 let policy t = t.policy
 let now t = t.now
 let route_table t = t.routes
-let pooled t = t.pool.len
+let pooled t = t.free.len
 
 let check_route t route =
   if not (Digraph.route_is_simple t.graph route) then
@@ -192,17 +443,18 @@ let post_enqueue t e =
   if len > t.max_queue then t.max_queue <- len;
   if len > t.max_queue_edge.(e) then t.max_queue_edge.(e) <- len
 
-let enqueue_at t (p : Packet.t) e =
+let enqueue_at t s (p : Packet.t) e =
   p.buffered_at <- t.now;
-  Buffer_q.enqueue t.buffers.(e) t.policy ~now:t.now p;
+  Buffer_q.push t.buffers.(e) t.policy ~now:t.now s p;
   post_enqueue t e
 
-(* The victim [p] is out of the system: it was either never buffered (an
-   overflow arrival) or just evicted from its buffer (drop-head); the caller
-   has already settled [occupancy].  Like [absorb] it closes the packet's
-   life — log entry, tracer event, recycling — but books it under [dropped],
-   keeping created = absorbed + in flight + dropped. *)
-let drop_packet t (p : Packet.t) e ~displaced =
+(* The victim [p], at slot [s], is out of the system: it was either never
+   buffered (an overflow arrival) or just evicted from its buffer
+   (drop-head); the caller has already settled [occupancy].  Like [absorb]
+   it closes the packet's life — log entry, tracer event, recycling — but
+   books it under [dropped], keeping created = absorbed + in flight +
+   dropped. *)
+let drop_packet t s (p : Packet.t) e ~displaced =
   t.dropped <- t.dropped + 1;
   t.dropped_edge.(e) <- t.dropped_edge.(e) + 1;
   if displaced then t.displaced <- t.displaced + 1;
@@ -214,15 +466,15 @@ let drop_packet t (p : Packet.t) e ~displaced =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  Packet_stack.push t.pool p
+  Int_stack.push t.free s
 
-(* Arrival of [p] (already counted in [in_flight]) at the buffer of [e]
-   under the capacity model; returns whether the packet survived.  The
-   unbounded branch is the original enqueue — no length reads, no drop
-   bookkeeping. *)
-let admit t (p : Packet.t) e =
+(* Arrival of [p], at slot [s] and already counted in [in_flight], at the
+   buffer of [e] under the capacity model; returns whether the packet
+   survived.  The unbounded branch is the original enqueue — no length
+   reads, no drop bookkeeping. *)
+let admit t s (p : Packet.t) e =
   if not t.bounded then begin
-    enqueue_at t p e;
+    enqueue_at t s p e;
     true
   end
   else if t.shared_total <> max_int then begin
@@ -232,40 +484,45 @@ let admit t (p : Packet.t) e =
       Capacity.dt_admits ~alpha_num:t.dt_num ~alpha_den:t.dt_den
         ~total:t.shared_total ~occupancy:t.occupancy ~len
     then begin
-      enqueue_at t p e;
+      enqueue_at t s p e;
       true
     end
     else begin
-      drop_packet t p e ~displaced:false;
+      drop_packet t s p e ~displaced:false;
       false
     end
   end
   else begin
     p.buffered_at <- t.now;
-    match
-      Buffer_q.enqueue_capped t.buffers.(e) t.policy ~now:t.now
-        ~cap:t.caps.(e) ~drop_head:t.drop_head p
-    with
-    | Buffer_q.Admitted ->
-        post_enqueue t e;
-        true
-    | Buffer_q.Rejected ->
-        drop_packet t p e ~displaced:false;
-        false
-    | Buffer_q.Displaced victim ->
-        t.occupancy <- t.occupancy - 1;
-        drop_packet t victim e ~displaced:true;
-        post_enqueue t e;
-        true
+    let outcome =
+      Buffer_q.offer t.buffers.(e) t.policy ~now:t.now ~cap:t.caps.(e)
+        ~drop_head:t.drop_head s p
+    in
+    if outcome = Buffer_q.admitted then begin
+      post_enqueue t e;
+      true
+    end
+    else if outcome = Buffer_q.rejected then begin
+      drop_packet t s p e ~displaced:false;
+      false
+    end
+    else begin
+      (* [outcome] is the slot of the evicted packet. *)
+      t.occupancy <- t.occupancy - 1;
+      drop_packet t outcome (Store.get t.store outcome) e ~displaced:true;
+      post_enqueue t e;
+      true
+    end
   end
 
-(* [route] must already be canonical (interned) or freshly allocated; no
-   defensive copy happens here. *)
-let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
+(* The slot of a new packet.  [route] must already be canonical (interned)
+   or freshly allocated; no defensive copy happens here. *)
+let fresh_packet t ~initial ~exogenous ~tag route =
   let id = t.next_id in
   t.next_id <- id + 1;
-  if t.pool.len > 0 then begin
-    let p = Packet_stack.pop t.pool in
+  if t.free.len > 0 then begin
+    let s = Int_stack.pop t.free in
+    let p = Store.get t.store s in
     p.id <- id;
     p.injected_at <- t.now;
     p.initial <- initial;
@@ -275,20 +532,21 @@ let fresh_packet t ~initial ~exogenous ~tag route : Packet.t =
     p.hop <- 0;
     p.buffered_at <- t.now;
     p.reroutes <- 0;
-    p
+    s
   end
   else
-    {
-      id;
-      injected_at = t.now;
-      initial;
-      exogenous;
-      tag;
-      route;
-      hop = 0;
-      buffered_at = t.now;
-      reroutes = 0;
-    }
+    Store.add t.store
+      {
+        id;
+        injected_at = t.now;
+        initial;
+        exogenous;
+        tag;
+        route;
+        hop = 0;
+        buffered_at = t.now;
+        reroutes = 0;
+      }
 
 let mark_route_use t route =
   for i = 0 to Array.length route - 1 do
@@ -299,7 +557,8 @@ let place_initial t ?(tag = "init") route =
   if t.now <> 0 then
     invalid_arg "Network.place_initial: the system already started";
   let route = intern_route t route in
-  let p = fresh_packet t ~initial:true ~exogenous:false ~tag route in
+  let s = fresh_packet t ~initial:true ~exogenous:false ~tag route in
+  let p = Store.get t.store s in
   t.initials <- t.initials + 1;
   t.in_flight <- t.in_flight + 1;
   mark_route_use t route;
@@ -315,10 +574,10 @@ let place_initial t ?(tag = "init") route =
              route_len = Array.length route;
              initial = true;
            }));
-  ignore (admit t p route.(0));
+  ignore (admit t s p route.(0));
   p
 
-let absorb t (p : Packet.t) =
+let absorb t s (p : Packet.t) =
   t.absorbed <- t.absorbed + 1;
   t.in_flight <- t.in_flight - 1;
   let latency = t.now - p.injected_at in
@@ -331,11 +590,12 @@ let absorb t (p : Packet.t) =
   | Some log when not p.exogenous ->
       Dyn.push log (p.injected_at, p.id, p.initial, p.route)
   | _ -> ());
-  Packet_stack.push t.pool p
+  Int_stack.push t.free s
 
 let inject t ~exogenous (inj : injection) =
   let route = intern_route t inj.route in
-  let p = fresh_packet t ~initial:false ~exogenous ~tag:inj.tag route in
+  let s = fresh_packet t ~initial:false ~exogenous ~tag:inj.tag route in
+  let p = Store.get t.store s in
   t.injected <- t.injected + 1;
   t.in_flight <- t.in_flight + 1;
   if not exogenous then mark_route_use t route;
@@ -351,17 +611,18 @@ let inject t ~exogenous (inj : injection) =
              route_len = Array.length route;
              initial = false;
            }));
-  ignore (admit t p route.(0))
+  ignore (admit t s p route.(0))
 
 (* Top-level helpers rather than local closures: [step] is the hot loop and
    must not allocate a closure per call. *)
 let deliver t =
   let pending = t.pending in
   for i = 0 to pending.len - 1 do
-    let p = Array.unsafe_get pending.data i in
+    let s = Array.unsafe_get pending.data i in
+    let p = Store.get t.store s in
     p.hop <- p.hop + 1;
-    if p.hop >= Array.length p.route then absorb t p
-    else ignore (admit t p (Array.unsafe_get p.route p.hop))
+    if p.hop >= Array.length p.route then absorb t s p
+    else ignore (admit t s p (Array.unsafe_get p.route p.hop))
   done
 
 let rec inject_all t ~exogenous = function
@@ -384,8 +645,10 @@ let step t ?(exogenous = []) injections =
     for i = 0 to n_active - 1 do
       let e = Array.unsafe_get old_active.data i in
       let buf = t.buffers.(e) in
-      (* The active list never holds empty buffers, so [take] cannot fail. *)
-      let p = Buffer_q.take buf in
+      (* The active list never holds empty buffers, so [take_slot] cannot
+         fail. *)
+      let s = Buffer_q.take_slot buf in
+      let p = Store.get t.store s in
       t.occupancy <- t.occupancy - 1;
       let dwell = t.now - p.buffered_at in
       if dwell > t.max_dwell then t.max_dwell <- dwell;
@@ -394,7 +657,7 @@ let step t ?(exogenous = []) injections =
       | None -> ()
       | Some f ->
           f (Trace.Forwarded { t = t.now; packet = p.id; edge = e; dwell }));
-      Packet_stack.push t.pending p;
+      Int_stack.push t.pending s;
       if Buffer_q.is_empty buf then t.active_flag.(e) <- false
       else Int_stack.push t.active e
     done
@@ -407,7 +670,8 @@ let step t ?(exogenous = []) injections =
       let len = Buffer_q.length buf in
       let k = if len < t.speedup then len else t.speedup in
       for _ = 1 to k do
-        let p = Buffer_q.take buf in
+        let s = Buffer_q.take_slot buf in
+        let p = Store.get t.store s in
         t.occupancy <- t.occupancy - 1;
         let dwell = t.now - p.buffered_at in
         if dwell > t.max_dwell then t.max_dwell <- dwell;
@@ -416,7 +680,7 @@ let step t ?(exogenous = []) injections =
         | None -> ()
         | Some f ->
             f (Trace.Forwarded { t = t.now; packet = p.id; edge = e; dwell }));
-        Packet_stack.push t.pending p
+        Int_stack.push t.pending s
       done;
       if Buffer_q.is_empty buf then t.active_flag.(e) <- false
       else Int_stack.push t.active e

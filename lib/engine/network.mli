@@ -59,11 +59,13 @@ val create :
     step.  The default is byte-identical to the pre-capacity engine — no
     admission test runs on the unbounded path.
 
-    Packet records are recycled: an absorbed or dropped packet's record
-    goes on a free list and is reinitialised in place for a later packet,
-    so steady-state stepping allocates no records.  A [Packet.t] handle is
-    therefore valid only until its packet is absorbed or dropped; holding
-    buffered packets between steps is fine. *)
+    Packet records live in one store per network, each at a slot it keeps
+    for life; buffers and the free list hold slots.  Records are recycled:
+    an absorbed or dropped packet's slot goes on the free list and its
+    record is reinitialised in place for a later packet, so steady-state
+    stepping allocates no records.  A [Packet.t] handle is therefore valid
+    only until its packet is absorbed or dropped; holding buffered packets
+    between steps is fine. *)
 
 val graph : t -> Aqt_graph.Digraph.t
 val policy : t -> Policy_type.t
@@ -73,8 +75,8 @@ val route_table : t -> Route_intern.t
 (** The intern table this network resolves injected routes through. *)
 
 val pooled : t -> int
-(** Packet records currently parked on the recycling free list: absorbed
-    and dropped records not yet reused. *)
+(** Slots currently parked on the recycling free list: absorbed and
+    dropped records not yet reused. *)
 
 (** {1 Driving the system} *)
 
@@ -192,3 +194,56 @@ val last_injection_on : t -> int -> int
 val min_injection_time_in_flight : t -> int
 (** The t* of Definition 3.2: the earliest injection time over packets
     currently in the network.  [max_int] when the network is empty. *)
+
+(** {1 The per-edge buffer}
+
+    The buffer at the tail of one link: a priority queue ordered by the
+    policy key computed at enqueue time, ties broken by arrival order.
+    Arrival-ordered disciplines (FIFO/LIFO) use an O(1) ring; general
+    priorities use an O(log k) binary heap.  A network's buffers hold the
+    slots of its packet store; the standalone buffer below owns a private
+    store, so each enqueued packet takes a fresh slot there.  It exists for
+    the buffer tests. *)
+module Buffer_q : sig
+  type t
+
+  val create : Policy_type.t -> t
+  (** The policy's discipline selects the representation. *)
+
+  val length : t -> int
+  val is_empty : t -> bool
+
+  val enqueue : t -> Policy_type.t -> now:int -> Packet.t -> unit
+  (** Computes the policy key for the packet and inserts it. *)
+
+  type admit =
+    | Admitted  (** the arrival was enqueued *)
+    | Rejected  (** the buffer was full (or [cap = 0]); the arrival is lost *)
+    | Displaced of Packet.t
+        (** the arrival was enqueued after evicting the returned packet —
+            the one the policy would have forwarded next *)
+
+  val enqueue_capped :
+    t -> Policy_type.t -> now:int -> cap:int -> drop_head:bool -> Packet.t ->
+    admit
+  (** [enqueue] against a finite capacity [cap].  With [drop_head] a full
+      buffer evicts its service-order head to admit the arrival; without it
+      the arrival is rejected (drop-tail).  [cap = 0] always rejects.  Only
+      admitted packets advance the {!arrivals} counter. *)
+
+  val take : t -> Packet.t
+  (** Removes and returns the packet the policy forwards next.
+      @raise Not_found if empty — in the step loop, which only visits
+      active edges, an invariant violation rather than control flow. *)
+
+  val iter : (Packet.t -> unit) -> t -> unit
+  (** Storage order: the ring front to back, or the heap array's order —
+      the order {!iter_buffered} visits a buffer in. *)
+
+  val to_sorted_list : t -> Packet.t list
+  (** Forwarding order (head of the queue first). *)
+
+  val arrivals : t -> int
+  (** Total packets ever admitted here (the arrival sequence counter);
+      arrivals rejected by {!enqueue_capped} do not count. *)
+end

@@ -27,7 +27,7 @@
      of [stride]-word packet records in a partition-owned arena.
      Arrival-ordered policies use the slice as a ring deque; [By_key]
      policies as a binary heap on (key, seq) — the same service orders as
-     [Buffer_q].  A full slice relocates to the end of its arena with
+     [Network.Buffer_q].  A full slice relocates to the end of its arena with
      doubled capacity (bump allocation; the abandoned slice is garbage
      until the run ends, bounded by the doubling).
 
@@ -579,8 +579,8 @@ let grow_buffer t d eb =
   Array.unsafe_set em (eb + eo_cap) ncap;
   Array.unsafe_set em (eb + eo_head) 0
 
-(* Heap order: least (key, seq) first — the service order of [Buffer_q]'s
-   [Keyed] implementation.  [wa]/[wb] are word indices of records; the key
+(* Heap order: least (key, seq) first — the service order of
+   [Network.Buffer_q]'s [Keyed] implementation.  [wa]/[wb] are word indices of records; the key
    and seq live in the slab, so keyed policies pay the slot dereference
    the deque disciplines avoid. *)
 let heap_less t arena wa wb =
@@ -684,7 +684,7 @@ let deque_pop_back t d eb dst dpos =
         land (Array.unsafe_get em (eb + eo_cap) - 1))))
     dst dpos
 
-(* Pop the record the policy forwards next ([Buffer_q.take]) into
+(* Pop the record the policy forwards next ([Network.Buffer_q.take]) into
    [dst.(dpos, dpos + stride)]. *)
 let take t d eb dst dpos =
   if t.keyed then heap_pop t d eb dst dpos
@@ -1483,7 +1483,7 @@ let view_of_rec t arena w =
   }
 
 (* Buffered packets of edge [e] in service order — the order
-   [Buffer_q.to_sorted_list] reports: FIFO front-first, LIFO back-first,
+   [Network.buffer_packets] reports: FIFO front-first, LIFO back-first,
    keyed by ascending (key, seq). *)
 let buffer_packets t e =
   let d = owner t e in

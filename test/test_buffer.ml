@@ -1,10 +1,10 @@
 (* Tests for the engine's per-edge buffer storage: the FIFO/LIFO ring and
-   the keyed binary heap of Buffer_q, checked against a reference copy of
-   the buffer as it was built on a polymorphic deque and heap, and by the
-   ring and heap cases carried over from those modules. *)
+   the keyed binary heap of Network.Buffer_q, checked against a reference
+   copy of the buffer as it was built on a polymorphic deque and heap, and
+   by the ring and heap cases carried over from those modules. *)
 
 module Packet = Aqt_engine.Packet
-module Buffer_q = Aqt_engine.Buffer_q
+module Buffer_q = Aqt_engine.Network.Buffer_q
 module Policy_type = Aqt_engine.Policy_type
 module Policies = Aqt_policy.Policies
 
@@ -181,8 +181,6 @@ module Ref_buffer = struct
     | Lifo d -> Dq.pop_back d
     | Keyed h -> H.pop_min h
 
-  let dequeue b = if length b = 0 then None else Some (take b)
-
   let enqueue_capped b policy ~now ~cap ~drop_head p =
     let len = length b in
     if len < cap then begin
@@ -195,12 +193,6 @@ module Ref_buffer = struct
       Buffer_q.Displaced victim
     end
     else Buffer_q.Rejected
-
-  let peek b =
-    match b.impl with
-    | Fifo d -> if d.len = 0 then None else Some (Dq.get d 0)
-    | Lifo d -> if d.len = 0 then None else Some (Dq.get d (d.len - 1))
-    | Keyed h -> if h.len = 0 then None else Some h.data.(0).value
 
   (* Ring order front to back, or the heap array's order: the order
      [Network.iter_buffered] exposes. *)
@@ -218,8 +210,8 @@ module Ref_buffer = struct
   let arrivals b = b.seq
 end
 
-(* Random enqueue / take / dequeue / peek / capped-enqueue sequences under
-   every deterministic policy and a random one, against the reference.  The
+(* Random enqueue / take / capped-enqueue sequences under every
+   deterministic policy and a random one, against the reference.  The
    packets' injection times, route lengths and hops are drawn from small
    ranges so every key function sees many equal keys.  After every
    operation the two buffers must agree on the returned packet (physically
@@ -249,12 +241,6 @@ let prop_buffer_matches_reference =
         incr next;
         pkt ~injected_at:(draw 8) ~len ~hop:(draw len) !next
       in
-      let same_opt x y =
-        match (x, y) with
-        | None, None -> true
-        | Some p, Some q -> p == q
-        | _ -> false
-      in
       let agree () =
         Buffer_q.length b = Ref_buffer.length r
         && Buffer_q.arrivals b = Ref_buffer.arrivals r
@@ -263,7 +249,7 @@ let prop_buffer_matches_reference =
         && iter_ids b = Ref_buffer.iter_ids r
       in
       let step now =
-        match draw 6 with
+        match draw 4 with
         | 0 | 1 ->
             let p = fresh () in
             Buffer_q.enqueue b policy ~now p;
@@ -276,8 +262,6 @@ let prop_buffer_matches_reference =
                 match Ref_buffer.take r with
                 | _ -> false
                 | exception Not_found -> true))
-        | 3 -> same_opt (Buffer_q.dequeue b) (Ref_buffer.dequeue r)
-        | 4 -> same_opt (Buffer_q.peek b) (Ref_buffer.peek r)
         | _ -> (
             let p = fresh () and cap = draw 5 and drop_head = draw 2 = 0 in
             match
@@ -304,7 +288,6 @@ let deque_basics () =
       check_int "length" 3 (Buffer_q.length b);
       check_ids "forwarding order" order (ids (Buffer_q.to_sorted_list b));
       check_ids "ring order" [ 0; 1; 2 ] (iter_ids b);
-      check_int "peek" (List.hd order) (Option.get (Buffer_q.peek b)).id;
       check_ids "takes" order (take_ids b 3);
       check_bool "empty again" true (Buffer_q.is_empty b);
       Alcotest.check_raises "empty take" Not_found (fun () ->
@@ -347,21 +330,6 @@ let deque_wraparound () =
     (List.init 10 (fun i -> 29 - i) @ List.init 10 (fun i -> 9 - i))
     (ids (Buffer_q.to_sorted_list b))
 
-let deque_option_variants () =
-  List.iter
-    (fun (policy, first, second) ->
-      let b = Buffer_q.create policy in
-      check_bool "dequeue empty" true (Buffer_q.dequeue b = None);
-      check_bool "peek empty" true (Buffer_q.peek b = None);
-      Buffer_q.enqueue b policy ~now:0 (pkt 1);
-      Buffer_q.enqueue b policy ~now:0 (pkt 2);
-      let id = Option.map (fun (p : Packet.t) -> p.id) in
-      check_bool "peek" true (id (Buffer_q.peek b) = Some first);
-      check_bool "dequeue" true (id (Buffer_q.dequeue b) = Some first);
-      check_bool "dequeue next" true (id (Buffer_q.dequeue b) = Some second);
-      check_bool "drained" true (Buffer_q.dequeue b = None))
-    [ (Policies.fifo, 1, 2); (Policies.lifo, 2, 1) ]
-
 (* Model check against a list, served from the front (FIFO) or the back
    (LIFO). *)
 let prop_deque_model =
@@ -386,10 +354,11 @@ let prop_deque_model =
               Buffer_q.enqueue b policy ~now:0 (pkt v);
               model := !model @ [ v ]
           | 2 -> (
-              match (serve (), Buffer_q.dequeue b) with
-              | None, None -> ()
-              | Some x, Some p when p.id = x -> ()
-              | _ -> ok := false)
+              match serve () with
+              | None -> if not (Buffer_q.is_empty b) then ok := false
+              | Some x ->
+                  if Buffer_q.is_empty b || (Buffer_q.take b).id <> x then
+                    ok := false)
           | _ -> (
               match serve () with
               | None -> (
@@ -413,24 +382,11 @@ let heap_order () =
     (fun (k, tag) ->
       Buffer_q.enqueue b Policies.lis ~now:0 (pkt ~injected_at:k ~tag 0))
     [ (3, "c"); (1, "a"); (2, "b") ];
-  check_string "min" "a" (Option.get (Buffer_q.peek b)).tag;
   check_string "pop1" "a" (Buffer_q.take b).tag;
   check_string "pop2" "b" (Buffer_q.take b).tag;
   check_string "pop3" "c" (Buffer_q.take b).tag;
   Alcotest.check_raises "empty pop" Not_found (fun () ->
       ignore (Buffer_q.take b))
-
-let heap_option_variants () =
-  let b = Buffer_q.create Policies.lis in
-  check_bool "peek empty" true (Buffer_q.peek b = None);
-  check_bool "dequeue empty" true (Buffer_q.dequeue b = None);
-  Buffer_q.enqueue b Policies.lis ~now:0 (keyed 2 2);
-  Buffer_q.enqueue b Policies.lis ~now:0 (keyed 1 1);
-  let id = Option.map (fun (p : Packet.t) -> p.id) in
-  check_bool "peek" true (id (Buffer_q.peek b) = Some 1);
-  check_bool "dequeue" true (id (Buffer_q.dequeue b) = Some 1);
-  check_bool "dequeue next" true (id (Buffer_q.dequeue b) = Some 2);
-  check_bool "drained" true (Buffer_q.dequeue b = None)
 
 let heap_tie_stability () =
   let b = Buffer_q.create Policies.lis in
@@ -472,13 +428,11 @@ let () =
         [
           Alcotest.test_case "basics" `Quick deque_basics;
           Alcotest.test_case "wraparound" `Quick deque_wraparound;
-          Alcotest.test_case "option variants" `Quick deque_option_variants;
           q prop_deque_model;
         ] );
       ( "binheap",
         [
           Alcotest.test_case "order" `Quick heap_order;
-          Alcotest.test_case "option variants" `Quick heap_option_variants;
           Alcotest.test_case "tie stability" `Quick heap_tie_stability;
           q prop_heap_sorted_view;
           q prop_heap_matches_sort;

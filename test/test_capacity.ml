@@ -4,7 +4,7 @@
 
 module B = Aqt_graph.Build
 module N = Aqt_engine.Network
-module Buffer_q = Aqt_engine.Buffer_q
+module Buffer_q = Aqt_engine.Network.Buffer_q
 module Packet = Aqt_engine.Packet
 module Sim = Aqt_engine.Sim
 module Policies = Aqt_policy.Policies
@@ -68,7 +68,7 @@ let tradeoff_layer () =
     (Tradeoff.delivered_fraction ~injected:400 ~dropped:100)
 
 (* ------------------------------------------------------------------ *)
-(* Buffer_q edge cases                                                 *)
+(* Buffer edge cases                                                   *)
 (* ------------------------------------------------------------------ *)
 
 let packet id : Packet.t =
@@ -179,7 +179,7 @@ let bq_occupancy_prop =
       List.for_all
         (fun op ->
           if op = 3 then begin
-            ignore (Buffer_q.dequeue b);
+            if not (Buffer_q.is_empty b) then ignore (Buffer_q.take b);
             true
           end
           else begin

@@ -252,6 +252,57 @@ let shrink_reduces () =
         (count shrunk <= count original
         && Gen.horizon shrunk <= Gen.horizon original)
 
+(* The paper's own run as an oracle scenario: Theorem 3.17's FIFO
+   construction (eps = 1/5, s0 = 50, one cycle) replayed as Lemma 3.3's
+   static adversary A' -- the initial packets on their final routes and
+   the logged injections of steps 1 to 1,000 at their logged times, FIFO
+   with transit-first ties, unbounded buffers and no reroute pass.  Its
+   queues reach the hundreds, far beyond what the generated families
+   draw, so the engine's ring growth and wrap-around meet the reference
+   at the paper's scale. *)
+let theorem_3_17_scenario () =
+  let horizon = 1_000 in
+  let cfg =
+    Aqt.Instability.config ~eps:(Aqt_util.Ratio.make 1 5) ~s0:50 ~cycles:1
+      ~log_injections:true ()
+  in
+  let res = Aqt.Instability.run cfg in
+  let schedule = Array.make horizon [] in
+  Array.iter
+    (fun (t, route) ->
+      if t <= horizon then
+        schedule.(t - 1) <- { N.route; tag = "a'" } :: schedule.(t - 1))
+    (N.injection_log res.net);
+  let initial = Array.to_list (N.initial_final_routes res.net) in
+  check_int "every seed packet replayed" cfg.seed (List.length initial);
+  let scenario =
+    {
+      Gen.seed = 0;
+      label = "theorem-3.17 eps=1/5 s0=50, steps 1-1000";
+      graph = res.gadget.graph;
+      policy = Policies.fifo;
+      tie_order = N.Transit_first;
+      initial;
+      schedule = Array.map List.rev schedule;
+      reroutes = false;
+      capacity = Aqt_capacity.Model.unbounded;
+      feedback = None;
+      obligations = [];
+    }
+  in
+  let injections = Array.fold_left (fun n l -> n + List.length l) 0 schedule in
+  check_bool "more than 5,000 injections" true (injections > 5_000);
+  (match Diff.run scenario with
+  | None -> ()
+  | Some f -> Alcotest.failf "the replay diverged: %a" Diff.pp_failure f);
+  List.iter
+    (fun (name, mutant) ->
+      check_bool (name ^ " caught") true (Diff.run ~mutant scenario <> None))
+    [
+      ("flip-tie-order", Diff.Flip_tie_order);
+      ("drop-injection 5000", Diff.Drop_injection 5_000);
+    ]
+
 let () =
   Alcotest.run "aqt_check"
     [
@@ -290,5 +341,7 @@ let () =
             (mutant_is_caught ~families:[ Gen.Local_bursty ]
                "violate-local-budget" Diff.Violate_local_budget);
           Alcotest.test_case "shrink reduces" `Quick shrink_reduces;
+          Alcotest.test_case "theorem 3.17 replay conforms" `Quick
+            theorem_3_17_scenario;
         ] );
     ]
