@@ -1153,11 +1153,9 @@ let noisy_run (cfg : Aqt.Instability.config) ~num ~den =
         let t = Network.now net + 1 in
         base.Sim.before_step net t;
         let injections = base.Sim.injections_at net t in
-        (* Coins in edge order, then the injection list built back to
-           front so it is in edge order too. *)
-        for e = 0 to m_edges - 1 do
-          hit.(e) <- Aqt_util.Prng.bernoulli prng ~num ~den
-        done;
+        (* Coins in edge order, drawn in one pass, then the injection list
+           built back to front so it is in edge order too. *)
+        Aqt_util.Prng.bernoulli_fill prng ~num ~den hit;
         let exogenous = ref [] in
         for e = m_edges - 1 downto 0 do
           if hit.(e) then exogenous := noise.(e) :: !exogenous

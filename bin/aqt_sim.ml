@@ -1270,7 +1270,7 @@ let check_cmd =
               false)
       mutants
   in
-  let run seeds base seed backend domains family mutant_demo quiet =
+  let run seeds base seed backend domains family mutant_demo quiet paper =
     let ok = ref true in
     let families = match family with [] -> None | fs -> Some fs in
     (* [--backend soa] adds struct-of-arrays arms (one per domain count in
@@ -1281,8 +1281,21 @@ let check_cmd =
       | `Record -> None
       | `Soa -> Some (if domains = [] then [ 1 ] else domains)
     in
-    (match seed with
-    | Some k -> (
+    (match (paper, seed) with
+    | Some cfg, _ -> (
+        let scenario = Check.theorem_3_17 cfg in
+        Format.printf "%s: %d initial packets, %d injections@."
+          scenario.Gen.label
+          (List.length scenario.Gen.initial)
+          (Array.fold_left
+             (fun n l -> n + List.length l)
+             0 scenario.Gen.schedule);
+        match Diff.run ?soa_domains scenario with
+        | None -> Format.printf "theorem 3.17 replay: conforms@."
+        | Some f ->
+            Format.printf "theorem 3.17 replay: %a@." Diff.pp_failure f;
+            ok := false)
+    | None, Some k -> (
         let scenario = Gen.generate ?families k in
         Format.printf "%a@." Gen.pp scenario;
         match Diff.run ?soa_domains scenario with
@@ -1294,7 +1307,7 @@ let check_cmd =
             Format.printf "seed %d: %a@.shrunk (%a):@.%a@." k Diff.pp_failure
               original Diff.pp_failure failure Gen.pp shrunk;
             ok := false)
-    | None ->
+    | None, None ->
         if (not mutant_demo) || seeds > 0 then begin
           let progress =
             if quiet then None
@@ -1378,6 +1391,33 @@ let check_cmd =
   let quiet =
     Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No progress lines.")
   in
+  (* The construction needs S0 >= 2n, n = 9 at eps 1/5. *)
+  let paper_run =
+    let eps = Ratio.make 1 5 in
+    let min_s0 = 2 * (Aqt.Params.make ~eps ()).n in
+    let parse s =
+      match List.map int_of_string_opt (String.split_on_char ',' s) with
+      | [ Some s0; Some _ ] when s0 < min_s0 ->
+          Error (Printf.sprintf "s0 %d must be at least %d" s0 min_s0)
+      | [ Some _; Some cycles ] when cycles < 1 ->
+          Error (Printf.sprintf "cycles %d must be at least 1" cycles)
+      | [ Some s0; Some cycles ] ->
+          Ok (Aqt.Instability.config ~eps ~s0 ~cycles ())
+      | _ -> Error (Printf.sprintf "%S is not S0,CYCLES" s)
+    in
+    let print fmt (cfg : Aqt.Instability.config) =
+      Format.fprintf fmt "%d,%d" cfg.params.s0 cfg.cycles
+    in
+    Arg.(
+      value
+      & opt (some (conv' (parse, print))) None
+      & info [ "theorem-3-17" ] ~docv:"S0,CYCLES"
+          ~doc:
+            "Run Theorem 3.17's FIFO construction (eps 1/5) at seed \
+             threshold $(i,S0) for $(i,CYCLES) cycles, and replay it as \
+             Lemma 3.3's static adversary through the differ, whole.  \
+             Overrides $(b,--seeds) and $(b,--seed).")
+  in
   Cmd.v
     (Cmd.info "check"
        ~doc:
@@ -1388,7 +1428,7 @@ let check_cmd =
           replayable by seed.")
     Term.(
       const run $ seeds $ base $ seed $ backend $ domains $ family
-      $ mutant_demo $ quiet)
+      $ mutant_demo $ quiet $ paper_run)
 
 (* ------------------------------------------------------------------ *)
 (* fabric: datacenter-fabric scenarios (spine-leaf / fat-tree)          *)

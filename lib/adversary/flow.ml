@@ -35,7 +35,13 @@ let cumulative f t =
     match f.max_total with None -> raw | Some m -> min raw m
   end
 
-let count_at f t = cumulative f t - cumulative f (t - 1)
+(* Outside its window a flow injects nothing, and a finished flow stays in
+   the phase lists of Pump, Startup and Stitch: answer it before either
+   division. *)
+let count_at f t =
+  if t < f.start || t > f.stop then 0
+  else cumulative f t - cumulative f (t - 1)
+
 let total f = cumulative f f.stop
 
 let last_injection_step f =

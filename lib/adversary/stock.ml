@@ -26,24 +26,35 @@ let token_bucket ?(name = "token-bucket") ~rate ~routes ~horizon () =
   in
   of_flows ~name ~rate flows
 
+(* One injection record per route, built once: injections are immutable,
+   so every step's list can repeat them. *)
+let injections ~name routes =
+  Array.of_list
+    (List.map
+       (fun route : Aqt_engine.Network.injection -> { route; tag = name })
+       routes)
+
+(* [injs.(i mod n)] for i = from, .., k, consed onto [acc].  Top-level
+   rather than a closure over the step's bounds, which would be allocated
+   every step. *)
+let rec round_robin (injs : Aqt_engine.Network.injection array) from k acc =
+  if k < from then acc
+  else round_robin injs from (k - 1) (injs.(k mod Array.length injs) :: acc)
+
 let shared_token_bucket ?(name = "shared-bucket") ~rate ~routes ~horizon () =
-  let routes = Array.of_list routes in
-  if Array.length routes = 0 then invalid_arg "Stock.shared_token_bucket";
+  let injs = injections ~name routes in
+  if Array.length injs = 0 then invalid_arg "Stock.shared_token_bucket";
   (* One bucket; the k-th released packet takes routes.(k mod n).  Arrival
      counts come from a single flow on a dummy route, so the cumulative
      release count is floor(rate * t). *)
   let counter =
-    Flow.make ~route:routes.(0) ~rate ~start:1 ~stop:horizon ()
+    Flow.make ~route:injs.(0).route ~rate ~start:1 ~stop:horizon ()
   in
   let driver =
     Sim.injections_only (fun _ t ->
         let from = Flow.cumulative counter (t - 1)
         and upto = Flow.cumulative counter t in
-        List.init (upto - from) (fun i : Aqt_engine.Network.injection ->
-            {
-              route = routes.((from + i) mod Array.length routes);
-              tag = name;
-            }))
+        round_robin injs from (upto - 1) [])
   in
   { name; rate; window = None; exact = true; driver }
 
@@ -51,13 +62,7 @@ let windowed_burst ?(name = "window-burst") ?(packed = false) ~w ~rate ~routes
     ~horizon () =
   if w < 1 then invalid_arg "Stock.windowed_burst: w must be positive";
   let per_window = Ratio.floor_mul rate w in
-  let routes = Array.of_list routes in
-  let one_per_route =
-    Array.to_list
-      (Array.map
-         (fun route : Aqt_engine.Network.injection -> { route; tag = name })
-         routes)
-  in
+  let one_per_route = Array.to_list (injections ~name routes) in
   let driver =
     Sim.injections_only (fun _ t ->
         if t > horizon then []
@@ -80,18 +85,11 @@ let leaky_bucket ?(name = "leaky-bucket") ~b ~rate ~routes ~horizon () =
       (fun route -> Flow.make ~tag:name ~route ~rate ~start:1 ~stop:horizon ())
       routes
   in
-  let routes_arr = Array.of_list routes in
+  let one_per_route = Array.to_list (injections ~name routes) in
   let driver =
     Sim.injections_only (fun _ t ->
         let burst =
-          if t = 1 then
-            List.concat
-              (List.init b (fun _ ->
-                   Array.to_list
-                     (Array.map
-                        (fun route : Aqt_engine.Network.injection ->
-                          { route; tag = name })
-                        routes_arr)))
+          if t = 1 then List.concat (List.init b (fun _ -> one_per_route))
           else []
         in
         burst @ Flow.injections_at flows t)
@@ -146,15 +144,23 @@ let replay ?(name = "replay") ~rate log =
   in
   { name; rate; window = None; exact = true; driver }
 
+(* The injections whose coin came up, in route order: built back to front
+   so that only the hits allocate, one cons cell each. *)
+let rec hits (injs : Aqt_engine.Network.injection array) coins i acc =
+  if i < 0 then acc
+  else
+    hits injs coins (i - 1)
+      (if Array.unsafe_get coins i then Array.unsafe_get injs i :: acc
+       else acc)
+
 let bernoulli ?(name = "bernoulli") ~prng ~rate ~routes () =
   let num = Ratio.num rate and den = Ratio.den rate in
+  let injs = injections ~name routes in
+  let coins = Array.make (Array.length injs) false in
   let driver =
     Sim.injections_only (fun _ _ ->
-        List.filter_map
-          (fun route ->
-            if Aqt_util.Prng.bernoulli prng ~num ~den then
-              Some ({ route; tag = name } : Aqt_engine.Network.injection)
-            else None)
-          routes)
+        (* One coin per route, in route order, drawn in one pass. *)
+        Aqt_util.Prng.bernoulli_fill prng ~num ~den coins;
+        hits injs coins (Array.length injs - 1) [])
   in
   { name; rate; window = None; exact = false; driver }

@@ -4,7 +4,11 @@
     constraint class it satisfies.  The deterministic ones satisfy their
     stated constraint exactly (validated in the test suite by
     {!Rate_check}); [bernoulli] satisfies it only in expectation and is
-    marked accordingly. *)
+    marked accordingly.
+
+    Injections are immutable, so the route-list adversaries build one
+    injection record per route when they are made and every step's list
+    repeats those records: a step allocates only its list cells. *)
 
 type t = {
   name : string;
@@ -91,4 +95,8 @@ val bernoulli :
   t
 (** Each step, independently for each route, injects one packet with
     probability [rate].  Average rate [rate] per route; not an exact
-    adversary. *)
+    adversary.  A step draws one coin per route, in route order, with
+    {!Aqt_util.Prng.bernoulli_fill}: the coins of as many
+    {!Aqt_util.Prng.bernoulli} draws.  A rate above 1 raises
+    [Invalid_argument "Prng.bernoulli"] at the first step, unless
+    [routes] is empty and nothing is drawn. *)

@@ -42,6 +42,39 @@ let find_mutant_failure ?families ?(max_seeds = 100) mutant =
   in
   scan 0
 
+let theorem_3_17 ?horizon (cfg : Aqt.Instability.config) =
+  let module N = Aqt_engine.Network in
+  let res =
+    Aqt.Instability.run ~resilient:true { cfg with log_injections = true }
+  in
+  let steps = N.now res.net in
+  let horizon = match horizon with Some h -> min h steps | None -> steps in
+  let schedule = Array.make horizon [] in
+  (* The log is in injection order; each step's list is consed back to
+     front and reversed at the end. *)
+  Array.iter
+    (fun (t, route) ->
+      if t <= horizon then
+        schedule.(t - 1) <- { N.route; tag = "a'" } :: schedule.(t - 1))
+    (N.injection_log res.net);
+  {
+    Gen.seed = 0;
+    label =
+      Printf.sprintf "theorem-3.17 eps=%s s0=%d cycles=%d, steps 1-%d%s"
+        (Aqt_util.Ratio.to_string cfg.params.eps)
+        cfg.params.s0 cfg.cycles horizon
+        (if res.collapsed = None then "" else " (a phase collapsed)");
+    graph = res.gadget.graph;
+    policy = Aqt_policy.Policies.fifo;
+    tie_order = N.Transit_first;
+    initial = Array.to_list (N.initial_final_routes res.net);
+    schedule = Array.map List.rev schedule;
+    reroutes = false;
+    capacity = Aqt_capacity.Model.unbounded;
+    feedback = None;
+    obligations = [];
+  }
+
 let pp_summary fmt s =
   if s.failures = [] then
     Format.fprintf fmt

@@ -50,6 +50,20 @@ val find_mutant_failure :
     is the self-check that the differ can actually catch engine bugs —
     used by the test suite and by [aqt_sim check --mutant-demo]. *)
 
+val theorem_3_17 : ?horizon:int -> Aqt.Instability.config -> Gen.scenario
+(** The paper's own run as an oracle scenario: Theorem 3.17's FIFO
+    construction, run with its injection log, replayed as Lemma 3.3's
+    static adversary A'.  The initial packets start on their final routes,
+    and the injections logged at step [t] make up [schedule.(t - 1)], in
+    log order; FIFO with transit-first ties, unbounded buffers, no reroute
+    pass and no obligations.  The schedule covers the whole run, or its
+    first [horizon] steps; a run whose phase collapsed (see
+    [Instability.run ~resilient]) is replayed up to the collapse, and its
+    label says so.  Its queues reach the hundreds, far beyond what
+    the generated families draw, so {!Diff.run} meets the engine's ring
+    growth and wrap-around at the paper's scale.  No family draws it:
+    every seed keeps its scenario. *)
+
 val pp_summary : Format.formatter -> summary -> unit
 (** Human-readable report: pass line, or per-failure the seed, the
     failure, the shrunk scenario dump, and the replay command. *)

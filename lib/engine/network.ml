@@ -424,7 +424,9 @@ let check_route t route =
          (Digraph.pp_route t.graph) route)
 
 (* Canonical array for an injected route; validation runs only when the
-   contents are seen for the first time. *)
+   contents are seen for the first time.  A hit returns the option the
+   table stores, and a miss is added at the slot where [find]'s probe
+   stopped, so either way the table is probed once. *)
 let intern_route t route =
   match Route_intern.find t.routes route with
   | Some canonical -> canonical

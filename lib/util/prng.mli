@@ -37,7 +37,18 @@ val float : t -> float -> float
 val bool : t -> bool
 
 val bernoulli : t -> num:int -> den:int -> bool
-(** [bernoulli t ~num ~den] is true with probability exactly [num/den]. *)
+(** [bernoulli t ~num ~den] is true with probability exactly [num/den].
+    @raise Invalid_argument ["Prng.bernoulli"] unless [0 <= num <= den]
+    and [den > 0]. *)
+
+val bernoulli_fill : t -> num:int -> den:int -> bool array -> unit
+(** [bernoulli_fill t ~num ~den a] sets [a.(0)], [a.(1)], ... in turn to
+    [bernoulli t ~num ~den]: the same draws, in the same order, with the
+    same rejections, so the booleans and the generator's next state are
+    those of [Array.length a] single draws.  It allocates nothing.
+    @raise Invalid_argument ["Prng.bernoulli"] on a bad [num]/[den], but
+    only when [a] is non-empty: an empty fill draws nothing and checks
+    nothing. *)
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)

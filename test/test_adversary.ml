@@ -77,6 +77,27 @@ let prop_flow_prefix_rate =
       && Flow.cumulative f t >= 0
       && Flow.cumulative f t >= Flow.cumulative f (t - 1))
 
+(* [count_at] answers 0 outside the window before any division; inside
+   and out it is the difference of consecutive cumulative counts, with or
+   without a cap. *)
+let prop_flow_count_at_is_difference =
+  QCheck.Test.make ~name:"count_at is the cumulative difference" ~count:300
+    QCheck.(
+      quad
+        (pair (int_range 1 10) (int_range 1 10))
+        (int_range (-5) 50) (int_range 0 40)
+        (option (int_range 0 30)))
+    (fun ((p, q), start, len, max_total) ->
+      let rate = R.make (min p q) (max p q) in
+      let stop = start + len in
+      let f = Flow.make ?max_total ~route:[| 0 |] ~rate ~start ~stop () in
+      let rec ok t =
+        t > stop + 3
+        || Flow.count_at f t = Flow.cumulative f t - Flow.cumulative f (t - 1)
+           && ok (t + 1)
+      in
+      ok (start - 3))
+
 (* The reference definition of [Flow.injections_at]: a fresh record per
    packet, flows in list order. *)
 let concat_map_injections flows t =
@@ -548,7 +569,14 @@ let bernoulli_roughly_rate () =
   let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
   let _ = Sim.run ~net ~driver:adv.driver ~horizon:5000 () in
   let n = N.injected_count net in
-  check_bool "mean near 1000" true (n > 850 && n < 1150)
+  check_bool "mean near 1000" true (n > 850 && n < 1150);
+  (* Over no routes nothing is drawn, so not even a rate above 1 raises. *)
+  let idle =
+    Stock.bernoulli ~prng ~rate:(R.make 3 2) ~routes:[] ()
+  in
+  let net = N.create ~graph:l.graph ~policy:Policies.fifo () in
+  let _ = Sim.run ~net ~driver:idle.driver ~horizon:10 () in
+  check_int "no routes, no injections" 0 (N.injected_count net)
 
 let replay_reproduces_run () =
   (* Record a run, replay it, and require the identical trajectory. *)
@@ -780,6 +808,7 @@ let () =
           Alcotest.test_case "last injection" `Quick flow_last_injection;
           Alcotest.test_case "rejections" `Quick flow_rejects;
           q prop_flow_prefix_rate;
+          q prop_flow_count_at_is_difference;
           q prop_injections_at_matches_definition;
         ] );
       ( "rate-check",

@@ -254,43 +254,18 @@ let shrink_reduces () =
 
 (* The paper's own run as an oracle scenario: Theorem 3.17's FIFO
    construction (eps = 1/5, s0 = 50, one cycle) replayed as Lemma 3.3's
-   static adversary A' -- the initial packets on their final routes and
-   the logged injections of steps 1 to 1,000 at their logged times, FIFO
-   with transit-first ties, unbounded buffers and no reroute pass.  Its
-   queues reach the hundreds, far beyond what the generated families
-   draw, so the engine's ring growth and wrap-around meet the reference
-   at the paper's scale. *)
+   static adversary A' over steps 1 to 1,000 ([Check.theorem_3_17]). *)
 let theorem_3_17_scenario () =
-  let horizon = 1_000 in
   let cfg =
-    Aqt.Instability.config ~eps:(Aqt_util.Ratio.make 1 5) ~s0:50 ~cycles:1
-      ~log_injections:true ()
+    Aqt.Instability.config ~eps:(Aqt_util.Ratio.make 1 5) ~s0:50 ~cycles:1 ()
   in
-  let res = Aqt.Instability.run cfg in
-  let schedule = Array.make horizon [] in
-  Array.iter
-    (fun (t, route) ->
-      if t <= horizon then
-        schedule.(t - 1) <- { N.route; tag = "a'" } :: schedule.(t - 1))
-    (N.injection_log res.net);
-  let initial = Array.to_list (N.initial_final_routes res.net) in
-  check_int "every seed packet replayed" cfg.seed (List.length initial);
-  let scenario =
-    {
-      Gen.seed = 0;
-      label = "theorem-3.17 eps=1/5 s0=50, steps 1-1000";
-      graph = res.gadget.graph;
-      policy = Policies.fifo;
-      tie_order = N.Transit_first;
-      initial;
-      schedule = Array.map List.rev schedule;
-      reroutes = false;
-      capacity = Aqt_capacity.Model.unbounded;
-      feedback = None;
-      obligations = [];
-    }
+  let scenario = Check.theorem_3_17 ~horizon:1_000 cfg in
+  check_int "every seed packet replayed" cfg.seed
+    (List.length scenario.Gen.initial);
+  check_int "steps 1 to 1,000" 1_000 (Gen.horizon scenario);
+  let injections =
+    Array.fold_left (fun n l -> n + List.length l) 0 scenario.Gen.schedule
   in
-  let injections = Array.fold_left (fun n l -> n + List.length l) 0 schedule in
   check_bool "more than 5,000 injections" true (injections > 5_000);
   (match Diff.run scenario with
   | None -> ()

@@ -25,6 +25,8 @@ module Prng = Aqt_util.Prng
 let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 
+let q = QCheck_alcotest.to_alcotest
+
 (* ------------------------------------------------------------------ *)
 (* Route_intern units                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -83,6 +85,100 @@ let shared_table_across_networks () =
   check_int "second network reuses the first one's validation" misses
     (RI.misses tbl);
   check_int "one distinct route across both" 1 (RI.distinct tbl)
+
+(* The table against a [Hashtbl] model, over random operation sequences
+   on routes of at most four edges from a four-edge alphabet (341 distinct
+   routes, the empty one among them), so probes collide and the 64-slot
+   table doubles several times.  The caller holds six arrays; [Renew]
+   gives one of them fresh contents in a fresh array and overwrites the
+   old one, which the table must not have kept.  [Lookup] is [Network]'s
+   own sequence, a [find] and, on a miss, an [add] of the same array;
+   [Find] then [Add] of one array with other operations in between must
+   not reuse a probe that those operations made stale. *)
+type intern_op =
+  | Renew of int * int array
+  | Find of int
+  | Add of int
+  | Intern of int
+  | Lookup of int
+
+let pp_intern_op = function
+  | Renew (i, r) -> Printf.sprintf "renew %d %s" i QCheck.Print.(array int r)
+  | Find i -> Printf.sprintf "find %d" i
+  | Add i -> Printf.sprintf "add %d" i
+  | Intern i -> Printf.sprintf "intern %d" i
+  | Lookup i -> Printf.sprintf "lookup %d" i
+
+let prop_intern_model =
+  let op =
+    let route = QCheck.Gen.(array_size (int_range 0 4) (int_range 0 3)) in
+    let caller = QCheck.Gen.int_range 0 5 in
+    QCheck.Gen.(
+      frequency
+        [
+          (3, map2 (fun i r -> Renew (i, r)) caller route);
+          (2, map (fun i -> Find i) caller);
+          (1, map (fun i -> Add i) caller);
+          (2, map (fun i -> Intern i) caller);
+          (2, map (fun i -> Lookup i) caller);
+        ])
+  in
+  QCheck.Test.make ~count:100 ~name:"route table matches a Hashtbl model"
+    (QCheck.make
+       ~print:QCheck.Print.(list pp_intern_op)
+       QCheck.Gen.(list_size (int_range 0 1000) op))
+    (fun ops ->
+      let tbl = RI.create () and callers = Array.make 6 [||] in
+      let model = Hashtbl.create 16 and hits = ref 0 and misses = ref 0 in
+      let hit key c =
+        incr hits;
+        c == Hashtbl.find model key
+      in
+      (* A new canonical array: equal to the caller's, but not it (bar the
+         empty route: every [[||]] is the same value). *)
+      let added key r c =
+        incr misses;
+        Hashtbl.replace model key c;
+        (c != r || r = [||]) && Array.to_list c = key
+      in
+      let apply = function
+        | Renew (i, r) ->
+            let old = callers.(i) in
+            Array.fill old 0 (Array.length old) (-1);
+            callers.(i) <- Array.copy r;
+            true
+        | (Find i | Add i | Intern i | Lookup i) as op -> (
+            let r = callers.(i) in
+            let key = Array.to_list r in
+            let known = Hashtbl.mem model key in
+            match op with
+            | Find _ -> (
+                match RI.find tbl r with
+                | Some c -> known && hit key c
+                | None -> not known)
+            | Add _ -> added key r (RI.add tbl r)
+            | Intern _ ->
+                let c = RI.intern tbl r in
+                if known then hit key c else added key r c
+            | Lookup _ | Renew _ -> (
+                match RI.find tbl r with
+                | Some c -> known && hit key c
+                | None -> (not known) && added key r (RI.add tbl r)))
+      in
+      List.for_all apply ops
+      && RI.distinct tbl = Hashtbl.length model
+      && RI.hits tbl = !hits
+      && RI.misses tbl = !misses
+      (* Every canonical array kept its contents and is still found. *)
+      && Hashtbl.fold
+           (fun key c ok ->
+             ok
+             && Array.to_list c = key
+             &&
+             match RI.find tbl (Array.of_list key) with
+             | Some c' -> c' == c
+             | None -> false)
+           model true)
 
 (* ------------------------------------------------------------------ *)
 (* Packet pool                                                         *)
@@ -418,8 +514,6 @@ let prop_fastpath_differential =
         [ ("instrumented", false); ("fast", true) ];
       true)
 
-let q = QCheck_alcotest.to_alcotest
-
 let () =
   Alcotest.run "aqt_fastpath"
     [
@@ -431,6 +525,7 @@ let () =
           Alcotest.test_case "validation once" `Quick intern_validation_once;
           Alcotest.test_case "shared across networks" `Quick
             shared_table_across_networks;
+          q prop_intern_model;
         ] );
       ( "pool",
         [ Alcotest.test_case "recycles records" `Quick pool_recycles_records ] );

@@ -494,6 +494,74 @@ let prng_golden_rejection () =
         "C2BC249E28760CCD" );
     ]
 
+(* One fill per seed, then the next raw draw: 20 coins at 3/10 and 8 at
+   2^60/(2^61 + 1), where about half the draws are rejected.  Recorded as
+   that many single [bernoulli] draws, before the fill existed. *)
+let prng_golden_fill () =
+  List.iter
+    (fun (seed, expected) ->
+      let p = Prng.create seed in
+      let coins n ~num ~den =
+        let a = Array.make n false in
+        Prng.bernoulli_fill p ~num ~den a;
+        String.init n (fun i -> if a.(i) then '1' else '0')
+      in
+      let a = coins 20 ~num:3 ~den:10 in
+      let b = coins 8 ~num:(1 lsl 60) ~den:((1 lsl 61) + 1) in
+      check_string (Printf.sprintf "seed %d" seed) expected
+        (Printf.sprintf "%s %s %016LX" a b (Prng.bits64 p)))
+    [
+      (0, "00010100001110001001 00011100 3C3C41A3B43343A1");
+      (42, "10010010011000010001 01001111 5E67829D4E432BAE");
+      (-7, "01010000010011000010 00000101 BA6B2E442B4B6352");
+      (123456789, "00011000000100011010 10111011 404DB48CDC5A0881");
+    ]
+
+(* The fill writes the coins of as many single draws and leaves the
+   generator where they would: lengths 0-300, and [num]/[den] at the edges
+   ([num = 0], [num = den], [den = 1]) and beyond 2^60, where the rejection
+   loop runs. *)
+let prop_prng_fill_matches_draws =
+  let with_num den =
+    QCheck.Gen.(map (fun num -> (num, den)) (int_range 0 den))
+  in
+  let num_den =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun d -> (0, d)) (int_range 1 1000);
+          map (fun d -> (d, d)) (int_range 1 1000);
+          oneofl [ (0, 1); (1, 1); (1 lsl 60, (1 lsl 61) + 1) ];
+          int_range 1 1000 >>= with_num;
+          int_range (1 lsl 60) max_int >>= with_num;
+        ])
+  in
+  QCheck.Test.make ~count:300 ~name:"bernoulli_fill equals repeated bernoulli"
+    QCheck.(
+      triple int (int_range 0 300)
+        (make ~print:Print.(pair int int) num_den))
+    (fun (seed, n, (num, den)) ->
+      let p = Prng.create seed and q = Prng.create seed in
+      let a = Array.make n true in
+      Prng.bernoulli_fill p ~num ~den a;
+      let b = Array.init n (fun _ -> Prng.bernoulli q ~num ~den) in
+      a = b && Prng.bits64 p = Prng.bits64 q)
+
+(* A bad rate raises only when there is a coin to draw, and draws
+   nothing. *)
+let prng_fill_validates () =
+  let p = Prng.create 5 in
+  let mirror = Prng.copy p in
+  List.iter
+    (fun (num, den) ->
+      Prng.bernoulli_fill p ~num ~den [||];
+      Alcotest.check_raises
+        (Printf.sprintf "%d/%d" num den)
+        (Invalid_argument "Prng.bernoulli")
+        (fun () -> Prng.bernoulli_fill p ~num ~den [| false |]))
+    [ (1, 0); (0, -2); (-1, 3); (4, 3) ];
+  check_bool "no draw consumed" true (Prng.bits64 p = Prng.bits64 mirror)
+
 let prng_draws_allocate_nothing () =
   let p = Prng.create 3 in
   let hits = ref 0 in
@@ -504,6 +572,17 @@ let prng_draws_allocate_nothing () =
   let words = Gc.minor_words () -. before in
   check_bool "some draws hit" true (!hits > 0);
   Alcotest.(check (float 0.)) "minor words for 10,000 draws" 0. words
+
+let prng_fill_allocates_nothing () =
+  let p = Prng.create 3 in
+  let coins = Array.make 1_000 false in
+  let before = Gc.minor_words () in
+  for _ = 1 to 10 do
+    Prng.bernoulli_fill p ~num:3 ~den:10 coins
+  done;
+  let words = Gc.minor_words () -. before in
+  check_bool "some coins hit" true (Array.exists Fun.id coins);
+  Alcotest.(check (float 0.)) "minor words for 10,000 coins" 0. words
 
 (* ------------------------------------------------------------------ *)
 (* Jsonx                                                               *)
@@ -624,6 +703,11 @@ let () =
             prng_golden_rejection;
           Alcotest.test_case "draws allocate nothing" `Quick
             prng_draws_allocate_nothing;
+          Alcotest.test_case "golden fill" `Quick prng_golden_fill;
+          q prop_prng_fill_matches_draws;
+          Alcotest.test_case "fill validates" `Quick prng_fill_validates;
+          Alcotest.test_case "fill allocates nothing" `Quick
+            prng_fill_allocates_nothing;
         ] );
       ( "jsonx",
         [
