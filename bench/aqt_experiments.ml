@@ -5,11 +5,12 @@
    Each experiment is registered in the campaign registry
    (Aqt_harness.Registry) under its stable id (f1..f2, e1..e15, a1..a7,
    c1..c2, n1..n2, fab1..fab2) with a deterministic parameter spec and a
-   run function that
-   *returns* its tables and notes instead of printing them.  Two front
-   ends consume the registry: bench/main.exe (direct run, prints tables
-   and mirrors CSVs to bench_results/) and `aqt_sim campaign` (cached,
-   journalled, parallel orchestration). *)
+   run function that reads its parameters from that spec (every field, and
+   nothing the spec lacks: Spec.read checks both) and *returns* its tables
+   and notes instead of printing them.  Two front ends consume the
+   registry: bench/main.exe (direct run, prints tables and mirrors CSVs to
+   bench_results/) and `aqt_sim campaign` (cached, journalled, parallel
+   orchestration). *)
 
 module Ratio = Aqt_util.Ratio
 module Tbl = Aqt_util.Tbl
@@ -30,23 +31,42 @@ module Rb = Aqt_harness.Registry.Rb
 
 let notef rb fmt = Printf.ksprintf (Rb.note rb) fmt
 
-let seeded_net params ~m ~seed =
+(* The construction parameters a spec names by its eps and s0. *)
+let spec_params spec =
+  Aqt.Params.make ~eps:Spec.(get spec ratio "eps")
+    ~s0:Spec.(get spec int "s0") ()
+
+(* A FIFO cyclic chain of [m] gadgets whose F(1) ingress held 2 S0 + 2
+   seed packets, after the startup phase (Lemma 3.15) has run. *)
+let started ?recorder params ~m =
   let g = G.cyclic ~n:params.Aqt.Params.n ~m () in
   let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
+  for _ = 1 to (2 * params.s0) + 2 do
     ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
   done;
+  ignore (Phased.run ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
   (net, g)
+
+(* [started], then one pump (Lemma 3.6) from F(1) with the flows
+   [flow_filter] keeps; also returns the F(1) ingress queue it began from. *)
+let pumped ?recorder ?flow_filter params ~m =
+  let net, g = started ?recorder params ~m in
+  let s1 = (I.measure net g ~k:1).s_ingress in
+  ignore
+    (Phased.run ?recorder net
+       (Aqt.Pump.phase ?flow_filter ~params ~gadget:g ~k:1));
+  (net, g, s1)
 
 (* ------------------------------------------------------------------ *)
 (* F1 / F2: the figures                                                *)
 (* ------------------------------------------------------------------ *)
 
-let figure_3_1 rb =
+let figure_3_1 spec rb =
+  let m = Spec.(get spec int "m") in
   let rows =
     List.map
       (fun n ->
-        let g = G.chain ~n ~m:2 () in
+        let g = G.chain ~n ~m () in
         [
           Tbl.fi n;
           Tbl.fi (D.n_nodes g.graph);
@@ -56,7 +76,7 @@ let figure_3_1 rb =
           D.label g.graph (G.egress g ~k:1);
           D.label g.graph (G.egress g ~k:2);
         ])
-      [ 2; 4; 8 ]
+      Spec.(get spec (list int) "ns")
   in
   Rb.table rb ~id:"f1_figure_3_1"
     ~headers:[ "n"; "nodes"; "edges"; "DAG"; "ingress"; "shared a'"; "egress" ]
@@ -65,7 +85,7 @@ let figure_3_1 rb =
     "The shared edge a' is both the egress of F and the ingress of F',\n\
      exactly as drawn in Figure 3.1."
 
-let figure_3_2 rb =
+let figure_3_2 spec rb =
   let rows =
     List.map
       (fun (n, m) ->
@@ -79,7 +99,7 @@ let figure_3_2 rb =
           Tbl.fb (D.is_dag g.graph);
           String.concat ">" (Array.to_list (Array.map (D.label g.graph) relay));
         ])
-      [ (4, 4); (8, 8); (9, 16) ]
+      Spec.(get spec (list (pair int int)) "nm")
   in
   Rb.table rb ~id:"f2_figure_3_2"
     ~headers:[ "n"; "M"; "nodes"; "edges"; "DAG"; "stitch relay" ]
@@ -89,12 +109,11 @@ let figure_3_2 rb =
 (* E1: Theorem 3.17                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let thm_3_17_instability rb =
+let thm_3_17_instability spec rb =
   let rows = ref [] in
   let last_max_queue = ref 0 in
   List.iter
-    (fun (num, den, cycles) ->
-      let eps = Ratio.make num den in
+    (fun (eps, cycles) ->
       let cfg = Aqt.Instability.config ~eps ~cycles () in
       let res = Aqt.Instability.run cfg in
       last_max_queue := res.outcome.max_queue;
@@ -113,7 +132,7 @@ let thm_3_17_instability rb =
             ]
             :: !rows)
         res.stats)
-    [ (1, 20, 2); (1, 10, 3); (1, 5, 3) ];
+    Spec.(get spec (list (pair ratio int)) "eps_cycles");
   Rb.table rb ~id:"e1_thm_3_17"
     ~headers:[ "eps"; "rate"; "n"; "M"; "cycle"; "start step"; "seed"; "growth" ]
     (List.rev !rows);
@@ -126,15 +145,14 @@ let thm_3_17_instability rb =
 (* E2/E3/E4: the lemmas                                                *)
 (* ------------------------------------------------------------------ *)
 
-let lemma_3_15_startup rb =
-  let eps = Ratio.make 1 5 in
+let lemma_3_15_startup spec rb =
+  let eps = Spec.(get spec ratio "eps") and m = Spec.(get spec int "m") in
   let rows =
     List.map
       (fun s0 ->
         let params = Aqt.Params.make ~eps ~s0 () in
         let seed = (2 * s0) + 2 in
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+        let net, g = started params ~m in
         let m = I.measure net g ~k:1 in
         let predicted =
           Aqt.Params.s' ~r:params.r ~n:params.n ~total_old:seed
@@ -147,31 +165,30 @@ let lemma_3_15_startup rb =
           Tbl.fb (I.holds_with_slack ~slack:(4 * params.n) net g ~k:1);
           Tbl.ff (float_of_int m.s_ingress /. float_of_int (seed / 2));
         ])
-      [ 200; 400; 800; 1600 ]
+      Spec.(get spec (list int) "s0s")
   in
   Rb.table rb ~id:"e3_lemma_3_15"
     ~headers:
       [ "2S seeds"; "predicted S'"; "ingress"; "e-path"; "C holds"; "S'/S" ]
     rows;
-  Rb.note rb "Paper: S' = 2S(1-R_n) >= S(1+eps).  (Here eps = 1/5.)"
+  notef rb "Paper: S' = 2S(1-R_n) >= S(1+eps).  (Here eps = %s.)"
+    (Ratio.to_string eps)
 
-let lemma_3_6_pump rb =
-  let eps = Ratio.make 1 5 in
+let lemma_3_6_pump spec rb =
+  let eps = Spec.(get spec ratio "eps") and m = Spec.(get spec int "m") in
+  let every = Spec.(get spec int "trajectory_every") in
+  let s0s = Spec.(get spec (list int) "s0s") in
+  let largest = List.fold_left max 0 s0s in
   let rows =
     List.map
       (fun s0 ->
         let params = Aqt.Params.make ~eps ~s0 () in
-        let seed = (2 * s0) + 2 in
-        let net, g = seeded_net params ~m:3 ~seed in
         (* Sample the largest arm so the journal carries the startup+pump
            trajectory the report plots. *)
         let recorder =
-          if s0 = 1600 then Some (Recorder.make ~every:50 ()) else None
+          if s0 = largest then Some (Recorder.make ~every ()) else None
         in
-        ignore (Phased.run ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
-        let s1 = (I.measure net g ~k:1).s_ingress in
-        ignore
-          (Phased.run ?recorder net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        let net, g, s1 = pumped ?recorder params ~m in
         (match recorder with
         | Some r ->
             Rb.trajectory rb (Recorder.to_rows r);
@@ -188,7 +205,7 @@ let lemma_3_6_pump rb =
           Tbl.fb (I.holds_with_slack ~slack:(4 * params.n) net g ~k:2);
           Tbl.fi (left.s_epath + left.s_ingress + left.extraneous);
         ])
-      [ 200; 400; 800; 1600 ]
+      s0s
   in
   Rb.table rb ~id:"e2_lemma_3_6"
     ~headers:
@@ -205,39 +222,43 @@ let lemma_3_6_pump rb =
     "Measured growth matches the exact factor 2(1-R_n) > 1+eps; the source\n\
      gadget is left (nearly) empty, as the lemma requires."
 
-let lemma_3_16_stitch rb =
+(* Startup, one pump and the drain on a two-gadget chain, then the stitch
+   (Lemma 3.16) with the flows [flow_filter] keeps: the queue S at F(2)'s
+   egress, the stitch's plan for it, the fresh seeds it left at F(1)'s
+   ingress, and the network. *)
+let stitched ?flow_filter (params : Aqt.Params.t) =
+  let net, g, _ = pumped params ~m:2 in
+  let drain = Network.buffer_len net (G.ingress g ~k:2) + params.n in
+  ignore
+    (Sim.run ~net
+       ~driver:(Phased.sequence [ Phased.idle drain ])
+       ~horizon:drain ());
+  let s = Network.buffer_len net (G.egress g ~k:2) in
+  let plan =
+    Aqt.Stitch.plan ~rate:params.rate ~relay:(G.stitch_route g)
+      ~start:(Network.now net + 1) ~s
+  in
+  ignore
+    (Phased.run net
+       (Aqt.Stitch.phase ?flow_filter ~rate:params.rate ~gadget:g));
+  (s, plan, Network.buffer_len net (G.ingress g ~k:1), net)
+
+let lemma_3_16_stitch spec rb =
+  let s0 = Spec.(get spec int "s0") in
   let rows =
     List.map
-      (fun (num, den) ->
-        let rate = Ratio.add Ratio.half (Ratio.make num den) in
-        let eps = Ratio.make num den in
-        let params = Aqt.Params.make ~eps ~s0:400 () in
-        let seed = (2 * params.s0) + 2 in
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
-        let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
-        let drain = s_ing + params.n in
-        ignore
-          (Sim.run ~net
-             ~driver:(Phased.sequence [ Phased.idle drain ])
-             ~horizon:drain ());
-        let s = Network.buffer_len net (G.egress g ~k:2) in
-        let plan =
-          Aqt.Stitch.plan ~rate ~relay:(G.stitch_route g)
-            ~start:(Network.now net + 1) ~s
-        in
-        ignore (Phased.run net (Aqt.Stitch.phase ~rate ~gadget:g));
-        let fresh = Network.buffer_len net (G.ingress g ~k:1) in
+      (fun eps ->
+        let params = Aqt.Params.make ~eps ~s0 () in
+        let s, plan, fresh, net = stitched params in
         [
-          Ratio.to_string rate;
+          Ratio.to_string params.rate;
           Tbl.fi s;
           Tbl.fi plan.r3s;
           Tbl.fi fresh;
           Tbl.fi (Network.in_flight net - fresh);
           Tbl.fi plan.duration;
         ])
-      [ (1, 5); (1, 10) ]
+      Spec.(get spec (list ratio) "eps_list")
   in
   Rb.table rb ~id:"e4_lemma_3_16"
     ~headers:
@@ -273,55 +294,74 @@ let construction_of (r : Aqt.Instability.result) =
     collapsed = r.collapsed;
   }
 
-(* E5, E10's replay and FIFO arm, A3 at M = 7, A4 at l = 9, A5
-   transit-first and A7 without noise all read FIFO's construction at
-   eps = 1/5, s0 = 400 and two cycles.  A process computes it once, with
-   its injection log, when the first of them needs it; a reader on another
-   domain waits meanwhile.  The cell keeps what the readers use and drops
-   the network, which with its log is about twice the size. *)
-type thm317 = {
+(* A run read as completed: raises its collapse, if it had one. *)
+let completed c = match c.collapsed with Some msg -> failwith msg | None -> c
+
+(* The construction with its injection log, without the network, which
+   with its log is about twice the size. *)
+type logged = {
   run : construction;
   reroutes : int;
   log : (int * int array) array;
   initial : int array array;
 }
 
+let logged_of (r : Aqt.Instability.result) =
+  {
+    run = construction_of r;
+    reroutes = Network.reroute_count r.net;
+    log = Network.injection_log r.net;
+    initial = Network.initial_final_routes r.net;
+  }
+
+(* FIFO's construction at eps = 1/5, s0 = 400 and two cycles, which E5,
+   E10's replay and FIFO arm, A3 at M = 7, A4 at l = 9, A5 transit-first
+   and A7 without noise all read at their specs' values.  A process
+   computes it once, with its log, when the first of them needs it; a
+   reader on another domain waits meanwhile.  A reader whose spec names
+   another construction runs its own. *)
 let thm317_cfg =
   Aqt.Instability.config ~eps:(Ratio.make 1 5) ~s0:400 ~cycles:2
     ~log_injections:true ()
 
-(* Resilient, so that E10's FIFO arm and A7 report a collapse as their own
-   runs did; [thm317_strict] raises it for the readers that ran strictly. *)
 let thm317 =
   Aqt_util.Parallel.once (fun () ->
-      let r = Aqt.Instability.run ~resilient:true thm317_cfg in
-      {
-        run = construction_of r;
-        reroutes = Network.reroute_count r.net;
-        log = Network.injection_log r.net;
-        initial = Network.initial_final_routes r.net;
-      })
+      logged_of (Aqt.Instability.run ~resilient:true thm317_cfg))
 
-let thm317_strict () =
-  let t = thm317 () in
-  match t.run.collapsed with Some msg -> failwith msg | None -> t
+let is_thm317 cfg =
+  { cfg with Aqt.Instability.log_injections = true } = thm317_cfg
 
-(* [Instability.run ?tie_order cfg] without its network: the shared run
-   when [cfg] and [tie_order] are its own, a fresh one otherwise. *)
+(* [Instability.run ~resilient:true ?tie_order cfg] without its network:
+   the shared run when [cfg] and [tie_order] are its own, a fresh one
+   otherwise. *)
 let construction ?(tie_order = Network.Transit_first) cfg =
-  if
-    tie_order = Network.Transit_first
-    && { cfg with Aqt.Instability.log_injections = true } = thm317_cfg
-  then (thm317_strict ()).run
-  else construction_of (Aqt.Instability.run ~tie_order cfg)
+  if tie_order = Network.Transit_first && is_thm317 cfg then (thm317 ()).run
+  else construction_of (Aqt.Instability.run ~tie_order ~resilient:true cfg)
+
+(* The completed construction at [cfg] with its log. *)
+let logged_run cfg =
+  let t =
+    if is_thm317 cfg then thm317 ()
+    else
+      logged_of
+        (Aqt.Instability.run ~resilient:true
+           { cfg with Aqt.Instability.log_injections = true })
+  in
+  ignore (completed t.run);
+  t
+
+(* The construction a spec names by its eps, s0 and cycles. *)
+let spec_config spec =
+  Aqt.Instability.config ~eps:Spec.(get spec ratio "eps")
+    ~s0:Spec.(get spec int "s0") ~cycles:Spec.(get spec int "cycles") ()
 
 (* ------------------------------------------------------------------ *)
 (* E5: Lemma 3.3                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let lemma_3_3_rerouting rb =
-  let cfg = thm317_cfg in
-  let t = thm317_strict () in
+let lemma_3_3_rerouting spec rb =
+  let cfg = spec_config spec in
+  let t = logged_run cfg in
   let m = D.n_edges t.run.gadget.graph in
   let log = t.log in
   let check =
@@ -377,8 +417,24 @@ let stability_headers =
     "max dwell"; "verdict";
   ]
 
-let thm_4_1_greedy rb =
-  let rows = ref [] in
+(* A packed window-[w] burst at [rate] on a [d]-edge line under [policy],
+   from [initial] packets placed on the whole line: [horizon] steps of
+   injection and 100 more to drain. *)
+let line_burst ?recorder ?(initial = 0) ~policy ~d ~w ~rate ~horizon () =
+  let line = Build.line d in
+  let net = Network.create ~graph:line.graph ~policy () in
+  for _ = 1 to initial do
+    ignore (Network.place_initial net line.edges)
+  done;
+  let adv =
+    Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ] ~horizon
+      ()
+  in
+  ignore
+    (Sim.run ?recorder ~net ~driver:adv.driver ~horizon:(horizon + 100) ());
+  net
+
+let thm_4_1_greedy spec rb =
   let policies =
     [
       Policies.fifo; Policies.lifo; Policies.ntg; Policies.ftg; Policies.ffs;
@@ -386,23 +442,17 @@ let thm_4_1_greedy rb =
     ]
   in
   (* Workload A: packed bursts on a line. *)
-  let d = 5 and w = 60 in
+  let d = Spec.(get spec int "d") and w = Spec.(get spec int "w") in
+  let horizon = Spec.(get spec int "horizon") in
   let rate = Ratio.make 1 (d + 1) in
-  List.iter
-    (fun policy ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:12_000 ()
-      in
-      ignore (Sim.run ~net ~driver:adv.driver ~horizon:12_100 ());
-      rows :=
+  let line_rows =
+    List.map
+      (fun policy ->
         stability_row ~workload:"line/burst"
           ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:0
-          net
-        :: !rows)
-    policies;
+          (line_burst ~policy ~d ~w ~rate ~horizon ()))
+      policies
+  in
   (* Workloads B..G: the standard scenario grid, each at r = 1/(d+1) with
      per-route rates scaled by the worst edge overlap.  The cells run one
      after another inside this experiment's scheduler task; each builds
@@ -432,97 +482,72 @@ let thm_4_1_greedy rb =
         let net = Network.create ~graph:scenario.graph ~policy () in
         let adv =
           Stock.windowed_burst ~w ~rate:per_route ~routes:scenario.routes
-            ~horizon:12_000 ()
+            ~horizon ()
         in
-        ignore (Sim.run ~net ~driver:adv.driver ~horizon:12_100 ());
+        ignore (Sim.run ~net ~driver:adv.driver ~horizon:(horizon + 100) ());
         stability_row ~workload:scenario.name
           ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:0
           net)
       tasks
   in
-  rows := List.rev_append grid_rows !rows;
-  Rb.table rb ~id:"e6_thm_4_1" ~headers:stability_headers (List.rev !rows);
+  Rb.table rb ~id:"e6_thm_4_1" ~headers:stability_headers
+    (line_rows @ grid_rows);
   Rb.note rb
     "Paper: no packet dwells beyond floor(w*r) in one buffer for ANY greedy\n\
      protocol when r <= 1/(d+1)."
 
-let thm_4_3_time_priority rb =
-  let rows = ref [] in
-  let d = 5 and w = 60 in
+let thm_4_3_time_priority spec rb =
+  let d = Spec.(get spec int "d") and w = Spec.(get spec int "w") in
+  let horizon = Spec.(get spec int "horizon") in
+  let every = Spec.(get spec int "trajectory_every") in
   let rate = Ratio.make 1 d in
-  List.iteri
-    (fun i policy ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:12_000 ()
-      in
-      (* Sample the first (FIFO) run so the campaign journal carries a
-         trajectory of a certified-stable workload. *)
-      let recorder =
-        if i = 0 then Some (Recorder.make ~every:100 ()) else None
-      in
-      ignore (Sim.run ?recorder ~net ~driver:adv.driver ~horizon:12_100 ());
-      (match recorder with
-      | Some r ->
-          Rb.trajectory rb (Recorder.to_rows r);
-          Rb.metric rb "max_queue"
-            (float_of_int (Network.max_queue_ever net))
-      | None -> ());
-      rows :=
-        stability_row ~workload:"line/burst"
-          ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:0
-          net
-        :: !rows)
-    [ Policies.fifo; Policies.lis ];
+  let row policy net =
+    stability_row ~workload:"line/burst" ~policy ~rate ~w ~d ~s_initial:0 net
+  in
+  let rows =
+    List.mapi
+      (fun i (policy : Policies.t) ->
+        (* Sample the first (FIFO) run so the campaign journal carries a
+           trajectory of a certified-stable workload. *)
+        let recorder = if i = 0 then Some (Recorder.make ~every ()) else None in
+        let net = line_burst ?recorder ~policy ~d ~w ~rate ~horizon () in
+        (match recorder with
+        | Some r ->
+            Rb.trajectory rb (Recorder.to_rows r);
+            Rb.metric rb "max_queue"
+              (float_of_int (Network.max_queue_ever net))
+        | None -> ());
+        row policy.name net)
+      [ Policies.fifo; Policies.lis ]
+  in
   (* Contrast: a non-time-priority policy at 1/d has no theorem (and the
      bound can be exceeded). *)
-  let line = Build.line d in
-  let net = Network.create ~graph:line.graph ~policy:Policies.lifo () in
-  let adv =
-    Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-      ~horizon:12_000 ()
-  in
-  ignore (Sim.run ~net ~driver:adv.driver ~horizon:12_100 ());
-  rows :=
-    stability_row ~workload:"line/burst" ~policy:"lifo (contrast)" ~rate ~w ~d
-      ~s_initial:0 net
-    :: !rows;
-  Rb.table rb ~id:"e7_thm_4_3" ~headers:stability_headers (List.rev !rows);
+  let contrast = line_burst ~policy:Policies.lifo ~d ~w ~rate ~horizon () in
+  Rb.table rb ~id:"e7_thm_4_3" ~headers:stability_headers
+    (rows @ [ row "lifo (contrast)" contrast ]);
   Rb.note rb
     "FIFO and LIS are time-priority (Def 4.2): arrival beats later injection,\n\
      so the bound holds already at r = 1/d.  The packed burst meets the bound\n\
      with equality - the analysis is tight."
 
-let cor_4_5_4_6_initial rb =
-  let rows = ref [] in
-  let d = 4 and w = 16 in
-  List.iter
-    (fun (policy, rate, s) ->
-      let line = Build.line d in
-      let net = Network.create ~graph:line.graph ~policy () in
-      for _ = 1 to s do
-        ignore (Network.place_initial net line.edges)
-      done;
-      let adv =
-        Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-          ~horizon:8_000 ()
-      in
-      ignore (Sim.run ~net ~driver:adv.driver ~horizon:8_100 ());
-      rows :=
+let cor_4_5_4_6_initial spec rb =
+  let d = Spec.(get spec int "d") and w = Spec.(get spec int "w") in
+  let horizon = Spec.(get spec int "horizon") in
+  let rows =
+    List.map
+      (fun ((policy : Policies.t), rate, s) ->
         stability_row ~workload:(Printf.sprintf "line, S=%d" s)
-          ~policy:policy.Aqt_engine.Policy_type.name ~rate ~w ~d ~s_initial:s
-          net
-        :: !rows)
-    [
-      (Policies.fifo, Ratio.make 1 8, 10);
-      (Policies.fifo, Ratio.make 1 8, 100);
-      (Policies.lis, Ratio.make 1 6, 50);
-      (Policies.lifo, Ratio.make 1 10, 50);
-      (Policies.ntg, Ratio.make 1 10, 25);
-    ];
-  Rb.table rb ~id:"e8_cor_4_5_4_6" ~headers:stability_headers (List.rev !rows);
+          ~policy:policy.name ~rate ~w ~d ~s_initial:s
+          (line_burst ~initial:s ~policy ~d ~w ~rate ~horizon ()))
+      [
+        (Policies.fifo, Ratio.make 1 8, 10);
+        (Policies.fifo, Ratio.make 1 8, 100);
+        (Policies.lis, Ratio.make 1 6, 50);
+        (Policies.lifo, Ratio.make 1 10, 50);
+        (Policies.ntg, Ratio.make 1 10, 25);
+      ]
+  in
+  Rb.table rb ~id:"e8_cor_4_5_4_6" ~headers:stability_headers rows;
   Rb.note rb
     "With an S-initial-configuration the bound becomes floor(w°r°) for the\n\
      converted window w° = ceil((S+w+1)/(r°-r)) (Observation 4.4); rates must\n\
@@ -532,7 +557,7 @@ let cor_4_5_4_6_initial rb =
 (* E9: the Appendix                                                    *)
 (* ------------------------------------------------------------------ *)
 
-let appendix_asymptotics rb =
+let appendix_asymptotics spec rb =
   let rows =
     List.map
       (fun k ->
@@ -548,7 +573,7 @@ let appendix_asymptotics rb =
           Tbl.fi s0;
           Tbl.ff (float_of_int s0 /. (log1e /. eps));
         ])
-      [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]
+      Spec.(get spec (list int) "ks")
   in
   Rb.table rb ~id:"e9_appendix"
     ~headers:
@@ -564,10 +589,9 @@ let appendix_asymptotics rb =
 (* E10/E11/E12: cross-policy and prior-work context                    *)
 (* ------------------------------------------------------------------ *)
 
-let threshold_sweep rb =
-  let eps = Ratio.make 1 5 in
-  let cfg = thm317_cfg in
-  let t = thm317_strict () in
+let threshold_sweep spec rb =
+  let cfg = spec_config spec in
+  let t = logged_run cfg in
   let results =
     Aqt.Baselines.replay_against ~initial:t.initial ~graph:t.run.gadget.graph
       ~rate:cfg.params.rate ~log:t.log
@@ -599,11 +623,9 @@ let threshold_sweep rb =
     List.map
       (fun policy ->
         let r =
-          if policy == Policies.fifo then (thm317 ()).run
+          if policy == Policies.fifo then t.run
           else
-            construction_of
-              (Aqt.Instability.run ~policy ~resilient:true
-                 (Aqt.Instability.config ~eps ~s0:400 ~cycles:2 ()))
+            construction_of (Aqt.Instability.run ~policy ~resilient:true cfg)
         in
         let seeds =
           String.concat " -> "
@@ -632,24 +654,18 @@ let threshold_sweep rb =
      other policies: FTG rejects rerouting (not historic, Def 3.1), and under\n\
      LIS/LIFO the pump's C(S, F) precondition never materializes."
 
-let ntg_low_rate rb =
+let ntg_low_rate spec rb =
   (* Thm 4.1 says ANY greedy protocol (NTG included) is stable below
      1/(d+1); Borodin et al. destabilize NTG with routes of length ~16/r.
      So the lowest unstable rate for NTG on route length d sits between
      1/(d+1) and ~16/d: the paper's bound is optimal up to a constant.
      We certify the lower side empirically. *)
-  let w = 60 in
+  let w = Spec.(get spec int "w") and horizon = Spec.(get spec int "horizon") in
   let rows =
     List.map
       (fun d ->
         let rate = Ratio.make 1 (d + 1) in
-        let line = Build.line d in
-        let net = Network.create ~graph:line.graph ~policy:Policies.ntg () in
-        let adv =
-          Stock.windowed_burst ~packed:true ~w ~rate ~routes:[ line.edges ]
-            ~horizon:10_000 ()
-        in
-        ignore (Sim.run ~net ~driver:adv.driver ~horizon:10_100 ());
+        let net = line_burst ~policy:Policies.ntg ~d ~w ~rate ~horizon () in
         let verdict =
           match Aqt.Stability.verify_run ~w ~rate ~d net with
           | Some v when v.ok -> "stable (certified)"
@@ -663,7 +679,7 @@ let ntg_low_rate rb =
           Tbl.fi (Network.max_dwell net);
           verdict;
         ])
-      [ 2; 4; 8; 16; 32 ]
+      Spec.(get spec (list int) "ds")
   in
   Rb.table rb ~id:"e11_ntg_sandwich"
     ~headers:
@@ -679,7 +695,7 @@ let ntg_low_rate rb =
     "The window [1/(d+1), 16/d] pins NTG's instability threshold to within a\n\
      constant factor: the paper's d-dependence is essentially optimal (sec. 5)."
 
-let prior_work_table rb =
+let prior_work_table spec rb =
   let rows =
     List.map
       (fun (t : Aqt.Baselines.threshold) ->
@@ -706,7 +722,7 @@ let prior_work_table rb =
           Ratio.to_string (Aqt.Baselines.diaz_stability_bound ~d ~m ~alpha);
           Ratio.to_string (Aqt.Baselines.this_paper_bound ~d);
         ])
-      [ (4, 2); (8, 8); (9, 16) ]
+      Spec.(get spec (list (pair int int)) "networks")
   in
   Rb.table rb ~id:"e12_stability_bounds"
     ~headers:
@@ -720,7 +736,7 @@ let prior_work_table rb =
      the 1/(2dm*alpha) formula on every graph in the construction."
 
 (* E13: what it costs to approach the 1/2 threshold. *)
-let approach_to_half rb =
+let approach_to_half spec rb =
   let rows =
     List.map
       (fun den ->
@@ -749,7 +765,7 @@ let approach_to_half rb =
           Tbl.ff growth;
           Printf.sprintf "%.1e" cycle_steps;
         ])
-      [ 4; 8; 16; 32; 64; 128; 256 ]
+      Spec.(get spec (list int) "dens")
   in
   Rb.table rb ~id:"e13_approach_half"
     ~headers:
@@ -767,9 +783,13 @@ let approach_to_half rb =
 (* E15: context from [4] - the ring is universally stable, so no crafted
    adversary of any rate < 1 can blow it up; high-rate stress across every
    policy stays bounded. *)
-let ring_universal_stability rb =
-  let scenario = Aqt_workload.Workloads.ring_wrap ~nodes:12 ~d:6 in
-  let rate = Ratio.make 19 20 in
+let ring_universal_stability spec rb =
+  let nodes = Spec.(get spec int "nodes") in
+  let scenario =
+    Aqt_workload.Workloads.ring_wrap ~nodes ~d:Spec.(get spec int "d")
+  in
+  let rate = Spec.(get spec ratio "rate") in
+  let horizon = Spec.(get spec int "horizon") in
   let per_route =
     Ratio.div rate (Ratio.of_int (Aqt_workload.Workloads.max_overlap scenario))
   in
@@ -781,11 +801,11 @@ let ring_universal_stability rb =
         let arms =
           [
             ( "shared-bucket",
-              Stock.shared_token_bucket ~rate ~routes:scenario.routes
-                ~horizon:40_000 () );
+              Stock.shared_token_bucket ~rate ~routes:scenario.routes ~horizon
+                () );
             ( "window-burst",
               Stock.windowed_burst ~packed:true ~w:40 ~rate:per_route
-                ~routes:scenario.routes ~horizon:40_000 () );
+                ~routes:scenario.routes ~horizon () );
             (* The exact arms run at 19/20; the stochastic arm runs at 4/5 —
                at load 0.95 a Bernoulli feed performs near-critical random
                walks whose sqrt(t) excursions the growth classifier would
@@ -803,7 +823,7 @@ let ring_universal_stability rb =
           (fun (arm, adv) ->
             let report =
               Aqt.Sweep.classify ~name:arm ~graph:scenario.graph ~policy
-                ~adversary:adv ~horizon:40_000 ()
+                ~adversary:adv ~horizon ()
             in
             [
               policy.name;
@@ -827,20 +847,18 @@ let ring_universal_stability rb =
   Rb.table rb ~id:"e15_ring_universal"
     ~headers:[ "policy"; "workload"; "verdict"; "max queue"; "final backlog" ]
     (List.concat rows);
-  Rb.note rb
-    "At aggregate rate 19/20 on a 12-ring - far above the 1/d thresholds -\n\
+  notef rb
+    "At aggregate rate %s on a %d-ring - far above the 1/d thresholds -\n\
      every greedy policy stays bounded: the ring is universally stable\n\
      (Andrews et al. [4]), so the instability of Theorem 3.17 genuinely\n\
      needs the gadget topology, not just high rate."
+    (Ratio.to_string rate) nodes
 
 (* E14: the fluid analysis (Claims 3.9-3.11) vs the discrete simulation,
    trajectory point by trajectory point. *)
-let fluid_vs_discrete rb =
-  let eps = Ratio.make 1 5 in
-  let params = Aqt.Params.make ~eps ~s0:1000 () in
-  let seed = (2 * params.s0) + 2 in
-  let net, g = seeded_net params ~m:3 ~seed in
-  ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
+let fluid_vs_discrete spec rb =
+  let params = spec_params spec in
+  let net, g = started params ~m:3 in
   let m1 = I.measure net g ~k:1 in
   let total_old = m1.s_epath + m1.s_ingress in
   let fluid =
@@ -908,10 +926,8 @@ let fluid_vs_discrete rb =
 
 (* Run startup then one (possibly ablated) pump; report the resulting queue
    at gadget 2 relative to the intact pump. *)
-let ablation_pump rb =
-  let eps = Ratio.make 1 5 in
-  let params = Aqt.Params.make ~eps ~s0:500 () in
-  let seed = (2 * params.s0) + 2 in
+let ablation_pump spec rb =
+  let params = spec_params spec in
   let arms =
     [
       ("intact pump", fun _ -> true);
@@ -927,11 +943,7 @@ let ablation_pump rb =
   let rows =
     List.map
       (fun (name, flow_filter) ->
-        let net, g = seeded_net params ~m:3 ~seed in
-        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
-        let s1 = (I.measure net g ~k:1).s_ingress in
-        ignore
-          (Phased.run net (Aqt.Pump.phase ~flow_filter ~params ~gadget:g ~k:1));
+        let net, g, s1 = pumped ~flow_filter params ~m:3 in
         let m2 = I.measure net g ~k:2 in
         [
           name;
@@ -959,10 +971,8 @@ let ablation_pump rb =
      unimpeded (no queue is built); without the long/tail flows the ingress\n\
      side of C(S', F') collapses.  Every part of the adversary is load-bearing."
 
-let ablation_stitch rb =
-  let eps = Ratio.make 1 5 in
-  let params = Aqt.Params.make ~eps ~s0:500 () in
-  let seed = (2 * params.s0) + 2 in
+let ablation_stitch spec rb =
+  let params = spec_params spec in
   let arms =
     [
       ("intact stitch", fun _ -> true);
@@ -973,24 +983,7 @@ let ablation_stitch rb =
   let rows =
     List.map
       (fun (name, flow_filter) ->
-        let net, g = seeded_net params ~m:2 ~seed in
-        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
-        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
-        let s_ing = Network.buffer_len net (G.ingress g ~k:2) in
-        let drain = s_ing + params.n in
-        ignore
-          (Sim.run ~net
-             ~driver:(Phased.sequence [ Phased.idle drain ])
-             ~horizon:drain ());
-        let s = Network.buffer_len net (G.egress g ~k:2) in
-        let plan =
-          Aqt.Stitch.plan ~rate:params.rate ~relay:(G.stitch_route g)
-            ~start:(Network.now net + 1) ~s
-        in
-        ignore
-          (Phased.run net
-             (Aqt.Stitch.phase ~flow_filter ~rate:params.rate ~gadget:g));
-        let fresh = Network.buffer_len net (G.ingress g ~k:1) in
+        let s, plan, fresh, _ = stitched ~flow_filter params in
         [ name; Tbl.fi s; Tbl.fi plan.r3s; Tbl.fi fresh ])
       arms
   in
@@ -1004,13 +997,13 @@ let ablation_stitch rb =
      without the relay there is nothing to time against and the fresh queue\n\
      falls short of r^3*S."
 
-let ablation_chain_length rb =
-  let eps = Ratio.make 1 5 in
+let ablation_chain_length spec rb =
+  let eps = Spec.(get spec ratio "eps") in
   let rows =
     List.map
       (fun m ->
         let cfg = Aqt.Instability.config ~eps ~s0:400 ~m ~cycles:2 () in
-        let res = construction cfg in
+        let res = completed (construction cfg) in
         let g0 = res.growth.(0) in
         [
           Tbl.fi m;
@@ -1019,7 +1012,7 @@ let ablation_chain_length rb =
           Tbl.ff g0;
           (if g0 > 1.0 then "grows (unstable)" else "shrinks");
         ])
-      [ 3; 4; 5; 6; 7; 9 ]
+      Spec.(get spec (list int) "ms")
   in
   Rb.table rb ~id:"a3_chain_length"
     ~headers:[ "M"; "predicted growth"; "measured growth"; "verdict" ]
@@ -1030,13 +1023,13 @@ let ablation_chain_length rb =
      the construction decays, enough gadgets and queues diverge."
 
 (* A4: the Section 5 generalization — asymmetric gadgets F_(n,l). *)
-let lean_gadget rb =
-  let eps = Ratio.make 1 5 in
+let lean_gadget spec rb =
+  let eps = Spec.(get spec ratio "eps") in
   let rows =
     List.map
       (fun f_len ->
         let cfg = Aqt.Instability.config ~eps ~s0:400 ~f_len ~cycles:2 () in
-        let res = construction cfg in
+        let res = completed (construction cfg) in
         let d = (cfg.m * (cfg.params.n + 1)) + 1 in
         [
           Tbl.fi cfg.params.n;
@@ -1048,7 +1041,7 @@ let lean_gadget rb =
           Tbl.ff res.growth.(0);
           Tbl.fi res.outcome.steps_run;
         ])
-      [ 9; 6; 3; 1 ]
+      Spec.(get spec (list int) "f_lens")
   in
   Rb.table rb ~id:"a4_lean_gadget"
     ~headers:
@@ -1064,13 +1057,12 @@ let lean_gadget rb =
      (compose other gadgets with the same chaining) realized on the paper's\n\
      own gadget family."
 
-let ablation_tie_order rb =
-  let eps = Ratio.make 1 5 in
+let ablation_tie_order spec rb =
+  let cfg = spec_config spec in
   let rows =
     List.map
       (fun (name, tie_order) ->
-        let cfg = Aqt.Instability.config ~eps ~s0:400 ~cycles:2 () in
-        let res = construction ~tie_order cfg in
+        let res = completed (construction ~tie_order cfg) in
         [
           name;
           Tbl.fi res.stats.(0).seed;
@@ -1090,17 +1082,13 @@ let ablation_tie_order rb =
     "The model leaves same-step arrival order to the adversary; the fluid\n\
      analysis is insensitive to it, and so is the measured construction."
 
-let ablation_pump_factor_vs_n rb =
-  let eps = Ratio.make 1 5 in
+let ablation_pump_factor_vs_n spec rb =
+  let eps = Spec.(get spec ratio "eps") in
   let rows =
     List.map
       (fun n ->
         let params = Aqt.Params.make ~eps ~n ~s0:(max 500 (2 * n)) () in
-        let seed = (2 * params.s0) + 2 in
-        let net, g = seeded_net params ~m:3 ~seed in
-        ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
-        let s1 = (I.measure net g ~k:1).s_ingress in
-        ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
+        let net, g, s1 = pumped params ~m:3 in
         let s2 = (I.measure net g ~k:2).s_ingress in
         [
           Tbl.fi n;
@@ -1108,7 +1096,7 @@ let ablation_pump_factor_vs_n rb =
           Tbl.ff (float_of_int s2 /. float_of_int s1);
           Tbl.fb (float_of_int s2 /. float_of_int s1 > 1.2);
         ])
-      [ 3; 5; 7; 9; 11; 13 ]
+      Spec.(get spec (list int) "ns")
   in
   Rb.table rb ~id:"a6_pump_factor_vs_n"
     ~headers:
@@ -1122,9 +1110,10 @@ let ablation_pump_factor_vs_n rb =
 (* A7: robustness — superimpose uncoordinated Bernoulli cross-traffic on the
    Theorem 3.17 run and see whether the crafted schedule still pumps. *)
 
-(* The seed trajectory under noise of [num/den] per edge, and the message
-   of the phase that collapsed, if one did. *)
-let noisy_run (cfg : Aqt.Instability.config) ~num ~den =
+(* The seed trajectory under noise of [noise] per edge, and the message of
+   the phase that collapsed, if one did. *)
+let noisy_run (cfg : Aqt.Instability.config) noise =
+  let num = Ratio.num noise and den = Ratio.den noise in
   let gadget = G.cyclic ~n:cfg.params.n ~m:cfg.m () in
   let net = Network.create ~graph:gadget.graph ~policy:Policies.fifo () in
   for _ = 1 to cfg.seed do
@@ -1169,20 +1158,20 @@ let noisy_run (cfg : Aqt.Instability.config) ~num ~den =
   in
   (List.rev !seeds, result)
 
-let noise_robustness rb =
-  let cfg =
-    Aqt.Instability.config ~eps:(Ratio.make 1 5) ~s0:400 ~cycles:2 ()
-  in
+let noise_robustness spec rb =
+  let cfg = spec_config spec in
   let rows =
     List.map
-      (fun (label, num, den) ->
-        (* Without noise, the trajectory is the shared run's. *)
-        let seeds, result =
-          if num = 0 then
-            let r = (thm317 ()).run in
+      (fun noise ->
+        let label, (seeds, result) =
+          if Ratio.equal noise Ratio.zero then
+            (* Without noise, the trajectory is the construction's own. *)
+            let r = construction cfg in
             let seed (s : Aqt.Instability.cycle_stat) = s.seed in
-            (List.map seed (Array.to_list r.stats), r.collapsed)
-          else noisy_run cfg ~num ~den
+            ("no noise", (List.map seed (Array.to_list r.stats), r.collapsed))
+          else
+            ( Printf.sprintf "%g%% per edge" (100. *. Ratio.to_float noise),
+              noisy_run cfg noise )
         in
         [
           label;
@@ -1197,14 +1186,7 @@ let noise_robustness rb =
               ^ (if String.length msg > 40 then String.sub msg 0 40 ^ "..."
                  else msg));
         ])
-      [
-        ("no noise", 0, 1);
-        ("0.2% per edge", 1, 500);
-        ("1% per edge", 1, 100);
-        ("5% per edge", 1, 20);
-        ("15% per edge", 3, 20);
-        ("30% per edge", 3, 10);
-      ]
+      Spec.(get spec (list ratio) "noise")
   in
   Rb.table rb ~id:"a7_noise_robustness"
     ~headers:[ "cross-traffic"; "seed trajectory"; "outcome" ]
@@ -1250,19 +1232,20 @@ let capacity_cell ~burst ~period ~horizon ~capacity =
   let outcome = Sim.run ~net ~driver ~horizon () in
   (net, outcome)
 
-let c1_caps = [ 0; 1; 2; 3; 4; 6; 8; 12; 16 ]
-let c1_speedups = [ 1; 2; 3 ]
-
 (* C1: the drop-rate grid over (buffer size, link speedup).  Drop-tail
    FIFO at critical load (rho = 1) arriving in 8-deep bursts: at unit
    speed only a burst-sized buffer stops the bleeding, while each extra
    unit of speedup shaves the buffer needed for zero drops — the
    1902.08069 message that a little speedup substitutes for a lot of
    buffer. *)
-let capacity_sweep rb =
-  let burst = 8 and period = 4 and horizon = 1600 in
+let capacity_sweep spec rb =
+  let burst = Spec.(get spec int "burst") in
+  let period = Spec.(get spec int "period") in
+  let horizon = Spec.(get spec int "horizon") in
+  let caps = Spec.(get spec (list int) "caps") in
+  let speedups = Spec.(get spec (list int) "speedups") in
   let rows = ref [] in
-  let min_cap = Array.make (List.length c1_speedups + 1) (-1) in
+  let min_cap = Array.make (List.fold_left max 0 speedups + 1) (-1) in
   List.iter
     (fun s ->
       List.iter
@@ -1285,8 +1268,8 @@ let capacity_sweep rb =
               Tbl.fi outcome.Sim.max_queue;
             ]
             :: !rows)
-        c1_caps)
-    c1_speedups;
+        caps)
+    speedups;
   Rb.table rb ~id:"c1_drop_grid"
     ~headers:
       [ "s"; "cap"; "injected"; "dropped"; "drop_rate"; "peak_occupancy";
@@ -1301,14 +1284,12 @@ let capacity_sweep rb =
            (if min_cap.(s) < 0 then "-" else Tbl.fi min_cap.(s));
            Tbl.fb (s >= Tradeoff.min_speedup ~rho_num:burst ~rho_den:(2 * period));
          ])
-       c1_speedups);
+       speedups);
   notef rb
     "Drop-tail FIFO at critical per-edge load rho = %d/%d, arriving as \
      %d-deep single-edge bursts every %d steps.  The zero-drop frontier \
      moves left as s grows: speedup substitutes for buffer."
     burst (2 * period) burst period
-
-let c2_caps = [ 1; 2; 3; 4; 6; 8; 12; 16 ]
 
 (* C2: drop disciplines compared at critical load (rho = 1, s = 1).
    Drop-tail and drop-head shed the same volume (the service rate fixes
@@ -1316,8 +1297,11 @@ let c2_caps = [ 1; 2; 3; 4; 6; 8; 12; 16 ]
    survivors are fresh: its max dwell stays flat while drop-tail's grows
    with the buffer.  The shared Dynamic-Threshold pool (total = 8*cap,
    alpha = 1) moves the same budget to wherever the backlog is. *)
-let capacity_policies rb =
-  let burst = 8 and period = 5 and horizon = 1600 in
+let capacity_policies spec rb =
+  let burst = Spec.(get spec int "burst") in
+  let period = Spec.(get spec int "period") in
+  let horizon = Spec.(get spec int "horizon") in
+  let caps = Spec.(get spec (list int) "caps") in
   let disciplines =
     [
       ( "drop-tail",
@@ -1352,7 +1336,7 @@ let capacity_policies rb =
               Tbl.fi (Network.peak_occupancy net);
             ]
             :: !rows)
-        c2_caps)
+        caps)
     disciplines;
   Rb.table rb ~id:"c2_policies"
     ~headers:
@@ -1385,9 +1369,6 @@ let n_topologies () =
     ("gadget", p.Build.graph, Array.to_list p.Build.paths);
   ]
 
-let n1_dens = [ 3; 4; 6; 8 ]
-let n1_bursts = [ 0; 1; 2; 4; 8 ]
-
 (* N1: the (rho, sigma_e) grid of the locally bursty model
    (arXiv:2208.09522).  One token-bucket flow per route at rate 1/den plus
    a one-off burst of b per flow; the per-edge budgets are derived by
@@ -1395,8 +1376,10 @@ let n1_bursts = [ 0; 1; 2; 4; 8 ]
    against them.  Queues stay bounded across the whole grid (both graphs
    are universally stable); sigma only shifts the transient peak, which is
    exactly the refinement the model buys over a single global burst. *)
-let local_burst_grid rb =
-  let horizon = 2_000 in
+let local_burst_grid spec rb =
+  let horizon = Spec.(get spec int "horizon") in
+  let dens = Spec.(get spec (list int) "dens") in
+  let bursts = Spec.(get spec (list int) "bursts") in
   let rows = ref [] in
   List.iter
     (fun (topo, graph, routes) ->
@@ -1433,8 +1416,8 @@ let local_burst_grid rb =
                   Tbl.fb legal;
                 ]
                 :: !rows)
-            n1_bursts)
-        n1_dens)
+            bursts)
+        dens)
     (n_topologies ());
   Rb.table rb ~id:"n1_local_grid"
     ~headers:
@@ -1447,17 +1430,16 @@ let local_burst_grid rb =
      from the flow set and re-verified on every cell's injection log \
      (column `legal`).  Horizon %d + 100 drain steps." horizon
 
-let n2_rates = [ (1, 2); (2, 3); (3, 4); (5, 6) ]
-let n2_hots = [ 1; 2; 4; 8 ]
-
 (* N2: the feedback-driven routing grid (arXiv:1812.11113).  One
    aggregate-rate release bucket, routes chosen online by greedy
    water-filling over the observed queues, hot edges truncating buffered
    packets.  Lower [hot] = a more aggressive adversary reaction; the
    rate-legality column shows the aggregate-bucket argument holding
    regardless of what the feedback rule picks. *)
-let feedback_grid rb =
-  let horizon = 2_000 in
+let feedback_grid spec rb =
+  let horizon = Spec.(get spec int "horizon") in
+  let rates = Spec.(get spec (list (pair int int)) "rates") in
+  let hots = Spec.(get spec (list int) "hots") in
   let rows = ref [] in
   List.iter
     (fun (topo, graph, routes) ->
@@ -1491,8 +1473,8 @@ let feedback_grid rb =
                   Tbl.fb legal;
                 ]
                 :: !rows)
-            n2_hots)
-        n2_rates)
+            hots)
+        rates)
     (n_topologies ());
   Rb.table rb ~id:"n2_feedback_grid"
     ~headers:
@@ -1514,9 +1496,6 @@ let feedback_grid rb =
 module Scenario = Aqt_fabric.Scenario
 module Traffic = Aqt_workload.Traffic
 
-let fab1_utils = [ (1, 2); (3, 4); (9, 10); (1, 1); (9, 8) ]
-let fab1_policies () = [ Policies.fifo; Policies.lifo; Policies.lis ]
-
 (* FAB1: queue growth under fat-tree incast across utilisation, FIFO vs
    LIFO vs LIS.  15 senders converge on one receiver, so the receiver
    downlink saturates at util 1 and over-subscribes at 9/8; the policies
@@ -1524,8 +1503,9 @@ let fab1_policies () = [ Policies.fifo; Policies.lifo; Policies.lis ]
    and backlog agree while dwell/latency split.  Runs on the SoA backend
    (1 domain) — byte-identical to the record engine by the fabric
    conformance family. *)
-let fabric_incast rb =
-  let horizon = 2_000 in
+let fabric_incast spec rb =
+  let horizon = Spec.(get spec int "horizon") in
+  let utils = Spec.(get spec (list (pair int int)) "utils") in
   let rows = ref [] in
   List.iter
     (fun (policy : Policies.t) ->
@@ -1552,8 +1532,8 @@ let fabric_incast rb =
               Tbl.fb o.Scenario.legal;
             ]
             :: !rows)
-        fab1_utils)
-    (fab1_policies ());
+        utils)
+    [ Policies.fifo; Policies.lifo; Policies.lis ];
   Rb.table rb ~id:"fab1_incast"
     ~headers:
       [ "policy"; "util"; "injected"; "absorbed"; "in_flight"; "max_queue";
@@ -1568,29 +1548,23 @@ let fabric_incast rb =
      sigma_e) budget.  SoA backend, 1 domain, horizon %d + 200 drain \
      steps." horizon
 
-let fab2_alphas = [ (1, 4); (1, 2); (1, 1); (2, 1); (4, 1) ]
-let fab2_totals = [ 8; 16; 32; 64 ]
-let fab2_partitioned = [ 1; 2; 4; 8 ]
-
 (* FAB2: shared Dynamic-Threshold vs statically partitioned buffers on a
    spine-leaf hotspot.  Partitioning needs c slots on every edge (c * m
    total) and still drops whenever a single queue wants more than c;
    a DT pool concentrates a far smaller total where the hotspot lands,
    with alpha trading drop rate against how much one queue may hog. *)
-let fabric_dt_grid rb =
-  let horizon = 2_000 in
+let fabric_dt_grid spec rb =
+  let horizon = Spec.(get spec int "horizon") in
+  let alphas = Spec.(get spec (list (pair int int)) "alphas") in
+  let topo =
+    Scenario.Spine_leaf { spines = 4; leaves = 8; hosts_per_leaf = 4 }
+  in
   let scenario capacity =
-    Scenario.make
-      ~topo:(Scenario.Spine_leaf { spines = 4; leaves = 8; hosts_per_leaf = 4 })
+    Scenario.make ~topo
       ~pattern:(Traffic.Hotspot { hot_num = 1; hot_den = 2 })
       ~utilisation:Ratio.one ~capacity ~horizon ~seed:1 ()
   in
-  let m =
-    D.n_edges
-      (Scenario.build_topo
-         (Scenario.Spine_leaf { spines = 4; leaves = 8; hosts_per_leaf = 4 }))
-        .Build.graph
-  in
+  let m = D.n_edges (Scenario.build_topo topo).Build.graph in
   let rows = ref [] in
   let record label alpha total o =
     rows :=
@@ -1613,7 +1587,7 @@ let fabric_dt_grid rb =
     (fun c ->
       let o = Scenario.run (scenario (Capacity.uniform c)) in
       record "partitioned" (Printf.sprintf "c=%d" c) (c * m) o)
-    fab2_partitioned;
+    Spec.(get spec (list int) "partitioned");
   List.iter
     (fun total ->
       List.iter
@@ -1623,8 +1597,8 @@ let fabric_dt_grid rb =
               (scenario (Capacity.shared ~alpha_num:an ~alpha_den:ad total))
           in
           record "shared-dt" (Printf.sprintf "%d/%d" an ad) total o)
-        fab2_alphas)
-    fab2_totals;
+        alphas)
+    Spec.(get spec (list int) "totals");
   Rb.table rb ~id:"fab2_dt_grid"
     ~headers:
       [ "buffers"; "alpha"; "total"; "injected"; "dropped"; "drop_rate";
@@ -1645,7 +1619,10 @@ let fabric_dt_grid rb =
 
 let ilist xs = Spec.List (List.map (fun i -> Spec.Int i) xs)
 let plist ps = Spec.List (List.map (fun (a, b) -> Spec.List [ Spec.Int a; Spec.Int b ]) ps)
+let rlist ps = Spec.List (List.map (fun (n, d) -> Spec.Ratio (n, d)) ps)
 
+(* Each body reads its parameters from its entry's spec, the one place they
+   are written; the cache key hashes that spec with a digest of the code. *)
 let build () =
   let registry = Registry.create () in
   let reg name title ?(tags = []) spec f =
@@ -1654,12 +1631,13 @@ let build () =
         Registry.name;
         title;
         tags;
-        spec = ("version", Spec.Int 1) :: spec;
+        spec;
         run =
           (fun () ->
-            let rb = Rb.create () in
-            f rb;
-            Rb.result rb);
+            Spec.read spec (fun reader ->
+                let rb = Rb.create () in
+                f reader rb;
+                Rb.result rb));
       }
   in
   reg "f1" "Figure 3.1 - the gadget F_n^2 (structure audit)" ~tags:[ "figure" ]
@@ -1698,11 +1676,7 @@ let build () =
     lemma_3_15_startup;
   reg "e4" "Lemma 3.16 - stitching a queue into r^3*S fresh packets"
     ~tags:[ "lemma" ]
-    [
-      ( "eps_list",
-        Spec.List [ Spec.Ratio (1, 5); Spec.Ratio (1, 10) ] );
-      ("s0", Spec.Int 400);
-    ]
+    [ ("eps_list", rlist [ (1, 5); (1, 10) ]); ("s0", Spec.Int 400) ]
     lemma_3_16_stitch;
   reg "e5" "Lemma 3.3 - the rerouting adversary is a legal rate-r adversary"
     ~tags:[ "lemma" ]
@@ -1710,12 +1684,7 @@ let build () =
     lemma_3_3_rerouting;
   reg "e6" "Theorem 4.1 - every greedy protocol at r <= 1/(d+1)"
     ~tags:[ "theorem" ]
-    [
-      ("d", Spec.Int 5);
-      ("w", Spec.Int 60);
-      ("horizon", Spec.Int 12_000);
-      ("grid", Spec.Str "standard");
-    ]
+    [ ("d", Spec.Int 5); ("w", Spec.Int 60); ("horizon", Spec.Int 12_000) ]
     thm_4_1_greedy;
   reg "e7" "Theorem 4.3 - time-priority protocols at the sharper r <= 1/d"
     ~tags:[ "theorem" ]
@@ -1790,7 +1759,7 @@ let build () =
     lean_gadget;
   reg "a5" "Ablation - substep-2 tie order (transit-first vs injection-first)"
     ~tags:[ "ablation" ]
-    [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 400) ]
+    [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 400); ("cycles", Spec.Int 2) ]
     ablation_tie_order;
   reg "a6" "Ablation - pump factor 2(1-R_n) vs path length n"
     ~tags:[ "ablation" ]
@@ -1799,8 +1768,8 @@ let build () =
   reg "c1" "Buffer size x speedup - the drop-rate grid on a saturated ring"
     ~tags:[ "capacity" ]
     [
-      ("caps", ilist c1_caps);
-      ("speedups", ilist c1_speedups);
+      ("caps", ilist [ 0; 1; 2; 3; 4; 6; 8; 12; 16 ]);
+      ("speedups", ilist [ 1; 2; 3 ]);
       ("burst", Spec.Int 8);
       ("period", Spec.Int 4);
       ("horizon", Spec.Int 1600);
@@ -1809,7 +1778,7 @@ let build () =
   reg "c2" "Drop disciplines - drop-tail vs drop-head vs DT shared pool"
     ~tags:[ "capacity" ]
     [
-      ("caps", ilist c2_caps);
+      ("caps", ilist [ 1; 2; 3; 4; 6; 8; 12; 16 ]);
       ("burst", Spec.Int 8);
       ("period", Spec.Int 5);
       ("horizon", Spec.Int 1600);
@@ -1818,33 +1787,32 @@ let build () =
   reg "n1" "Locally bursty - the (rho, sigma_e) stability grid"
     ~tags:[ "adversary" ]
     [
-      ("dens", ilist n1_dens);
-      ("bursts", ilist n1_bursts);
+      ("dens", ilist [ 3; 4; 6; 8 ]);
+      ("bursts", ilist [ 0; 1; 2; 4; 8 ]);
       ("horizon", Spec.Int 2000);
     ]
     local_burst_grid;
   reg "n2" "Feedback routing - the rate x aggressiveness grid"
     ~tags:[ "adversary" ]
     [
-      ("rates", plist n2_rates);
-      ("hots", ilist n2_hots);
+      ("rates", plist [ (1, 2); (2, 3); (3, 4); (5, 6) ]);
+      ("hots", ilist [ 1; 2; 4; 8 ]);
       ("horizon", Spec.Int 2000);
     ]
     feedback_grid;
   reg "fab1" "Datacenter fabric - fat-tree incast queue growth by policy"
     ~tags:[ "fabric" ]
     [
-      ("utils", plist fab1_utils);
-      ("policies", Spec.Int 3);
+      ("utils", plist [ (1, 2); (3, 4); (9, 10); (1, 1); (9, 8) ]);
       ("horizon", Spec.Int 2000);
     ]
     fabric_incast;
   reg "fab2" "Datacenter fabric - shared-DT vs partitioned buffers on a hotspot"
     ~tags:[ "fabric" ]
     [
-      ("alphas", plist fab2_alphas);
-      ("totals", ilist fab2_totals);
-      ("partitioned", ilist fab2_partitioned);
+      ("alphas", plist [ (1, 4); (1, 2); (1, 1); (2, 1); (4, 1) ]);
+      ("totals", ilist [ 8; 16; 32; 64 ]);
+      ("partitioned", ilist [ 1; 2; 4; 8 ]);
       ("horizon", Spec.Int 2000);
     ]
     fabric_dt_grid;
@@ -1853,11 +1821,9 @@ let build () =
     [
       ("eps", Spec.Ratio (1, 5));
       ("s0", Spec.Int 400);
+      ("cycles", Spec.Int 2);
       ( "noise",
-        Spec.List
-          (List.map
-             (fun (n, d) -> Spec.Ratio (n, d))
-             [ (0, 1); (1, 500); (1, 100); (1, 20); (3, 20); (3, 10) ]) );
+        rlist [ (0, 1); (1, 500); (1, 100); (1, 20); (3, 20); (3, 10) ] );
     ]
     noise_robustness;
   registry

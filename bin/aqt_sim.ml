@@ -172,7 +172,7 @@ let instability_cmd =
     Printf.printf "r = %s, n = %d, S0 = %d, M = %d, seed = %d\n\n"
       (Ratio.to_string cfg.params.rate)
       cfg.params.n cfg.params.s0 cfg.m cfg.seed;
-    let res = Aqt.Instability.run cfg in
+    let res = Aqt.Instability.run ~resilient:true cfg in
     let tbl = Tbl.create ~headers:[ "cycle"; "start step"; "seed"; "growth" ] in
     Array.iteri
       (fun i (s : Aqt.Instability.cycle_stat) ->
@@ -185,9 +185,16 @@ let instability_cmd =
           ])
       res.stats;
     Tbl.print tbl;
-    Printf.printf "steps: %d, max queue: %d, reroutes: %d\n"
+    Printf.printf "steps: %d, max queue: %d, reroutes: %d\n%!"
       res.outcome.steps_run res.outcome.max_queue
       (Network.reroute_count res.net);
+    (* The construction decays until a phase's measured precondition fails,
+       which no check on the flags can foresee. *)
+    Option.iter
+      (fun msg ->
+        prerr_endline ("collapsed: " ^ msg);
+        exit 1)
+      res.collapsed;
     if validate then begin
       let mg = Aqt_graph.Digraph.n_edges res.gadget.graph in
       match
@@ -230,7 +237,14 @@ let instability_cmd =
   in
   Cmd.v
     (Cmd.info "instability"
-       ~doc:"Run the Theorem 3.17 adversary: FIFO unstable at 1/2+eps")
+       ~doc:"Run the Theorem 3.17 adversary: FIFO unstable at 1/2+eps"
+       ~exits:
+         (Cmd.Exit.info 1
+            ~doc:
+              "on a collapsed construction: a phase's measured precondition \
+               failed.  The cycles completed before it are printed, and the \
+               phase's message on standard error."
+         :: Cmd.Exit.defaults))
     Term.(ret (const checked $ eps_arg $ cycles $ s0 $ m $ validate $ save_log))
 
 (* ------------------------------------------------------------------ *)

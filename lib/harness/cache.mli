@@ -3,12 +3,13 @@
     Results persist as one JSON file per scenario under a cache directory
     (by default [_campaign/cache/<key>.json]).  The key is
     [Spec.hash ~salt ~name spec]: changing any experiment parameter, the
-    experiment name, or the campaign-wide code salt changes the key, so a
-    stale file is simply never looked up again — [clean] exists for
-    hygiene, not correctness.  Corrupt or unreadable files count as
-    misses.  Writes go through a per-writer temp file (named by PID and
-    domain id, so concurrent domains {e and} concurrent processes sharing a
-    cache dir never collide) and [Sys.rename], so a torn file can never be
+    experiment name, or the salt (the campaign's is a digest of the
+    sources, [Campaign.options.salt]) changes the key, so a stale file is
+    simply never looked up again — [clean] exists for hygiene, not
+    correctness.  Corrupt or unreadable files count as misses.  Writes go
+    through a per-writer temp file (named by PID and domain id, so
+    concurrent domains {e and} concurrent processes sharing a cache dir
+    never collide) and [Sys.rename], so a torn file can never be
     published; a writer that crashes mid-store removes its temp file and
     leaves the cache exactly as it was. *)
 

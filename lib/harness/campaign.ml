@@ -1,11 +1,6 @@
 module Tbl = Aqt_util.Tbl
 module Clock = Aqt_util.Clock
 
-(* Bump when simulator semantics change in a way that invalidates every
-   cached experiment result (the per-experiment "version" spec field covers
-   single-experiment changes). *)
-let code_salt = "aqt-campaign-1"
-
 type options = {
   dir : string;
   only : string list;
@@ -25,7 +20,7 @@ let default_options =
     jobs = None;
     timeout = None;
     retries = 1;
-    salt = code_salt;
+    salt = Code_salt.digest;
     quiet = false;
   }
 

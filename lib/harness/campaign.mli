@@ -14,12 +14,15 @@ type options = {
   jobs : int option;
   timeout : float option;  (** Per-task seconds (cooperative). *)
   retries : int;
-  salt : string;  (** Code-version salt mixed into every cache key. *)
+  salt : string;
+      (** Mixed into every cache key.  The default is the build's code
+          digest: one hash over every source under lib/ and the experiment
+          suite, so an edit to any of them starts the cache cold. *)
   quiet : bool;  (** Suppress progress lines and the summary table. *)
 }
 
 val default_options : options
-(** [dir = "_campaign"], no filter, [retries = 1], the built-in code
+(** [dir = "_campaign"], no filter, [retries = 1], the code digest as
     salt, verbose. *)
 
 type summary = {

@@ -60,3 +60,49 @@ let rec value_to_json = function
   | List vs -> Jsonx.List (List.map value_to_json vs)
 
 let to_json t = Jsonx.Obj (List.map (fun (k, v) -> (k, value_to_json v)) t)
+
+type reader = { fields : t; mutable seen : string list }
+
+(* [conv] raises [Exit] on a value of another shape. *)
+type 'a shape = { what : string; conv : value -> 'a }
+
+let int = { what = "int"; conv = (function Int i -> i | _ -> raise Exit) }
+
+let ratio =
+  {
+    what = "ratio";
+    conv =
+      (function
+      | Ratio (n, d) when d <> 0 -> Aqt_util.Ratio.make n d | _ -> raise Exit);
+  }
+
+let list s =
+  {
+    what = s.what ^ " list";
+    conv = (function List vs -> List.map s.conv vs | _ -> raise Exit);
+  }
+
+let pair a b =
+  {
+    what = Printf.sprintf "(%s * %s)" a.what b.what;
+    conv = (function List [ x; y ] -> (a.conv x, b.conv y) | _ -> raise Exit);
+  }
+
+let get r shape key =
+  match List.assoc_opt key r.fields with
+  | None -> invalid_arg (Printf.sprintf "Spec: no field %S" key)
+  | Some v -> (
+      r.seen <- key :: r.seen;
+      try shape.conv v
+      with Exit ->
+        invalid_arg (Printf.sprintf "Spec: field %S: expected %s" key shape.what))
+
+let read spec f =
+  let r = { fields = spec; seen = [] } in
+  let x = f r in
+  List.iter
+    (fun (key, _) ->
+      if not (List.mem key r.seen) then
+        invalid_arg (Printf.sprintf "Spec: field %S never read" key))
+    spec;
+  x

@@ -396,7 +396,6 @@ let sweep_params_of_json body =
 
 let sweep_spec p =
   [
-    ("version", Spec.Int 1);
     ("network", Spec.Str (Scenario_spec.Network.to_string p.sp_net));
     ("d", Spec.Int p.sp_d);
     ("horizon", Spec.Int p.sp_horizon);

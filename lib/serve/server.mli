@@ -60,8 +60,8 @@ type config = {
   write_timeout : float;  (** Response write-progress deadline, seconds. *)
   campaign_dir : string;
       (** Cache + journal root, shared with campaigns; cache keys carry
-          the campaign's code salt, so either side's results are hits
-          for the other. *)
+          the campaign's salt, the build's code digest, so either side's
+          results are hits for the other. *)
   snapshot_every : float;  (** Metrics journal period; [<= 0] disables. *)
   journal : bool;  (** Write a serve journal under [campaign_dir]. *)
   cache_max_bytes : int option;

@@ -655,6 +655,89 @@ let scheduler_parallel_campaign () =
   Journal.close journal
 
 (* ------------------------------------------------------------------ *)
+(* Spec readers                                                        *)
+(* ------------------------------------------------------------------ *)
+
+let spec_full : Spec.t =
+  [
+    ("s0", Spec.Int 400);
+    ("eps", Spec.Ratio (1, 5));
+    ("ns", Spec.List [ Spec.Int 2; Spec.Int 4 ]);
+    ("eps_cycles", Spec.List [ Spec.List [ Spec.Ratio (1, 20); Spec.Int 3 ] ]);
+  ]
+
+let read_full r =
+  Spec.
+    ( get r int "s0",
+      get r ratio "eps",
+      get r (list int) "ns",
+      get r (list (pair ratio int)) "eps_cycles" )
+
+let names_field msg field =
+  let sub = Printf.sprintf "%S" field in
+  let n = String.length sub in
+  let rec go i =
+    i + n <= String.length msg && (String.sub msg i n = sub || go (i + 1))
+  in
+  go 0
+
+(* Each input either reads back as written, or raises Invalid_argument
+   naming the field at fault. *)
+let spec_reader_table () =
+  let with_field k v =
+    List.map (fun (k', v') -> (k', if k' = k then v else v')) spec_full
+  in
+  let ratio = Aqt_util.Ratio.make in
+  List.iter
+    (fun (label, spec, fault) ->
+      match (Spec.read spec read_full, fault) with
+      | (s0, eps, ns, eps_cycles), None ->
+          check_bool label true
+            (s0 = 400 && eps = ratio 1 5 && ns = [ 2; 4 ]
+            && eps_cycles = [ (ratio 1 20, 3) ])
+      | _, Some field ->
+          Alcotest.failf "%s: read, but %S is at fault" label field
+      | exception Invalid_argument msg -> (
+          match fault with
+          | None -> Alcotest.failf "%s: %s" label msg
+          | Some field ->
+              check_bool (label ^ ": " ^ msg) true (names_field msg field)))
+    [
+      ("every field read", spec_full, None);
+      ("missing field", List.remove_assoc "eps" spec_full, Some "eps");
+      ("int read as a ratio", with_field "eps" (Spec.Int 5), Some "eps");
+      ( "mistyped list element",
+        with_field "ns" (Spec.List [ Spec.Int 2; Spec.Str "4" ]),
+        Some "ns" );
+      ( "field never read",
+        spec_full @ [ ("unread", Spec.Int 0) ],
+        Some "unread" );
+    ]
+
+(* A run that leaves a field unread fails its task, retry included, and
+   publishes nothing. *)
+let spec_unread_fails_task () =
+  let cache, journal = scheduler_fixture () in
+  let spec = [ ("a", Spec.Int 1); ("b", Spec.Int 2) ] in
+  let run () =
+    Spec.read spec (fun r ->
+        ignore Spec.(get r int "a");
+        sample_result ())
+  in
+  let results =
+    Scheduler.run ~jobs:1 ~cache ~journal [ dummy_entry ~spec ~run "half" ]
+  in
+  Journal.close journal;
+  (match results with
+  | [ { Scheduler.outcome = Journal.Failed msg; attempts; _ } ] ->
+      check_int "retried once" 2 attempts;
+      check_string "failure names the field"
+        (Printexc.to_string (Invalid_argument {|Spec: field "b" never read|}))
+        msg
+  | _ -> Alcotest.fail "expected one failed task");
+  check_int "cache stays empty" 0 (List.length (Cache.entries cache))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "aqt_harness"
@@ -671,6 +754,9 @@ let () =
             spec_hash_deterministic;
           Alcotest.test_case "hash sensitivity" `Quick spec_hash_sensitivity;
           Alcotest.test_case "duplicate keys" `Quick spec_rejects_duplicates;
+          Alcotest.test_case "reader table" `Quick spec_reader_table;
+          Alcotest.test_case "unread field fails the task" `Quick
+            spec_unread_fails_task;
         ] );
       ( "registry",
         [

@@ -7,6 +7,7 @@ module Metrics = Aqt_serve.Metrics
 module Server = Aqt_serve.Server
 module Registry = Aqt_harness.Registry
 module Spec = Aqt_harness.Spec
+module Campaign = Aqt_harness.Campaign
 module Journal = Aqt_harness.Journal
 module Jsonx = Aqt_util.Jsonx
 module Prng = Aqt_util.Prng
@@ -405,7 +406,7 @@ let test_registry () =
       Registry.name = "tiny";
       title = "tiny test experiment";
       tags = [];
-      spec = [ ("version", Spec.Int 1) ];
+      spec = [];
       run =
         (fun () ->
           let rb = Registry.Rb.create () in
@@ -577,15 +578,29 @@ let serve_sweep_out_of_model_rate () =
         (contains m "serve_cache_misses_total 0\n"
         && contains m "serve_cache_hits_total 0\n"))
 
-(* The cache key of a sweep is a function of its spec alone; it must not
-   move when the parsing code does. *)
+(* The cache key of a sweep is a function of its spec and the salt alone;
+   it must not move when the parsing code does.  The literal pins the key
+   of the request's spec at a fixed salt, and the daemon must serve that
+   spec's key at the build's salt. *)
 let serve_sweep_key_pinned () =
+  let spec =
+    [
+      ("network", Spec.Str "ring:8");
+      ("d", Spec.Int 4);
+      ("horizon", Spec.Int 100);
+      ("rates", Spec.List [ Spec.Ratio (1, 2) ]);
+      ("policies", Spec.List [ Spec.Str "fifo" ]);
+    ]
+  in
+  let key salt = Spec.hash ~salt ~name:"serve.sweep" spec in
+  check_string "key at a fixed salt" "62e5382140f96ef8ba22d91f6e19014b"
+    (key "aqt-campaign-1");
   with_server (fun srv ->
       let r = get srv "/sweep?network=ring:8&rates=1/2&policy=fifo&horizon=100" in
       check_int "status" 200 r.Http.status;
       match Jsonx.member "key" (body_json r) with
-      | Some (Jsonx.Str key) ->
-          check_string "cache key" "9b241987bd8828daf17978d8dcc77f98" key
+      | Some (Jsonx.Str k) ->
+          check_string "cache key" (key Campaign.default_options.Campaign.salt) k
       | _ -> Alcotest.fail "no key in response")
 
 let serve_experiment_cached () =
@@ -837,7 +852,7 @@ let serve_computing_outlives_deadlines () =
       Registry.name = "slow";
       title = "computes past the connection deadlines";
       tags = [];
-      spec = [ ("version", Spec.Int 1) ];
+      spec = [];
       run =
         (fun () ->
           Unix.sleepf 0.8;
