@@ -39,11 +39,9 @@ let spec_params spec =
 (* A FIFO cyclic chain of [m] gadgets whose F(1) ingress held 2 S0 + 2
    seed packets, after the startup phase (Lemma 3.15) has run. *)
 let started ?recorder params ~m =
-  let g = G.cyclic ~n:params.Aqt.Params.n ~m () in
-  let net = Network.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to (2 * params.s0) + 2 do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
+  let net, g =
+    Aqt.Startup.seeded ~n:params.Aqt.Params.n ~m ((2 * params.s0) + 2)
+  in
   ignore (Phased.run ?recorder net (Aqt.Startup.phase ~params ~gadget:g));
   (net, g)
 
@@ -1114,11 +1112,7 @@ let ablation_pump_factor_vs_n spec rb =
    the phase that collapsed, if one did. *)
 let noisy_run (cfg : Aqt.Instability.config) noise =
   let num = Ratio.num noise and den = Ratio.den noise in
-  let gadget = G.cyclic ~n:cfg.params.n ~m:cfg.m () in
-  let net = Network.create ~graph:gadget.graph ~policy:Policies.fifo () in
-  for _ = 1 to cfg.seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route gadget))
-  done;
+  let net, gadget = Aqt.Startup.seeded ~n:cfg.params.n ~m:cfg.m cfg.seed in
   let seeds = ref [] in
   let ingress = G.ingress gadget ~k:1 in
   let base =
@@ -1625,12 +1619,11 @@ let rlist ps = Spec.List (List.map (fun (n, d) -> Spec.Ratio (n, d)) ps)
    are written; the cache key hashes that spec with a digest of the code. *)
 let build () =
   let registry = Registry.create () in
-  let reg name title ?(tags = []) spec f =
+  let reg name title spec f =
     Registry.register registry
       {
         Registry.name;
         title;
-        tags;
         spec;
         run =
           (fun () ->
@@ -1640,15 +1633,13 @@ let build () =
                 Rb.result rb));
       }
   in
-  reg "f1" "Figure 3.1 - the gadget F_n^2 (structure audit)" ~tags:[ "figure" ]
+  reg "f1" "Figure 3.1 - the gadget F_n^2 (structure audit)"
     [ ("ns", ilist [ 2; 4; 8 ]); ("m", Spec.Int 2) ]
     figure_3_1;
   reg "f2" "Figure 3.2 - the cyclic chain F_n^M + e0 (structure audit)"
-    ~tags:[ "figure" ]
     [ ("nm", plist [ (4, 4); (8, 8); (9, 16) ]) ]
     figure_3_2;
   reg "e1" "Theorem 3.17 - FIFO unstable at 1/2+eps: seed queue per cycle"
-    ~tags:[ "theorem" ]
     [
       ( "eps_cycles",
         Spec.List
@@ -1659,7 +1650,6 @@ let build () =
     ]
     thm_3_17_instability;
   reg "e2" "Lemma 3.6 - one pump multiplies the queue by 2(1-R_n)"
-    ~tags:[ "lemma" ]
     [
       ("eps", Spec.Ratio (1, 5));
       ("s0s", ilist [ 200; 400; 800; 1600 ]);
@@ -1667,7 +1657,7 @@ let build () =
       ("trajectory_every", Spec.Int 50);
     ]
     lemma_3_6_pump;
-  reg "e3" "Lemma 3.15 - startup establishes C(S', F(1))" ~tags:[ "lemma" ]
+  reg "e3" "Lemma 3.15 - startup establishes C(S', F(1))"
     [
       ("eps", Spec.Ratio (1, 5));
       ("s0s", ilist [ 200; 400; 800; 1600 ]);
@@ -1675,19 +1665,15 @@ let build () =
     ]
     lemma_3_15_startup;
   reg "e4" "Lemma 3.16 - stitching a queue into r^3*S fresh packets"
-    ~tags:[ "lemma" ]
     [ ("eps_list", rlist [ (1, 5); (1, 10) ]); ("s0", Spec.Int 400) ]
     lemma_3_16_stitch;
   reg "e5" "Lemma 3.3 - the rerouting adversary is a legal rate-r adversary"
-    ~tags:[ "lemma" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 400); ("cycles", Spec.Int 2) ]
     lemma_3_3_rerouting;
   reg "e6" "Theorem 4.1 - every greedy protocol at r <= 1/(d+1)"
-    ~tags:[ "theorem" ]
     [ ("d", Spec.Int 5); ("w", Spec.Int 60); ("horizon", Spec.Int 12_000) ]
     thm_4_1_greedy;
   reg "e7" "Theorem 4.3 - time-priority protocols at the sharper r <= 1/d"
-    ~tags:[ "theorem" ]
     [
       ("d", Spec.Int 5);
       ("w", Spec.Int 60);
@@ -1696,20 +1682,16 @@ let build () =
     ]
     thm_4_3_time_priority;
   reg "e8" "Corollaries 4.5/4.6 - arbitrary initial configurations"
-    ~tags:[ "theorem" ]
     [ ("d", Spec.Int 4); ("w", Spec.Int 16); ("horizon", Spec.Int 8_000) ]
     cor_4_5_4_6_initial;
   reg "e9" "Appendix - n = Theta(log 1/eps), S0 = Theta(1/eps log 1/eps)"
-    ~tags:[ "appendix" ]
     [ ("ks", ilist [ 2; 3; 4; 5; 6; 7; 8; 9; 10 ]) ]
     appendix_asymptotics;
   reg "e10"
     "Policy specificity - the Thm 3.17 sequence replayed under every policy"
-    ~tags:[ "context" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 400); ("cycles", Spec.Int 2) ]
     threshold_sweep;
   reg "e11" "Section 5 - the d-vs-rate sandwich for NTG-style instability"
-    ~tags:[ "context" ]
     [
       ("w", Spec.Int 60);
       ("ds", ilist [ 2; 4; 8; 16; 32 ]);
@@ -1717,23 +1699,19 @@ let build () =
     ]
     ntg_low_rate;
   reg "e12" "Prior work - FIFO instability thresholds and stability bounds"
-    ~tags:[ "context" ]
     [ ("networks", plist [ (4, 2); (8, 8); (9, 16) ]) ]
     prior_work_table;
   reg "e13"
     "Approaching rate 1/2 - construction size as eps shrinks (Thm 3.17)"
-    ~tags:[ "context" ]
     [ ("dens", ilist [ 4; 8; 16; 32; 64; 128; 256 ]) ]
     approach_to_half;
   reg "e14"
     "Claims 3.9-3.11 - fluid trajectories vs discrete simulation (one pump)"
-    ~tags:[ "context" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 1000) ]
     fluid_vs_discrete;
   reg "e15"
     "Context [4] - the ring is universally stable: rate-0.95 stress, all \
      policies"
-    ~tags:[ "context" ]
     [
       ("nodes", Spec.Int 12);
       ("d", Spec.Int 6);
@@ -1742,31 +1720,25 @@ let build () =
     ]
     ring_universal_stability;
   reg "a1" "Ablation - knock out parts of the Lemma 3.6 pump adversary"
-    ~tags:[ "ablation" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 500) ]
     ablation_pump;
   reg "a2" "Ablation - the Lemma 3.16 stitch without its mixer flow"
-    ~tags:[ "ablation" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 500) ]
     ablation_stitch;
-  reg "a3" "Ablation - per-cycle growth vs chain length M" ~tags:[ "ablation" ]
+  reg "a3" "Ablation - per-cycle growth vs chain length M"
     [ ("eps", Spec.Ratio (1, 5)); ("ms", ilist [ 3; 4; 5; 6; 7; 9 ]) ]
     ablation_chain_length;
   reg "a4"
     "Section 5 generalization - asymmetric gadgets F_(n,l) (lean f-paths)"
-    ~tags:[ "ablation" ]
     [ ("eps", Spec.Ratio (1, 5)); ("f_lens", ilist [ 9; 6; 3; 1 ]) ]
     lean_gadget;
   reg "a5" "Ablation - substep-2 tie order (transit-first vs injection-first)"
-    ~tags:[ "ablation" ]
     [ ("eps", Spec.Ratio (1, 5)); ("s0", Spec.Int 400); ("cycles", Spec.Int 2) ]
     ablation_tie_order;
   reg "a6" "Ablation - pump factor 2(1-R_n) vs path length n"
-    ~tags:[ "ablation" ]
     [ ("eps", Spec.Ratio (1, 5)); ("ns", ilist [ 3; 5; 7; 9; 11; 13 ]) ]
     ablation_pump_factor_vs_n;
   reg "c1" "Buffer size x speedup - the drop-rate grid on a saturated ring"
-    ~tags:[ "capacity" ]
     [
       ("caps", ilist [ 0; 1; 2; 3; 4; 6; 8; 12; 16 ]);
       ("speedups", ilist [ 1; 2; 3 ]);
@@ -1776,7 +1748,6 @@ let build () =
     ]
     capacity_sweep;
   reg "c2" "Drop disciplines - drop-tail vs drop-head vs DT shared pool"
-    ~tags:[ "capacity" ]
     [
       ("caps", ilist [ 1; 2; 3; 4; 6; 8; 12; 16 ]);
       ("burst", Spec.Int 8);
@@ -1785,7 +1756,6 @@ let build () =
     ]
     capacity_policies;
   reg "n1" "Locally bursty - the (rho, sigma_e) stability grid"
-    ~tags:[ "adversary" ]
     [
       ("dens", ilist [ 3; 4; 6; 8 ]);
       ("bursts", ilist [ 0; 1; 2; 4; 8 ]);
@@ -1793,7 +1763,6 @@ let build () =
     ]
     local_burst_grid;
   reg "n2" "Feedback routing - the rate x aggressiveness grid"
-    ~tags:[ "adversary" ]
     [
       ("rates", plist [ (1, 2); (2, 3); (3, 4); (5, 6) ]);
       ("hots", ilist [ 1; 2; 4; 8 ]);
@@ -1801,14 +1770,12 @@ let build () =
     ]
     feedback_grid;
   reg "fab1" "Datacenter fabric - fat-tree incast queue growth by policy"
-    ~tags:[ "fabric" ]
     [
       ("utils", plist [ (1, 2); (3, 4); (9, 10); (1, 1); (9, 8) ]);
       ("horizon", Spec.Int 2000);
     ]
     fabric_incast;
   reg "fab2" "Datacenter fabric - shared-DT vs partitioned buffers on a hotspot"
-    ~tags:[ "fabric" ]
     [
       ("alphas", plist [ (1, 4); (1, 2); (1, 1); (2, 1); (4, 1) ]);
       ("totals", ilist [ 8; 16; 32; 64 ]);
@@ -1817,7 +1784,6 @@ let build () =
     ]
     fabric_dt_grid;
   reg "a7" "Robustness - Thm 3.17 under superimposed random cross-traffic"
-    ~tags:[ "ablation" ]
     [
       ("eps", Spec.Ratio (1, 5));
       ("s0", Spec.Int 400);

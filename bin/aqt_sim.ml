@@ -627,13 +627,7 @@ let spacetime_cmd =
       try Aqt.Params.make ~eps ~s0:(max 20 ((seeds - 2) / 2)) ()
       with Invalid_argument msg -> raise (Cannot_start msg)
     in
-    let g = Aqt.Gadget.cyclic ~n:params.n ~m:2 () in
-    let net =
-      Network.create ~graph:g.graph ~policy:Policies.fifo ()
-    in
-    for _ = 1 to seeds do
-      ignore (Network.place_initial ~tag:"seed" net (Aqt.Gadget.seed_route g))
-    done;
+    let net, g = Aqt.Startup.seeded ~n:params.n ~m:2 seeds in
     let st = Aqt_engine.Spacetime.make net in
     let run_phase phase =
       let checked net t =
@@ -1232,31 +1226,10 @@ let check_cmd =
   let run_mutant_demo ?families () =
     (* The self-check that the differ can catch bugs: corrupt the engine
        arms five different ways and demand a shrunk reproducer each time.
-       Each mutant only manifests on families whose scenarios exercise
-       the corrupted code path (e.g. [skip-reroutes] needs a family that
-       reroutes at all; [violate-local-budget] corrupts all arms
-       identically, so only the local family's admissibility obligation
-       can catch it).  Under --family, a mutant whose exposing families
-       were all excluded is skipped rather than reported uncaught. *)
-    let exposed_by = function
-      | Diff.Drop_injection _ | Diff.Flip_tie_order -> Gen.all_families
-      | Diff.Skip_reroutes ->
-          [ Gen.Free; Gen.Capacity_regime; Gen.Feedback_routing ]
-      | Diff.Ignore_capacity -> [ Gen.Capacity_regime ]
-      | Diff.Violate_local_budget -> [ Gen.Local_bursty ]
-    in
-    let mutants =
-      [
-        ("drop-injection", Diff.Drop_injection 3);
-        ("flip-tie-order", Diff.Flip_tie_order);
-        ("skip-reroutes", Diff.Skip_reroutes);
-        ("ignore-capacity", Diff.Ignore_capacity);
-        ("violate-local-budget", Diff.Violate_local_budget);
-      ]
-    in
+       Under --family, a mutant whose exposing families were all excluded
+       is skipped rather than reported uncaught. *)
     List.for_all
-      (fun (name, mutant) ->
-        let exposing = exposed_by mutant in
+      (fun (name, mutant, exposing) ->
         let scan =
           match families with
           | None -> exposing
@@ -1282,7 +1255,7 @@ let check_cmd =
               Printf.printf "mutant %-16s NOT caught by any scanned seed\n"
                 name;
               false)
-      mutants
+      Check.mutants
   in
   let run seeds base seed backend domains family mutant_demo quiet paper =
     let ok = ref true in

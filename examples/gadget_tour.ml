@@ -41,17 +41,11 @@ let () =
 
   (* Figure 3.2: the cyclic construction. *)
   let m_gadgets = 3 in
-  let g = G.cyclic ~n:params.n ~m:m_gadgets () in
+  let seed = (2 * params.s0) + 2 in
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:m_gadgets seed in
   Printf.printf "Figure 3.2  %s (acyclic: %b)\n\n" (G.describe g)
     (Aqt_graph.Digraph.is_dag g.graph);
 
-  let net =
-    Network.create ~graph:g.graph ~policy:Aqt_policy.Policies.fifo ()
-  in
-  let seed = (2 * params.s0) + 2 in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
   Printf.printf "Seeded %d single-edge packets at the ingress of F(1).\n\n" seed;
 
   (* Lemma 3.15. *)

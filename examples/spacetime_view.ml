@@ -8,7 +8,6 @@
    e-path), which the pump then transfers to gadget 2's e-path, larger. *)
 
 module Ratio = Aqt_util.Ratio
-module Network = Aqt_engine.Network
 module Spacetime = Aqt_engine.Spacetime
 module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
@@ -16,14 +15,8 @@ module G = Aqt.Gadget
 let () =
   let eps = Ratio.make 1 5 in
   let params = Aqt.Params.make ~eps ~s0:60 () in
-  let g = G.cyclic ~n:params.n ~m:2 () in
-  let net =
-    Network.create ~graph:g.graph ~policy:Aqt_policy.Policies.fifo ()
-  in
   let seed = (2 * params.s0) + 2 in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:2 seed in
   Printf.printf
     "Startup (Lemma 3.15) then pump (Lemma 3.6) on %s, %d seeds, r = %s.\n\n"
     (G.describe g) seed

@@ -11,9 +11,6 @@ type phase = Aqt_engine.Network.t -> int -> Aqt_engine.Sim.driver * int
 (** [phase net start] — [start] is the first step of the phase; the returned
     duration must be positive. *)
 
-val of_driver : Aqt_engine.Sim.driver -> int -> phase
-(** A fixed driver run for a fixed number of steps. *)
-
 val idle : int -> phase
 (** No injections for the given number of steps. *)
 

@@ -28,6 +28,17 @@ let run_seeds ?families ?mutant ?soa_domains ?(base = 0) ?progress ~n () =
   done;
   { seeds_run = n; failures = List.rev !failures }
 
+let mutants =
+  [
+    ("drop-injection", Diff.Drop_injection 3, Gen.all_families);
+    ("flip-tie-order", Diff.Flip_tie_order, Gen.all_families);
+    ( "skip-reroutes",
+      Diff.Skip_reroutes,
+      [ Gen.Free; Gen.Capacity_regime; Gen.Feedback_routing ] );
+    ("ignore-capacity", Diff.Ignore_capacity, [ Gen.Capacity_regime ]);
+    ("violate-local-budget", Diff.Violate_local_budget, [ Gen.Local_bursty ]);
+  ]
+
 let find_mutant_failure ?families ?(max_seeds = 100) mutant =
   let rec scan seed =
     if seed >= max_seeds then None

@@ -18,16 +18,6 @@ type summary = {
   failures : failure_report list;  (** Empty = the engine conforms. *)
 }
 
-val run_seed :
-  ?families:Gen.family list ->
-  ?mutant:Diff.mutant ->
-  ?soa_domains:int list ->
-  int ->
-  Diff.failure option
-(** Generate and differentially run one seed (no shrinking).
-    [families] restricts generation as in {!Gen.generate};
-    [soa_domains] adds struct-of-arrays arms as in {!Diff.run}. *)
-
 val run_seeds :
   ?families:Gen.family list ->
   ?mutant:Diff.mutant ->
@@ -40,6 +30,14 @@ val run_seeds :
 (** Seeds [base .. base + n - 1] ([base] defaults to 0); every failure is
     shrunk before being reported.  [progress] is called with the number of
     seeds completed. *)
+
+val mutants : (string * Diff.mutant * Gen.family list) list
+(** The differ's self-check: each mutant by name, with the families its
+    scan draws from, chosen among those whose scenarios exercise the code
+    it corrupts.  [skip-reroutes] needs a family that reroutes at all;
+    [violate-local-budget] corrupts every arm alike, so only a locally
+    bursty admissibility obligation can catch it.  [aqt_sim check
+    --mutant-demo] and the test suite scan these. *)
 
 val find_mutant_failure :
   ?families:Gen.family list ->

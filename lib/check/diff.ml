@@ -19,7 +19,7 @@ type failure = { kind : string; step : int option; detail : string }
 
 let pp_failure fmt f =
   match f.step with
-  | Some s -> Format.fprintf fmt "[%s @ step %d] %s" f.kind s f.detail
+  | Some s -> Format.fprintf fmt "[%s @@ step %d] %s" f.kind s f.detail
   | None -> Format.fprintf fmt "[%s] %s" f.kind f.detail
 
 exception Fail of failure

@@ -137,5 +137,3 @@ val pp : Format.formatter -> scenario -> unit
 (** Full human-readable dump: label, sizes, initial routes, the nonempty
     schedule entries, obligations.  This is what a shrunk reproducer
     prints. *)
-
-val pp_obligation : Format.formatter -> obligation -> unit

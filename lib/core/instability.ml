@@ -72,17 +72,11 @@ let phases cfg gadget =
   (Startup.phase ~params ~gadget :: pumps)
   @ [ drain_phase ~gadget; stitch ]
 
-let run ?(policy = Aqt_policy.Policies.fifo) ?tie_order ?(resilient = false)
-    cfg =
-  let gadget = Gadget.cyclic ~f_len:cfg.f_len ~n:cfg.params.n ~m:cfg.m () in
-  let net =
-    Network.create ~log_injections:cfg.log_injections ?tie_order
-      ~graph:gadget.graph ~policy ()
+let run ?policy ?tie_order ?(resilient = false) cfg =
+  let net, gadget =
+    Startup.seeded ?policy ?tie_order ~log_injections:cfg.log_injections
+      ~f_len:cfg.f_len ~n:cfg.params.n ~m:cfg.m cfg.seed
   in
-  let seed_route = Gadget.seed_route gadget in
-  for _ = 1 to cfg.seed do
-    ignore (Network.place_initial ~tag:"seed" net seed_route)
-  done;
   let stats = Dyn.create () in
   let on_cycle k t =
     Dyn.push stats
@@ -103,7 +97,6 @@ let run ?(policy = Aqt_policy.Policies.fifo) ?tie_order ?(resilient = false)
         ( {
             Sim.stop = Sim.Stopped "phase-collapse";
             steps_run = Network.now net;
-            final_in_flight = Network.in_flight net;
             max_queue = Network.max_queue_ever net;
             max_dwell = Network.max_dwell net;
             dropped = Network.dropped net;

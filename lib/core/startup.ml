@@ -3,6 +3,18 @@ module Sim = Aqt_engine.Sim
 module Flow = Aqt_adversary.Flow
 module Phased = Aqt_adversary.Phased
 
+let seeded ?(policy = Aqt_policy.Policies.fifo) ?tie_order ?log_injections
+    ?f_len ~n ~m seeds =
+  let gadget = Gadget.cyclic ?f_len ~n ~m () in
+  let net =
+    Network.create ?log_injections ?tie_order ~graph:gadget.graph ~policy ()
+  in
+  let route = Gadget.seed_route gadget in
+  for _ = 1 to seeds do
+    ignore (Network.place_initial ~tag:"seed" net route)
+  done;
+  (net, gadget)
+
 type plan = {
   total_seed : int;
   duration : int;

@@ -13,6 +13,22 @@
 
     Postcondition: C(S', F(1)) with [S' = 2S (1 - R_n) >= S (1 + eps)]. *)
 
+val seeded :
+  ?policy:Aqt_engine.Policy_type.t ->
+  ?tie_order:Aqt_engine.Network.tie_order ->
+  ?log_injections:bool ->
+  ?f_len:int ->
+  n:int ->
+  m:int ->
+  int ->
+  Aqt_engine.Network.t * Gadget.t
+(** [seeded ~n ~m seeds] is the state every run of the construction starts
+    from, and this phase's precondition: the cyclic chain of [m] gadgets
+    F(n) ({!Gadget.cyclic}, f-paths of length [f_len]) under [policy]
+    (default FIFO), with [seeds] packets tagged ["seed"] queued at the
+    ingress of F(1) on the one-edge {!Gadget.seed_route}.  [tie_order] and
+    [log_injections] are passed to {!Aqt_engine.Network.create}. *)
+
 type plan = {
   total_seed : int;  (** The measured 2S. *)
   duration : int;  (** 2S + n. *)

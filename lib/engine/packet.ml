@@ -29,7 +29,3 @@ let remaining_equals p expected =
 
 let traversed p = p.hop
 let is_absorbed p = p.hop >= Array.length p.route
-
-let pp fmt p =
-  Format.fprintf fmt "#%d[%s inj=%d hop=%d/%d]" p.id p.tag p.injected_at p.hop
-    (Array.length p.route)

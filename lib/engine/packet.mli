@@ -52,5 +52,3 @@ val traversed : t -> int
 (** Edges already crossed (= distance from source). *)
 
 val is_absorbed : t -> bool
-
-val pp : Format.formatter -> t -> unit

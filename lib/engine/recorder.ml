@@ -12,8 +12,6 @@ type sample = {
      acceptance check is "zero major-heap growth per step after warmup". *)
   gc_minor_words : float;
   gc_major_words : float;
-  gc_minor_collections : int;
-  gc_major_collections : int;
 }
 
 type t = { every : int; store : sample Dyn.t }
@@ -40,8 +38,6 @@ let observe r net =
            Gc.minor_words reads the allocation pointer and is exact. *)
         gc_minor_words = Gc.minor_words ();
         gc_major_words = gc.Gc.major_words;
-        gc_minor_collections = gc.Gc.minor_collections;
-        gc_major_collections = gc.Gc.major_collections;
       }
   end
 

@@ -16,8 +16,6 @@ type sample = {
   gc_major_words : float;
       (** Cumulative major-heap words (direct allocation + promotion).  Flat
           across samples = the zero-allocation steady state. *)
-  gc_minor_collections : int;
-  gc_major_collections : int;
 }
 
 type t

@@ -29,7 +29,6 @@ type stop = Horizon | Drained | Blowup of int | Stopped of string
 type outcome = {
   stop : stop;
   steps_run : int;
-  final_in_flight : int;
   max_queue : int;
   max_dwell : int;
   dropped : int;
@@ -79,7 +78,6 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
   {
     stop;
     steps_run = Network.now net - start;
-    final_in_flight = Network.in_flight net;
     max_queue = Network.max_queue_ever net;
     max_dwell = Network.max_dwell net;
     dropped = Network.dropped net;

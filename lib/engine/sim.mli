@@ -30,7 +30,6 @@ type stop =
 type outcome = {
   stop : stop;
   steps_run : int;
-  final_in_flight : int;
   max_queue : int;
   max_dwell : int;
   dropped : int;  (** capacity-model drops over the run (0 when unbounded) *)

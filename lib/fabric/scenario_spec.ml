@@ -76,7 +76,10 @@ module Topology = struct
             match List.map int_of_string dims with
             | [ spines; leaves; hosts_per_leaf ]
               when min spines (min leaves hosts_per_leaf) >= 1 ->
-                Ok (Scenario.Spine_leaf { spines; leaves; hosts_per_leaf })
+                (* Traffic pairs distinct hosts, so it needs two. *)
+                if leaves = 1 && hosts_per_leaf = 1 then
+                  errorf "topology %S: L x H must be >= 2" s
+                else Ok (Scenario.Spine_leaf { spines; leaves; hosts_per_leaf })
             | _ -> errorf "topology %S: S, L and H must each be at least 1" s
             | exception Failure _ -> Error "bad spine-leaf dims")
         | _ -> Error "spine-leaf wants SPINES,LEAVES,HOSTS")

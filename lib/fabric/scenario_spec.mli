@@ -51,9 +51,10 @@ module Network : sig
 end
 
 module Topology : TOKEN with type t = Scenario.topo
-(** [spine-leaf:S,L,H] with each of [S], [L] and [H] at least 1, or
-    [fat-tree:K] with [K] even and at least 2.  {!Scenario.topo_name} is
-    the table label, not this syntax. *)
+(** [spine-leaf:S,L,H] with each of [S], [L] and [H] at least 1 and at
+    least two hosts ([L x H >= 2]), or [fat-tree:K] with [K] even and at
+    least 2.  {!Scenario.topo_name} is the table label, not this
+    syntax. *)
 
 module Pattern : TOKEN with type t = Aqt_workload.Traffic.pattern
 (** [permutation], [incast:N] with [N] at least 1, [all-to-all], or

@@ -49,7 +49,6 @@ end
 type entry = {
   name : string;
   title : string;
-  tags : string list;
   spec : Spec.t;
   run : unit -> result;
 }

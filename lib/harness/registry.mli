@@ -53,7 +53,6 @@ end
 type entry = {
   name : string;
   title : string;
-  tags : string list;
   spec : Spec.t;
   run : unit -> result;
 }

@@ -6,7 +6,6 @@ module Journal = Aqt_harness.Journal
 module Scheduler = Aqt_harness.Scheduler
 module D = Aqt_graph.Digraph
 module Build = Aqt_graph.Build
-module Network = Aqt_engine.Network
 module Spacetime = Aqt_engine.Spacetime
 module Phased = Aqt_adversary.Phased
 module Stock = Aqt_adversary.Stock
@@ -65,12 +64,9 @@ let cell_float s =
       | _ -> Option.value (float_of_string_opt s) ~default:Float.nan)
 
 let header_index (t : Registry.table) name =
-  let rec go i = function
-    | [] -> raise Not_found
-    | h :: _ when h = name -> i
-    | _ :: tl -> go (i + 1) tl
-  in
-  go 0 t.Registry.headers
+  match List.find_index (String.equal name) t.Registry.headers with
+  | Some i -> i
+  | None -> raise Not_found
 
 let column_s (t : Registry.table) name =
   let i = header_index t name in
@@ -78,6 +74,66 @@ let column_s (t : Registry.table) name =
     (List.map (fun row -> try List.nth row i with _ -> "") t.Registry.rows)
 
 let column t name = Array.map cell_float (column_s t name)
+
+(* One (x, y) series per distinct [group] cell, named [label cell]: groups
+   in first-appearance order, each group's points in table order. *)
+let series_by ?(label = Fun.id) t ~group ~x ~y =
+  let keys = column_s t group and xs = column t x and ys = column t y in
+  let groups = ref [] in
+  Array.iteri
+    (fun i k ->
+      let pt = (xs.(i), ys.(i)) in
+      match List.assoc_opt k !groups with
+      | Some pts -> pts := pt :: !pts
+      | None -> groups := (k, ref [ pt ]) :: !groups)
+    keys;
+  List.rev_map
+    (fun (k, pts) -> Plot.series (label k) (Array.of_list (List.rev !pts)))
+    !groups
+
+(* The [cell] column pivoted over the [row] and [col] cells of the rows
+   whose column [fst keep] reads [snd keep] (every row by default): row
+   and column labels in first-appearance order, nan where no row gives a
+   cell. *)
+let grid_of ?keep t ~row ~col ~cell =
+  let rv = column_s t row and cv = column_s t col and cells = column t cell in
+  let kept =
+    let all = List.init (Array.length rv) Fun.id in
+    match keep with
+    | None -> all
+    | Some (name, v) ->
+        let k = column_s t name in
+        List.filter (fun i -> k.(i) = v) all
+  in
+  let firsts a =
+    List.rev
+      (List.fold_left
+         (fun seen i -> if List.mem a.(i) seen then seen else a.(i) :: seen)
+         [] kept)
+  in
+  let rows = firsts rv and cols = firsts cv in
+  let index l v = Option.get (List.find_index (String.equal v) l) in
+  let values =
+    Array.make_matrix (List.length rows) (List.length cols) Float.nan
+  in
+  List.iter
+    (fun i -> values.(index rows rv.(i)).(index cols cv.(i)) <- cells.(i))
+    kept;
+  (rows, cols, values)
+
+(* Rate cells as percentages with [decimals] places; an exact zero reads
+   "0" and an absent cell stays blank. *)
+let annot_percent ~decimals =
+  Array.map
+    (Array.map (fun v ->
+         if Float.is_nan v then None
+         else if v = 0.0 then Some "0"
+         else Some (Printf.sprintf "%.*f%%" decimals (100. *. v))))
+
+let annot_count =
+  Array.map
+    (Array.map (fun v ->
+         if Float.is_nan v then None else Some (Printf.sprintf "%.0f" v)))
 
 let trajectory_points rows ~x ~y =
   Array.of_seq
@@ -132,24 +188,10 @@ let render_e1_growth ctx =
   match find_table ctx ~experiment:"e1" ~id:"e1_thm_3_17" with
   | None -> Plot.render ~title []
   | Some t ->
-      let eps = column_s t "eps" in
-      let cycle = column t "cycle" and seed = column t "seed" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i e ->
-          let pt = (cycle.(i), seed.(i)) in
-          match List.assoc_opt e !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (e, ref [ pt ]) :: !groups)
-        eps;
-      let series =
-        List.rev_map
-          (fun (e, pts) ->
-            Plot.series ("eps=" ^ e) (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"cycle" ~y_label:"seed queue (packets)" ~title
-        series
+        (series_by t ~group:"eps"
+           ~label:(fun e -> "eps=" ^ e)
+           ~x:"cycle" ~y:"seed")
 
 let render_e2_pump ctx =
   let title = "Lemma 3.6 - pump growth, measured vs predicted" in
@@ -261,110 +303,35 @@ let render_capacity_heatmap ctx =
   match find_table ctx ~experiment:"c1" ~id:"c1_drop_grid" with
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
-      let s = column t "s" in
-      let cap = column t "cap" in
-      let dr = column t "drop_rate" in
-      let uniq a = List.sort_uniq compare (Array.to_list a) in
-      let ss = uniq s and caps = uniq cap in
-      let idx l v =
-        let rec go i = function
-          | [] -> 0
-          | x :: tl -> if x = v then i else go (i + 1) tl
-        in
-        go 0 l
-      in
-      let values =
-        Array.make_matrix (List.length ss) (List.length caps) Float.nan
-      in
-      Array.iteri
-        (fun i sv -> values.(idx ss sv).(idx caps cap.(i)) <- dr.(i))
-        s;
-      let annot =
-        Array.map
-          (Array.map (fun v ->
-               if Float.is_nan v then None
-               else if v = 0.0 then Some "0"
-               else Some (Printf.sprintf "%.0f%%" (100. *. v))))
-          values
-      in
-      Heatmap.render ~annot ~x_label:"buffer capacity per edge"
-        ~y_label:"link speedup" ~title
-        ~rows:(List.map (fun v -> Printf.sprintf "s=%.0f" v) ss)
-        ~cols:(List.map (fun v -> Printf.sprintf "%.0f" v) caps)
-        values
+      (* Rows and columns in table order: c1's spec lists its speedups and
+         caps ascending, as integers. *)
+      let ss, caps, values = grid_of t ~row:"s" ~col:"cap" ~cell:"drop_rate" in
+      Heatmap.render ~annot:(annot_percent ~decimals:0 values)
+        ~x_label:"buffer capacity per edge" ~y_label:"link speedup" ~title
+        ~rows:(List.map (fun s -> "s=" ^ s) ss)
+        ~cols:caps values
 
 let render_capacity_tradeoff ctx =
   let title = "C2 - drop rate vs buffer budget, by drop discipline" in
   match find_table ctx ~experiment:"c2" ~id:"c2_policies" with
   | None -> Plot.render ~title []
   | Some t ->
-      let disc = column_s t "discipline" in
-      let cap = column t "cap" in
-      let dr = column t "drop_rate" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i d ->
-          let pt = (cap.(i), dr.(i)) in
-          match List.assoc_opt d !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (d, ref [ pt ]) :: !groups)
-        disc;
-      let series =
-        List.rev_map
-          (fun (d, pts) -> Plot.series d (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"buffer budget (cap per edge; 8*cap shared)"
-        ~y_label:"drop rate" ~title series
+        ~y_label:"drop rate" ~title
+        (series_by t ~group:"discipline" ~x:"cap" ~y:"drop_rate")
 
 (* The adversary-family figures read the n1/n2 campaign tables
    (ring rows only; the gadget rows stay in the tables).  Sweep order
    is preserved from the experiment, so rho decreases down the rows
    and the knob grows along the columns. *)
-let grid_of t ~graph ~row_col ~col_col ~cell_col =
-  let g = column_s t "graph" in
-  let rv = column_s t row_col in
-  let cv = column_s t col_col in
-  let cell = column t cell_col in
-  let push l v = if not (List.mem v !l) then l := !l @ [ v ] in
-  let rows = ref [] and cols = ref [] in
-  Array.iteri
-    (fun i gi ->
-      if gi = graph then begin
-        push rows rv.(i);
-        push cols cv.(i)
-      end)
-    g;
-  let idx l v =
-    let rec go i = function
-      | [] -> 0
-      | x :: tl -> if x = v then i else go (i + 1) tl
-    in
-    go 0 l
-  in
-  let values =
-    Array.make_matrix (List.length !rows) (List.length !cols) Float.nan
-  in
-  Array.iteri
-    (fun i gi ->
-      if gi = graph then
-        values.(idx !rows rv.(i)).(idx !cols cv.(i)) <- cell.(i))
-    g;
-  (!rows, !cols, values)
-
-let annot_count =
-  Array.map
-    (Array.map (fun v ->
-         if Float.is_nan v then None else Some (Printf.sprintf "%.0f" v)))
-
 let render_local_burst_heatmap ctx =
   let title = "N1 - locally bursty: peak queue over (rho, sigma_e)" in
   match find_table ctx ~experiment:"n1" ~id:"n1_local_grid" with
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
       let rows, cols, values =
-        grid_of t ~graph:"ring" ~row_col:"rho" ~col_col:"burst"
-          ~cell_col:"max_queue"
+        grid_of t ~keep:("graph", "ring") ~row:"rho" ~col:"burst"
+          ~cell:"max_queue"
       in
       Heatmap.render ~log_scale:true ~annot:(annot_count values)
         ~x_label:"per-flow burst allowance" ~y_label:"aggregate rate rho"
@@ -378,8 +345,8 @@ let render_feedback_heatmap ctx =
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
       let rows, cols, values =
-        grid_of t ~graph:"ring" ~row_col:"rate" ~col_col:"hot"
-          ~cell_col:"reroutes"
+        grid_of t ~keep:("graph", "ring") ~row:"rate" ~col:"hot"
+          ~cell:"reroutes"
       in
       Heatmap.render ~annot:(annot_count values)
         ~x_label:"hot threshold (queue length that triggers a reroute)"
@@ -396,70 +363,23 @@ let render_fabric_incast ctx =
   match find_table ctx ~experiment:"fab1" ~id:"fab1_incast" with
   | None -> Plot.render ~title []
   | Some t ->
-      let policy = column_s t "policy" in
-      let util = column t "util" in
-      let dwell = column t "max_dwell" in
-      let groups = ref [] in
-      Array.iteri
-        (fun i p ->
-          let pt = (util.(i), dwell.(i)) in
-          match List.assoc_opt p !groups with
-          | Some pts -> pts := pt :: !pts
-          | None -> groups := (p, ref [ pt ]) :: !groups)
-        policy;
-      let series =
-        List.rev_map
-          (fun (p, pts) -> Plot.series p (Array.of_list (List.rev !pts)))
-          !groups
-      in
       Plot.render ~x_label:"receiver-downlink utilisation"
-        ~y_label:"max dwell (steps in flight)" ~title series
+        ~y_label:"max dwell (steps in flight)" ~title
+        (series_by t ~group:"policy" ~x:"util" ~y:"max_dwell")
 
 let render_fabric_dt ctx =
   let title = "FAB2 - shared-DT drop rate over (alpha, total slots)" in
   match find_table ctx ~experiment:"fab2" ~id:"fab2_dt_grid" with
   | None -> Heatmap.render ~title ~rows:[] ~cols:[] [||]
   | Some t ->
-      let buffers = column_s t "buffers" in
-      let alpha = column_s t "alpha" in
-      let total = column_s t "total" in
-      let dr = column t "drop_rate" in
-      let push l v = if not (List.mem v !l) then l := !l @ [ v ] in
-      let rows = ref [] and cols = ref [] in
-      Array.iteri
-        (fun i b ->
-          if b = "shared-dt" then begin
-            push rows alpha.(i);
-            push cols total.(i)
-          end)
-        buffers;
-      let idx l v =
-        let rec go i = function
-          | [] -> 0
-          | x :: tl -> if x = v then i else go (i + 1) tl
-        in
-        go 0 l
+      let rows, cols, values =
+        grid_of t ~keep:("buffers", "shared-dt") ~row:"alpha" ~col:"total"
+          ~cell:"drop_rate"
       in
-      let values =
-        Array.make_matrix (List.length !rows) (List.length !cols) Float.nan
-      in
-      Array.iteri
-        (fun i b ->
-          if b = "shared-dt" then
-            values.(idx !rows alpha.(i)).(idx !cols total.(i)) <- dr.(i))
-        buffers;
-      let annot =
-        Array.map
-          (Array.map (fun v ->
-               if Float.is_nan v then None
-               else if v = 0.0 then Some "0"
-               else Some (Printf.sprintf "%.1f%%" (100. *. v))))
-          values
-      in
-      Heatmap.render ~annot ~x_label:"shared pool size (slots)"
-        ~y_label:"DT alpha" ~title
-        ~rows:(List.map (fun a -> "alpha=" ^ a) !rows)
-        ~cols:!cols values
+      Heatmap.render ~annot:(annot_percent ~decimals:1 values)
+        ~x_label:"shared pool size (slots)" ~y_label:"DT alpha" ~title
+        ~rows:(List.map (fun a -> "alpha=" ^ a) rows)
+        ~cols values
 
 (* The loadgen figure reads the committed journal, not the campaign
    cache: `aqt_sim loadgen --snapshot-every` appends one Snapshot per
@@ -501,11 +421,7 @@ let render_spacetime _ =
   let eps = Ratio.make 1 5 in
   let seed = 122 in
   let params = Aqt.Params.make ~eps ~s0:(max 20 ((seed - 2) / 2)) () in
-  let g = G.cyclic ~n:params.Aqt.Params.n ~m:2 () in
-  let net = Network.create ~graph:g.G.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (Network.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
+  let net, g = Aqt.Startup.seeded ~n:params.Aqt.Params.n ~m:2 seed in
   let st = Spacetime.make ~every:4 net in
   let wrap = Spacetime.driver_wrap st in
   ignore (Phased.run ~wrap net (Aqt.Startup.phase ~params ~gadget:g));

@@ -63,9 +63,6 @@ val column : Aqt_harness.Registry.table -> string -> float array
     [true]/[false] all convert; anything else becomes [nan] (and is
     dropped by the plot layer).  @raise Not_found on an unknown header. *)
 
-val column_s : Aqt_harness.Registry.table -> string -> string array
-(** The named column as raw strings.  @raise Not_found likewise. *)
-
 val trajectory_points :
   (string * float) list list -> x:string -> y:string -> (float * float) array
 (** Extract [(x, y)] pairs from labelled trajectory rows (the

@@ -126,9 +126,6 @@ val encode_request :
     so the exchange defaults to keep-alive — the load generator's
     pipelined connections are built from these. *)
 
-val status_text : int -> string
-(** Reason phrase for the status codes the server emits. *)
-
 val encode_response :
   ?headers:(string * string) list ->
   ?head_only:bool ->

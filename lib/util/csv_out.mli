@@ -13,7 +13,6 @@ val quote : string -> string
     in double quotes with embedded quotes doubled.  Exposed so other
     emitters (e.g. campaign summaries) quote identically. *)
 
-val to_channel : out_channel -> t
 val to_buffer : Buffer.t -> t
 val write_row : t -> string list -> unit
 val write_rows : t -> string list list -> unit

@@ -223,8 +223,8 @@ let engine_conforms_on_seed_block () =
       Alcotest.failf "seed %d diverged: %a" seed Diff.pp_failure failure);
   check_bool "no failures" true (summary.Check.failures = [])
 
-let mutant_is_caught ?families name mutant () =
-  match Check.find_mutant_failure ?families ~max_seeds:60 mutant with
+let mutant_is_caught (name, mutant, families) () =
+  match Check.find_mutant_failure ~families ~max_seeds:60 mutant with
   | None -> Alcotest.failf "mutant %s not caught by any scanned seed" name
   | Some (scenario, failure) ->
       (* The shrunk reproducer must still fail under the mutant... *)
@@ -300,23 +300,16 @@ let () =
             gen_scenarios_self_admissible;
         ] );
       ( "diff",
-        [
-          Alcotest.test_case "engine conforms on 40 seeds" `Quick
-            engine_conforms_on_seed_block;
-          Alcotest.test_case "catches drop-injection" `Quick
-            (mutant_is_caught "drop-injection" (Diff.Drop_injection 3));
-          Alcotest.test_case "catches flip-tie-order" `Quick
-            (mutant_is_caught "flip-tie-order" Diff.Flip_tie_order);
-          Alcotest.test_case "catches skip-reroutes" `Quick
-            (mutant_is_caught "skip-reroutes" Diff.Skip_reroutes);
-          Alcotest.test_case "catches ignore-capacity" `Quick
-            (mutant_is_caught ~families:[ Gen.Capacity_regime ]
-               "ignore-capacity" Diff.Ignore_capacity);
-          Alcotest.test_case "catches violate-local-budget" `Quick
-            (mutant_is_caught ~families:[ Gen.Local_bursty ]
-               "violate-local-budget" Diff.Violate_local_budget);
-          Alcotest.test_case "shrink reduces" `Quick shrink_reduces;
-          Alcotest.test_case "theorem 3.17 replay conforms" `Quick
-            theorem_3_17_scenario;
-        ] );
+        Alcotest.test_case "engine conforms on 40 seeds" `Quick
+          engine_conforms_on_seed_block
+        :: List.map
+             (fun ((name, _, _) as m) ->
+               Alcotest.test_case ("catches " ^ name) `Quick
+                 (mutant_is_caught m))
+             Check.mutants
+        @ [
+            Alcotest.test_case "shrink reduces" `Quick shrink_reduces;
+            Alcotest.test_case "theorem 3.17 replay conforms" `Quick
+              theorem_3_17_scenario;
+          ] );
     ]

@@ -7,7 +7,6 @@ module Sim = Aqt_engine.Sim
 module Phased = Aqt_adversary.Phased
 module G = Aqt.Gadget
 module F = Aqt.Fluid
-module Policies = Aqt_policy.Policies
 
 let check_bool = Alcotest.(check bool)
 let near ?(tol = 1e-6) a b = abs_float (a -. b) < tol
@@ -68,11 +67,7 @@ let agrees_with_simulation () =
   let eps = R.make 1 5 in
   let params = Aqt.Params.make ~eps ~s0:500 () in
   let seed = (2 * params.s0) + 2 in
-  let g = G.cyclic ~n:params.n ~m:3 () in
-  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (N.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:3 seed in
   let run_phase phase =
     let duration = ref 0 in
     let wrapped : Phased.phase =

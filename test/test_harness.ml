@@ -128,7 +128,7 @@ let result_json_roundtrip () =
   check_bool "trajectory" true (r'.Registry.trajectory = r.Registry.trajectory)
 
 let dummy_entry ?(spec = spec_a) ?(run = fun () -> sample_result ()) name =
-  { Registry.name; title = name; tags = []; spec; run }
+  { Registry.name; title = name; spec; run }
 
 let registry_basics () =
   let reg = Registry.create () in

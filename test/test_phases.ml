@@ -19,21 +19,13 @@ let check_bool = Alcotest.(check bool)
 let eps = R.make 1 5
 let params = Aqt.Params.make ~eps ~s0:400 ()
 
-let fresh_seeded ~m ~seed =
-  let g = G.cyclic ~n:params.n ~m () in
-  let net = N.create ~graph:g.graph ~policy:Policies.fifo () in
-  for _ = 1 to seed do
-    ignore (N.place_initial ~tag:"seed" net (G.seed_route g))
-  done;
-  (net, g)
-
 let seed = 2 * params.s0 + 2
 let slack = 4 * params.n (* generous integrality allowance *)
 
 (* Lemma 3.15: startup establishes C(S', F(1)) with S' close to the predicted
    2S(1-R_n) and above S(1+eps). *)
 let startup_postcondition () =
-  let net, g = fresh_seeded ~m:4 ~seed in
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:4 seed in
   let duration = Phased.run net (Aqt.Startup.phase ~params ~gadget:g) in
   check_int "duration 2S + n" (seed + params.n) duration;
   let m = I.measure net g ~k:1 in
@@ -53,7 +45,7 @@ let startup_postcondition () =
 (* Lemma 3.6: the pump moves C(S, F(1)) to C(S', F(2)) with S' ~ S * 2(1-R_n),
    and empties gadget 1. *)
 let pump_postcondition () =
-  let net, g = fresh_seeded ~m:4 ~seed in
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:4 seed in
   ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   let before = I.measure net g ~k:1 in
   ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
@@ -73,7 +65,7 @@ let pump_postcondition () =
 
 (* Two pumps in sequence keep compounding. *)
 let pump_composes () =
-  let net, g = fresh_seeded ~m:4 ~seed in
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:4 seed in
   ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   let s2 = (I.measure net g ~k:2).s_ingress in
@@ -88,7 +80,7 @@ let pump_composes () =
    single-edge packets at the chain's ingress, leaving nothing else. *)
 let stitch_postcondition () =
   let m_gadgets = 3 in
-  let net, g = fresh_seeded ~m:m_gadgets ~seed in
+  let net, g = Aqt.Startup.seeded ~n:params.n ~m:m_gadgets seed in
   ignore (Phased.run net (Aqt.Startup.phase ~params ~gadget:g));
   ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:1));
   ignore (Phased.run net (Aqt.Pump.phase ~params ~gadget:g ~k:2));

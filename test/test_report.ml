@@ -350,7 +350,6 @@ let synthetic_registry () =
     {
       Registry.name = "syn";
       title = "synthetic";
-      tags = [];
       spec = [ ("k", Spec.Int 3) ];
       run =
         (fun () ->

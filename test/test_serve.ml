@@ -405,7 +405,6 @@ let test_registry () =
     {
       Registry.name = "tiny";
       title = "tiny test experiment";
-      tags = [];
       spec = [];
       run =
         (fun () ->
@@ -851,7 +850,6 @@ let serve_computing_outlives_deadlines () =
     {
       Registry.name = "slow";
       title = "computes past the connection deadlines";
-      tags = [];
       spec = [];
       run =
         (fun () ->

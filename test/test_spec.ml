@@ -69,6 +69,10 @@ let prop_topology =
         [
           map3
             (fun spines leaves hosts_per_leaf ->
+              (* One leaf of one host is rejected: traffic needs two. *)
+              let hosts_per_leaf =
+                if leaves = 1 then max 2 hosts_per_leaf else hosts_per_leaf
+              in
               Scenario.Spine_leaf { spines; leaves; hosts_per_leaf })
             (int_range 1 64) (int_range 1 64) (int_range 1 64);
           map (fun h -> Scenario.Fat_tree { k = 2 * h }) (int_range 1 32);
@@ -168,6 +172,7 @@ let topology_rejects =
       ("spine-leaf:1,x,2", "bad spine-leaf dims");
       ("spine-leaf:0,1,1", {|topology "spine-leaf:0,1,1": S, L and H must each be at least 1|});
       ("spine-leaf:2,4,-2", {|topology "spine-leaf:2,4,-2": S, L and H must each be at least 1|});
+      ("spine-leaf:2,1,1", {|topology "spine-leaf:2,1,1": L x H must be >= 2|});
       ("fat-tree:four", "bad fat-tree arity");
       ("fat-tree:3", {|topology "fat-tree:3": K must be even, at least 2|});
       ("fat-tree:0", {|topology "fat-tree:0": K must be even, at least 2|});
