@@ -4,7 +4,8 @@ type t = {
   tag : string;
   max_total : int option;
   route : int array;
-  rate : Ratio.t;
+  num : int; (* the rate, num / den in lowest terms, 0 < num <= den *)
+  den : int;
   start : int;
   stop : int;
   (* The one injection record every packet of the flow is injected with;
@@ -20,27 +21,47 @@ let make ?(tag = "flow") ?max_total ~route ~rate ~start ~stop () =
   (match max_total with
   | Some m when m < 0 -> invalid_arg "Flow.make: negative max_total"
   | _ -> ());
-  { tag; max_total; route; rate; start; stop; inj = { route; tag } }
+  {
+    tag;
+    max_total;
+    route;
+    num = Ratio.num rate;
+    den = Ratio.den rate;
+    start;
+    stop;
+    inj = { route; tag };
+  }
 
 let route f = f.route
 let tag f = f.tag
 let start f = f.start
 let stop f = f.stop
 
+(* Every comparison below is on [int]s, so none is a polymorphic
+   [compare] call, and the floors divide a non-negative product. *)
+let[@inline] capped f c =
+  match f.max_total with Some m when m < c -> m | _ -> c
+
 let cumulative f t =
   if t < f.start then 0
-  else begin
-    let t = min t f.stop in
-    let raw = Ratio.floor_mul f.rate (t - f.start + 1) in
-    match f.max_total with None -> raw | Some m -> min raw m
-  end
+  else
+    let t = if t < f.stop then t else f.stop in
+    capped f (f.num * (t - f.start + 1) / f.den)
 
 (* Outside its window a flow injects nothing, and a finished flow stays in
-   the phase lists of Pump, Startup and Stitch: answer it before either
-   division. *)
+   the phase lists of Pump, Startup and Stitch: answer it before the
+   division.  Inside, with [x = num * k] for the window's k-th step,
+   [c1 = x / den] is the count by the end of step t and the count by the
+   end of step t - 1 is the floor of [(x - num) / den].  As [num <= den],
+   that is [c1 - 1] exactly when [x - c1 * den < num], and [c1] otherwise;
+   at k = 1 it is 0 either way. *)
 let count_at f t =
   if t < f.start || t > f.stop then 0
-  else cumulative f t - cumulative f (t - 1)
+  else
+    let x = f.num * (t - f.start + 1) in
+    let c1 = x / f.den in
+    let c0 = if x - (c1 * f.den) < f.num then c1 - 1 else c1 in
+    capped f c1 - capped f c0
 
 let total f = cumulative f f.stop
 

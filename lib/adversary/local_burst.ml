@@ -47,7 +47,6 @@ let make ?(name = "local-burst") ~m ~flow_rate ~flows ~horizon () =
         Flow.make ~tag:name ~route ~rate:flow_rate ~start:1 ~stop:horizon ())
       flows
   in
-  let bursts = Array.of_list flows in
   let driver =
     Sim.injections_only (fun _ t ->
         let burst =
@@ -56,7 +55,7 @@ let make ?(name = "local-burst") ~m ~flow_rate ~flows ~horizon () =
               (fun (route, b) ->
                 List.init b (fun _ : Aqt_engine.Network.injection ->
                     { route; tag = name }))
-              (Array.to_list bursts)
+              flows
           else []
         in
         burst @ Flow.injections_at token_flows t)

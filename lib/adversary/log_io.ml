@@ -67,8 +67,8 @@ let of_string s =
          end);
   {
     meta = List.rev !meta;
-    initial = Array.of_list (List.rev !initial);
-    log = Array.of_list (List.rev !log);
+    initial = Aqt_util.Boxed_array.of_list (List.rev !initial);
+    log = Aqt_util.Boxed_array.of_list (List.rev !log);
   }
 
 let save file t =

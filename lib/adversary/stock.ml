@@ -28,11 +28,13 @@ let token_bucket ?(name = "token-bucket") ~rate ~routes ~horizon () =
 
 (* One injection record per route, built once: injections are immutable,
    so every step's list can repeat them. *)
+let injection_list ~name routes =
+  List.map
+    (fun route : Aqt_engine.Network.injection -> { route; tag = name })
+    routes
+
 let injections ~name routes =
-  Array.of_list
-    (List.map
-       (fun route : Aqt_engine.Network.injection -> { route; tag = name })
-       routes)
+  Aqt_util.Boxed_array.of_list (injection_list ~name routes)
 
 (* [injs.(i mod n)] for i = from, .., k, consed onto [acc].  Top-level
    rather than a closure over the step's bounds, which would be allocated
@@ -62,7 +64,7 @@ let windowed_burst ?(name = "window-burst") ?(packed = false) ~w ~rate ~routes
     ~horizon () =
   if w < 1 then invalid_arg "Stock.windowed_burst: w must be positive";
   let per_window = Ratio.floor_mul rate w in
-  let one_per_route = Array.to_list (injections ~name routes) in
+  let one_per_route = injection_list ~name routes in
   let driver =
     Sim.injections_only (fun _ t ->
         if t > horizon then []
@@ -85,7 +87,7 @@ let leaky_bucket ?(name = "leaky-bucket") ~b ~rate ~routes ~horizon () =
       (fun route -> Flow.make ~tag:name ~route ~rate ~start:1 ~stop:horizon ())
       routes
   in
-  let one_per_route = Array.to_list (injections ~name routes) in
+  let one_per_route = injection_list ~name routes in
   let driver =
     Sim.injections_only (fun _ t ->
         let burst =
@@ -118,11 +120,11 @@ let replay ?(name = "replay") ~rate log =
   in
   let log =
     if sorted_from 1 then log
-    else begin
-      let copy = Array.copy log in
-      Array.stable_sort (fun (a, _) (b, _) -> Int.compare a b) copy;
-      copy
-    end
+    else
+      Aqt_util.Boxed_array.of_list
+        (List.stable_sort
+           (fun (a, _) (b, _) -> Int.compare a b)
+           (Array.to_list log))
   in
   let n = Array.length log in
   let times = Array.make n 0 and steps = Array.make n [] in

@@ -35,8 +35,12 @@ let mutants =
     ( "skip-reroutes",
       Diff.Skip_reroutes,
       [ Gen.Free; Gen.Capacity_regime; Gen.Feedback_routing ] );
-    ("ignore-capacity", Diff.Ignore_capacity, [ Gen.Capacity_regime ]);
-    ("violate-local-budget", Diff.Violate_local_budget, [ Gen.Local_bursty ]);
+    ( "ignore-capacity",
+      Diff.Ignore_capacity,
+      [ Gen.Capacity_regime; Gen.Fabric ] );
+    ( "violate-local-budget",
+      Diff.Violate_local_budget,
+      [ Gen.Local_bursty; Gen.Fabric ] );
   ]
 
 let find_mutant_failure ?families ?(max_seeds = 100) mutant =
@@ -79,7 +83,7 @@ let theorem_3_17 ?horizon (cfg : Aqt.Instability.config) =
     policy = Aqt_policy.Policies.fifo;
     tie_order = N.Transit_first;
     initial = Array.to_list (N.initial_final_routes res.net);
-    schedule = Array.map List.rev schedule;
+    schedule = Aqt_util.Boxed_array.map List.rev schedule;
     reroutes = false;
     capacity = Aqt_capacity.Model.unbounded;
     feedback = None;

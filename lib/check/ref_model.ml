@@ -290,4 +290,5 @@ let injection_log t =
         if t1 <> t2 then Int.compare t1 t2 else Int.compare id1 id2)
       t.log
   in
-  Array.of_list (List.map (fun (time, _, p) -> (time, p.P.route)) all)
+  Aqt_util.Boxed_array.of_list
+    (List.map (fun (time, _, p) -> (time, p.P.route)) all)

@@ -56,7 +56,7 @@ type replay_result = {
 
 let replay_against ?(initial = [||]) ~graph ~rate ~log ~policies ~settle () =
   let last_injection =
-    Array.fold_left (fun acc (t, _) -> max acc t) 0 log
+    Array.fold_left (fun acc (t, _) -> if t > acc then t else acc) 0 log
   in
   (* The replay driver is a pure function of the step number, so one
      schedule serves every policy. *)

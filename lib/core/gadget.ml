@@ -41,8 +41,8 @@ let build ~n ~f_len ~m ~cyclic =
         prev := next;
         e)
   in
-  let e = Array.init m (fun k -> path (k + 1) "e" n) in
-  let f = Array.init m (fun k -> path (k + 1) "f" f_len) in
+  let e = Aqt_util.Boxed_array.init m (fun k -> path (k + 1) "e" n) in
+  let f = Aqt_util.Boxed_array.init m (fun k -> path (k + 1) "f" f_len) in
   let e0 =
     if cyclic then
       Some (D.add_edge ~label:"e0" g ~src:y.(m) ~dst:x.(0))

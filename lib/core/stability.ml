@@ -53,10 +53,9 @@ let converted_driver ~initial ~(driver : Aqt_engine.Sim.driver) :
     injections_at =
       (fun net t ->
         if t = 1 then
-          Array.to_list
-            (Array.map
-               (fun route : Network.injection -> { route; tag = "initial" })
-               initial)
+          List.map
+            (fun route : Network.injection -> { route; tag = "initial" })
+            (Array.to_list initial)
         else driver.injections_at net (t - 1));
     (* The wrapped adversary's clock is shifted by the synthetic first
        step, so its queue observations shift with it. *)

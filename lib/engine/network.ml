@@ -1,4 +1,5 @@
 module Dyn = Aqt_util.Dynarray_compat
+module Boxed_array = Aqt_util.Boxed_array
 module Digraph = Aqt_graph.Digraph
 module Capacity = Aqt_capacity.Model
 
@@ -40,14 +41,15 @@ module Store = struct
   let create () = { pkts = [||]; len = 0 }
   let[@inline] get s slot = Array.unsafe_get s.pkts slot
 
-  (* Places [p] at the next slot and returns it.  The new record fills the
-     fresh slots of a grown slab: no dummy record needed. *)
+  (* Places [p] at the next slot and returns it.  A full slab doubles by
+     appending itself: the new half repeats stored records until its slots
+     are written, so no dummy record is needed, and there is no
+     [Array.make] with the young [p], which past 256 slots forces a minor
+     collection (see [Aqt_util.Boxed_array]). *)
   let add s (p : Packet.t) =
-    if s.len = Array.length s.pkts then begin
-      let bigger = Array.make (max 8 (2 * s.len)) p in
-      Array.blit s.pkts 0 bigger 0 s.len;
-      s.pkts <- bigger
-    end;
+    if s.len = Array.length s.pkts then
+      s.pkts <-
+        (if s.len = 0 then Array.make 8 p else Array.append s.pkts s.pkts);
     let slot = s.len in
     Array.unsafe_set s.pkts slot p;
     s.len <- slot + 1;
@@ -273,7 +275,7 @@ module Buffer_q = struct
             let c = Int.compare b.keys.(i) b.keys.(j) in
             if c <> 0 then c else Int.compare b.ties.(i) b.ties.(j))
           order;
-        Array.to_list (Array.map (fun i -> packet b.slots.(i)) order)
+        List.map (fun i -> packet b.slots.(i)) (Array.to_list order)
 
   let arrivals b = b.seq
 
@@ -368,7 +370,7 @@ let create ?(log_injections = false) ?(tie_order = Transit_first) ?tracer
   {
     graph;
     policy;
-    buffers = Array.init m (fun _ -> Buffer_q.create_in store policy);
+    buffers = Boxed_array.init m (fun _ -> Buffer_q.create_in store policy);
     tie_order;
     tracer;
     routes =
@@ -820,7 +822,8 @@ let full_log t ~want_initial =
       out
 
 let injection_log t = full_log t ~want_initial:false
-let initial_final_routes t = Array.map snd (full_log t ~want_initial:true)
+let initial_final_routes t =
+  Boxed_array.map snd (full_log t ~want_initial:true)
 
 let reroute_count t = t.reroutes
 let last_injection_on t e = t.last_use.(e)

@@ -45,23 +45,22 @@ let samples r = Dyn.to_array r.store
 let length r = Dyn.length r.store
 
 let to_rows r =
-  Array.to_list
-    (Array.map
-       (fun s ->
-         [
-           ("t", float_of_int s.t);
-           ("in_flight", float_of_int s.in_flight);
-           ("max_queue", float_of_int s.cur_max_queue);
-           ("absorbed", float_of_int s.absorbed);
-           ("dropped", float_of_int s.dropped);
-           ("max_dwell", float_of_int s.max_dwell);
-           ("gc_minor_words", s.gc_minor_words);
-           ("gc_major_words", s.gc_major_words);
-         ])
-       (samples r))
+  List.map
+    (fun s ->
+      [
+        ("t", float_of_int s.t);
+        ("in_flight", float_of_int s.in_flight);
+        ("max_queue", float_of_int s.cur_max_queue);
+        ("absorbed", float_of_int s.absorbed);
+        ("dropped", float_of_int s.dropped);
+        ("max_dwell", float_of_int s.max_dwell);
+        ("gc_minor_words", s.gc_minor_words);
+        ("gc_major_words", s.gc_major_words);
+      ])
+    (Dyn.to_list r.store)
 
 let points r f =
-  Array.map (fun s -> (float_of_int s.t, f s)) (samples r)
+  Aqt_util.Boxed_array.map (fun s -> (float_of_int s.t, f s)) (samples r)
 
 let last r =
   if Dyn.is_empty r.store then None else Some (Dyn.last r.store)

@@ -1503,8 +1503,9 @@ let buffer_packets t e =
         let c = Int.compare t.pkey.(sa) t.pkey.(sb) in
         if c <> 0 then c else Int.compare t.pseq.(sa) t.pseq.(sb))
       idx;
-    Array.to_list
-      (Array.map (fun j -> view_of_rec t arena (stride * (off + j))) idx)
+    List.map
+      (fun j -> view_of_rec t arena (stride * (off + j)))
+      (Array.to_list idx)
   end
   else begin
     let nth j = stride * (off + ((head + j) mod cap)) in
@@ -1553,4 +1554,5 @@ let full_log t ~want_initial =
       out
 
 let injection_log t = full_log t ~want_initial:false
-let initial_final_routes t = Array.map snd (full_log t ~want_initial:true)
+let initial_final_routes t =
+  Aqt_util.Boxed_array.map snd (full_log t ~want_initial:true)

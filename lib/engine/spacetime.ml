@@ -1,4 +1,5 @@
 module Dyn = Aqt_util.Dynarray_compat
+module Boxed_array = Aqt_util.Boxed_array
 module Digraph = Aqt_graph.Digraph
 
 type t = {
@@ -31,13 +32,13 @@ let every t = t.every
 
 let labels t =
   let graph = Network.graph t.net in
-  Array.init (Digraph.n_edges graph) (Digraph.label graph)
+  Boxed_array.init (Digraph.n_edges graph) (Digraph.label graph)
 
 let matrix t =
   let samples = Dyn.to_array t.samples in
   let n = Array.length samples in
   let m = Digraph.n_edges (Network.graph t.net) in
-  Array.init m (fun e ->
+  Boxed_array.init m (fun e ->
       Array.init n (fun s ->
           let row = samples.(s) in
           if e < Array.length row then float_of_int row.(e) else 0.0))

@@ -148,14 +148,13 @@ let in_tree ~depth =
     else begin
       let children =
         Array.concat
-          (Array.to_list
-             (Array.map
-                (fun p ->
-                  let l = D.add_node g and r = D.add_node g in
-                  ignore (D.add_edge g ~src:l ~dst:p);
-                  ignore (D.add_edge g ~src:r ~dst:p);
-                  [| l; r |])
-                parents))
+          (List.map
+             (fun p ->
+               let l = D.add_node g and r = D.add_node g in
+               ignore (D.add_edge g ~src:l ~dst:p);
+               ignore (D.add_edge g ~src:r ~dst:p);
+               [| l; r |])
+             (Array.to_list parents))
       in
       expand (level + 1) children
     end

@@ -30,10 +30,10 @@ let ticks ~lo ~hi ~max_ticks =
   end
 
 let finite_points s =
-  Array.of_seq
-    (Seq.filter
+  Aqt_util.Boxed_array.of_list
+    (List.filter
        (fun (x, y) -> Float.is_finite x && Float.is_finite y)
-       (Array.to_seq s.points))
+       (Array.to_list s.points))
 
 (* Pad a degenerate (empty-width) range so scaling stays well-defined:
    a constant series plots as a centered flat line, a single point as a
@@ -186,7 +186,7 @@ let render ?(w = 640.0) ?(h = 400.0) ?x_label ?y_label ~title series_list =
                      List.rev !acc
                    end
                    else
-                     Array.to_list (Array.map (fun (x, y) -> (sx x, sy y)) pts)
+                     List.map (fun (x, y) -> (sx x, sy y)) (Array.to_list pts)
                  in
                  let line_el =
                    if Array.length pts = 1 then []

@@ -1,5 +1,6 @@
 module Ratio = Aqt_util.Ratio
 module Jsonx = Aqt_util.Jsonx
+module Boxed_array = Aqt_util.Boxed_array
 module Registry = Aqt_harness.Registry
 module Campaign = Aqt_harness.Campaign
 module Journal = Aqt_harness.Journal
@@ -70,7 +71,7 @@ let header_index (t : Registry.table) name =
 
 let column_s (t : Registry.table) name =
   let i = header_index t name in
-  Array.of_list
+  Boxed_array.of_list
     (List.map (fun row -> try List.nth row i with _ -> "") t.Registry.rows)
 
 let column t name = Array.map cell_float (column_s t name)
@@ -88,7 +89,8 @@ let series_by ?(label = Fun.id) t ~group ~x ~y =
       | None -> groups := (k, ref [ pt ]) :: !groups)
     keys;
   List.rev_map
-    (fun (k, pts) -> Plot.series (label k) (Array.of_list (List.rev !pts)))
+    (fun (k, pts) ->
+      Plot.series (label k) (Boxed_array.of_list (List.rev !pts)))
     !groups
 
 (* The [cell] column pivoted over the [row] and [col] cells of the rows
@@ -136,13 +138,13 @@ let annot_count =
          if Float.is_nan v then None else Some (Printf.sprintf "%.0f" v)))
 
 let trajectory_points rows ~x ~y =
-  Array.of_seq
-    (Seq.filter_map
+  Boxed_array.of_list
+    (List.filter_map
        (fun row ->
          match (List.assoc_opt x row, List.assoc_opt y row) with
          | Some xv, Some yv -> Some (xv, yv)
          | _ -> None)
-       (List.to_seq rows))
+       rows)
 
 let trajectory ctx experiment =
   match List.assoc_opt experiment ctx.results with
@@ -398,7 +400,7 @@ let render_loadgen_latency _ =
       events
   in
   let pts key =
-    Array.of_list
+    Boxed_array.of_list
       (List.filter_map
          (fun values ->
            match

@@ -89,6 +89,8 @@ type handles = {
   sim_dropped : Metrics.counter;
   sim_displaced : Metrics.counter;
   sim_peak_occupancy : Metrics.gauge;
+  gc_minor : Metrics.gauge;
+  gc_major : Metrics.gauge;
 }
 
 let make_handles m =
@@ -149,7 +151,20 @@ let make_handles m =
     sim_peak_occupancy =
       Metrics.gauge m "serve_sim_peak_occupancy"
         ~help:"Peak total buffered packets of the most recent /simulate run.";
+    gc_minor =
+      Metrics.gauge m "serve_gc_minor_collections"
+        ~help:"Minor collections of the whole process since it started.";
+    gc_major =
+      Metrics.gauge m "serve_gc_major_collections"
+        ~help:"Major collection cycles of the whole process since it started.";
   }
+
+(* Read when the registry is exported: a collection that every request
+   forces shows as a minor count climbing with the request count. *)
+let refresh_gc m =
+  let s = Gc.quick_stat () in
+  Metrics.set_gauge m.gc_minor (float_of_int s.Gc.minor_collections);
+  Metrics.set_gauge m.gc_major (float_of_int s.Gc.major_collections)
 
 (* ------------------------------------------------------------------ *)
 (* Server state                                                        *)
@@ -660,6 +675,7 @@ let route t rng (req : Http.request) =
   match req.Http.path with
   | "/healthz" when get_like -> text "ok\n"
   | "/metrics" when get_like ->
+      refresh_gc t.m;
       {
         status = 200;
         ctype = "text/plain; version=0.0.4; charset=utf-8";
@@ -1133,6 +1149,7 @@ let write_snapshot t =
   Metrics.set_gauge t.m.sweep_tokens (Bucket.level t.sweep_bucket);
   Metrics.set_gauge t.m.client_keys
     (float_of_int (Bucket.Keyed.keys t.client_buckets));
+  refresh_gc t.m;
   match t.journal with
   | None -> ()
   | Some j ->

@@ -1,7 +1,6 @@
 type 'a t = { mutable data : 'a array; mutable len : int }
 
 let create () = { data = [||]; len = 0 }
-let make n x = { data = Array.make (max n 1) x; len = n }
 let length d = d.len
 let is_empty d = d.len = 0
 
@@ -13,12 +12,13 @@ let set d i x =
   if i < 0 || i >= d.len then invalid_arg "Dynarray_compat.set";
   Array.unsafe_set d.data i x
 
+(* Called when full.  Doubling by [Array.append] rather than [Array.make]
+   with the pushed element: past 256 slots, [Array.make] with a young
+   element forces a minor collection (see [Boxed_array]). *)
 let grow d x =
-  let cap = Array.length d.data in
-  let ncap = if cap = 0 then 8 else 2 * cap in
-  let ndata = Array.make ncap x in
-  Array.blit d.data 0 ndata 0 d.len;
-  d.data <- ndata
+  d.data <-
+    (if Array.length d.data = 0 then Array.make 8 x
+     else Array.append d.data d.data)
 
 let push d x =
   if d.len = Array.length d.data then grow d x;

@@ -1,14 +1,12 @@
 (** Growable arrays.
 
     OCaml 5.1 predates [Stdlib.Dynarray]; this is the small subset the
-    simulator needs, with amortized O(1) [push] and O(1) random access. *)
+    simulator needs, with amortized O(1) [push] and O(1) random access.
+    Growing never forces a minor collection, whatever the element. *)
 
 type 'a t
 
 val create : unit -> 'a t
-val make : int -> 'a -> 'a t
-(** [make n x] is a dynarray holding [n] copies of [x]. *)
-
 val length : 'a t -> int
 val is_empty : 'a t -> bool
 

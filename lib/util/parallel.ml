@@ -20,7 +20,7 @@ let map ?workers ?on_done f xs =
         r)
       xs
   else begin
-    let tasks = Array.of_list xs in
+    let tasks = Boxed_array.of_list xs in
     let results = Array.make n None in
     let next = Atomic.make 0 in
     let completed = Atomic.make 0 in

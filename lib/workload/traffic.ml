@@ -1,5 +1,6 @@
 module Prng = Aqt_util.Prng
 module Ratio = Aqt_util.Ratio
+module Boxed_array = Aqt_util.Boxed_array
 module Build = Aqt_graph.Build
 
 type pattern =
@@ -102,11 +103,12 @@ let draw_pairs prng pattern n_hosts =
   Prng.shuffle prng order;
   match pattern with
   | Permutation ->
-      Array.init n_hosts (fun i -> (order.(i), order.((i + 1) mod n_hosts)))
+      Boxed_array.init n_hosts (fun i ->
+          (order.(i), order.((i + 1) mod n_hosts)))
   | Incast { senders } ->
       let dst = order.(0) in
       let s = min senders (n_hosts - 1) in
-      Array.init s (fun i -> (order.(i + 1), dst))
+      Boxed_array.init s (fun i -> (order.(i + 1), dst))
   | All_to_all ->
       let pairs = ref [] in
       for i = n_hosts - 1 downto 0 do
@@ -114,10 +116,10 @@ let draw_pairs prng pattern n_hosts =
           if i <> j then pairs := (i, j) :: !pairs
         done
       done;
-      Array.of_list !pairs
+      Boxed_array.of_list !pairs
   | Hotspot { hot_num; hot_den } ->
       let hot = order.(0) in
-      Array.init n_hosts (fun i ->
+      Boxed_array.init n_hosts (fun i ->
           let s = order.(i) and next = order.((i + 1) mod n_hosts) in
           if s <> hot && Prng.bernoulli prng ~num:hot_num ~den:hot_den then
             (s, hot)
@@ -203,13 +205,13 @@ let compile ~n_hosts ~m ~(routes : src:int -> dst:int -> int array array) spec
       done)
     pairs;
   (* Steps were built by prepending; restore pair order within a step. *)
-  let schedule = Array.map List.rev schedule in
+  let schedule = Boxed_array.map List.rev schedule in
   (* Patch flow start times: packet p of a connection releases at the
      first t with released(t) > p. *)
-  let flows = Array.of_list (List.rev !flows) in
+  let flows = Boxed_array.of_list (List.rev !flows) in
   let flows =
     let cursor = Hashtbl.create 16 in
-    Array.map
+    Boxed_array.map
       (fun f ->
         let key = (f.pair, f.conn) in
         let offset =

@@ -47,13 +47,12 @@ let parallel_spread ~branches ~hops =
 let tree_to_root ~depth =
   let t = B.in_tree ~depth in
   let routes =
-    Array.to_list
-      (Array.map
-         (fun leaf ->
-           match D.shortest_path t.graph ~src:leaf ~dst:t.root with
-           | Some route -> route
-           | None -> assert false)
-         t.leaves)
+    List.map
+      (fun leaf ->
+        match D.shortest_path t.graph ~src:leaf ~dst:t.root with
+        | Some route -> route
+        | None -> assert false)
+      (Array.to_list t.leaves)
   in
   make (Printf.sprintf "tree%d/to-root" depth) t.graph routes
 

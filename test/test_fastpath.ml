@@ -288,6 +288,48 @@ let steady_state_zero_major_growth () =
   check_int "network still conserves packets" (N.injected_count net)
     (N.absorbed net + N.in_flight net)
 
+(* A ring:512 /simulate, piece by piece.  Past 256 elements,
+   [Array.make n x] with a young block [x] (and so [Array.init],
+   [Array.map] and [Array.of_list]) empties every domain's minor heap
+   first.  Each piece allocates well under one minor heap, so after
+   [Gc.minor ()] none may run a minor collection at all. *)
+let no_forced_minor_collection () =
+  let minors what f =
+    Gc.minor ();
+    let before = (Gc.quick_stat ()).Gc.minor_collections
+    and words = Gc.minor_words () in
+    let r = f () in
+    let ran = (Gc.quick_stat ()).Gc.minor_collections - before
+    and words = Gc.minor_words () -. words in
+    if words > float_of_int (Gc.get ()).Gc.minor_heap_size /. 2. then
+      Alcotest.failf "%s allocates %.0f words, too many to expect none" what
+        words;
+    check_int (what ^ ": minor collections") 0 ran;
+    r
+  in
+  let module S = Aqt_fabric.Scenario_spec in
+  let module Stock = Aqt_adversary.Stock in
+  let w =
+    minors "ring:512 workload" (fun () -> S.workload ~d:6 (S.Network.Ring 512))
+  in
+  let rate = Aqt_util.Ratio.make 1 24 and horizon = 3_000 in
+  let windowed =
+    minors "windowed adversary" (fun () ->
+        Stock.windowed_burst ~w:40 ~rate ~routes:w.routes ~horizon ())
+  in
+  ignore
+    (minors "Bernoulli adversary" (fun () ->
+         Stock.bernoulli ~prng:(Prng.create 5) ~rate ~routes:w.routes ()));
+  let net =
+    minors "Network.create" (fun () ->
+        N.create ~graph:w.graph ~policy:Policies.fifo ())
+  in
+  let outcome =
+    minors "3,000 windowed steps" (fun () ->
+        Sim.run ~net ~driver:windowed.driver ~horizon ())
+  in
+  check_int "steps" horizon outcome.Sim.steps_run
+
 (* A warmed-up step allocates no packet records and no buffer entries: on
    a fully loaded ring, one step under FIFO (ring storage) and one under
    LIS (heap storage) allocate no more minor words than that step's
@@ -535,6 +577,8 @@ let () =
             steady_state_zero_major_growth;
           Alcotest.test_case "loaded step allocates no records" `Quick
             loaded_step_allocation;
+          Alcotest.test_case "no forced minor collection" `Quick
+            no_forced_minor_collection;
         ] );
       ("differential", [ q prop_fastpath_differential ]);
     ]

@@ -492,7 +492,10 @@ let serve_metrics_endpoint () =
       check_bool "per-status series" true
         (contains b "serve_responses_total{status=\"200\"}");
       check_bool "per-worker gc series" true
-        (contains b "serve_worker_minor_words{worker=\"0\"}"))
+        (contains b "serve_worker_minor_words{worker=\"0\"}");
+      check_bool "process gc collections" true
+        (contains b "\nserve_gc_minor_collections "
+        && contains b "\nserve_gc_major_collections "))
 
 let sweep_path = "/sweep?network=ring:6&d=3&horizon=300&rates=1/4&policy=fifo"
 
@@ -996,7 +999,14 @@ let serve_journal_snapshot () =
       | (label, values) :: _ ->
           check_string "label" "serve.metrics" label;
           check_bool "request counter in snapshot" true
-            (List.assoc_opt "serve_requests_total" values = Some 1.))
+            (List.assoc_opt "serve_requests_total" values = Some 1.);
+          List.iter
+            (fun name ->
+              check_bool (name ^ " in snapshot") true
+                (match List.assoc_opt name values with
+                | Some v -> v >= 0.
+                | None -> false))
+            [ "serve_gc_minor_collections"; "serve_gc_major_collections" ])
 
 (* ------------------------------------------------------------------ *)
 (* Incremental parser: pipelined requests, arbitrary chunk boundaries  *)

@@ -2,6 +2,7 @@
 
 module Ratio = Aqt_util.Ratio
 module Dyn = Aqt_util.Dynarray_compat
+module Boxed_array = Aqt_util.Boxed_array
 module Prng = Aqt_util.Prng
 module Tbl = Aqt_util.Tbl
 
@@ -144,6 +145,30 @@ let dyn_iter_fold () =
   Dyn.clear d;
   check_int "cleared" 0 (Dyn.length d)
 
+(* Runs [f] just after an explicit minor collection and returns how many
+   more minor collections it ran. *)
+let minor_collections_of f =
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.minor_collections in
+  f ();
+  (Gc.quick_stat ()).Gc.minor_collections - before
+
+(* Past 256 slots a doubling by [Array.make] with the young pushed element
+   would force a minor collection.  A thousand fresh records take a few
+   thousand words, far under one minor heap, so none may run at all. *)
+let dyn_grows_without_collecting () =
+  let d = Dyn.create () in
+  let n =
+    minor_collections_of (fun () ->
+        for i = 0 to 999 do
+          Dyn.push d (ref i)
+        done)
+  in
+  check_int "minor collections" 0 n;
+  check_int "length" 1000 (Dyn.length d);
+  check_bool "every record in place" true
+    (List.for_all (fun i -> !(Dyn.get d i) = i) (List.init 1000 Fun.id))
+
 let prop_dyn_model =
   QCheck.Test.make ~name:"dynarray behaves like a list" ~count:200
     QCheck.(list small_int)
@@ -151,6 +176,42 @@ let prop_dyn_model =
       let d = Dyn.create () in
       List.iter (Dyn.push d) xs;
       Dyn.to_list d = xs && Dyn.length d = List.length xs)
+
+(* ------------------------------------------------------------------ *)
+(* Boxed_array                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* The same arrays as the stdlib's, at lengths on both sides of the
+   256-element chunk, with [f] applied in index order. *)
+let prop_boxed_matches_stdlib =
+  QCheck.Test.make ~name:"boxed arrays equal the stdlib's" ~count:100
+    QCheck.(int_range 0 1100)
+    (fun n ->
+      let order = ref [] in
+      let a =
+        Boxed_array.init n (fun i ->
+            order := i :: !order;
+            string_of_int i)
+      in
+      let l = List.init n string_of_int in
+      a = Array.init n string_of_int
+      && List.rev !order = List.init n Fun.id
+      && Boxed_array.of_list l = Array.of_list l
+      && Boxed_array.map (fun s -> s ^ "!") a
+         = Array.map (fun s -> s ^ "!") a)
+
+let boxed_no_collection () =
+  let n =
+    minor_collections_of (fun () ->
+        ignore (Boxed_array.init 1000 (fun i -> ref i));
+        ignore (Boxed_array.of_list (List.init 1000 (fun i -> (i, i))));
+        ignore (Boxed_array.map (fun i -> [ i ]) (Array.init 1000 Fun.id)))
+  in
+  check_int "minor collections" 0 n;
+  (* A float array stays flat, as [Array.init] would build it. *)
+  check_bool "floats unboxed" true
+    (Obj.tag (Obj.repr (Boxed_array.init 1000 float_of_int))
+     = Obj.double_array_tag)
 
 (* ------------------------------------------------------------------ *)
 (* Prng                                                                *)
@@ -682,7 +743,14 @@ let () =
           Alcotest.test_case "basics" `Quick dyn_basics;
           Alcotest.test_case "swap_remove" `Quick dyn_swap_remove;
           Alcotest.test_case "iterators" `Quick dyn_iter_fold;
+          Alcotest.test_case "grows without collecting" `Quick
+            dyn_grows_without_collecting;
           q prop_dyn_model;
+        ] );
+      ( "boxed",
+        [
+          q prop_boxed_matches_stdlib;
+          Alcotest.test_case "no minor collection" `Quick boxed_no_collection;
         ] );
       ( "prng",
         [
