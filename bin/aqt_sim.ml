@@ -1223,9 +1223,10 @@ let loadgen_cmd =
 
 let check_cmd =
   let open Aqt_check in
-  let run_mutant_demo ?families () =
+  let run_mutant_demo ?families ?soa_domains () =
     (* The self-check that the differ can catch bugs: corrupt the engine
-       arms five different ways and demand a shrunk reproducer each time.
+       arms, the Soa arms under --backend soa included, five different ways
+       and demand a shrunk reproducer each time.
        Under --family, a mutant whose exposing families were all excluded
        is skipped rather than reported uncaught. *)
     List.for_all
@@ -1241,7 +1242,9 @@ let check_cmd =
           true
         end
         else
-          match Check.find_mutant_failure ~families:scan mutant with
+          match
+            Check.find_mutant_failure ~families:scan ?soa_domains mutant
+          with
           | Some (scenario, failure) ->
               Printf.printf "mutant %-16s caught: %s\n" name
                 (Format.asprintf "%a" Diff.pp_failure failure);
@@ -1310,7 +1313,8 @@ let check_cmd =
           Format.printf "%a" Check.pp_summary summary;
           if summary.Check.failures <> [] then ok := false
         end);
-    if mutant_demo then if not (run_mutant_demo ?families ()) then ok := false;
+    if mutant_demo then
+      if not (run_mutant_demo ?families ?soa_domains ()) then ok := false;
     if not !ok then exit 1
   in
   let seeds =

@@ -3,27 +3,44 @@ type failure_report = {
   original : Diff.failure;
   scenario : Gen.scenario;
   failure : Diff.failure;
+  replay : string;
 }
 
 type summary = { seeds_run : int; failures : failure_report list }
 
-let run_seed ?families ?mutant ?soa_domains seed =
-  Diff.run ?mutant ?soa_domains (Gen.generate ?families seed)
+(* The seed's scenario through the differ; a failure comes back with its
+   shrunk reproducer. *)
+let check_seed ?families ?mutant ?soa_domains seed =
+  let scenario = Gen.generate ?families seed in
+  let run = Diff.run ?mutant ?soa_domains in
+  Option.map
+    (fun original -> (original, Shrink.minimize ~run scenario original))
+    (run scenario)
+
+(* [aqt_sim check] with the flags that draw the seed's scenario and run
+   the arms this run ran: the seed-to-scenario map depends on the family
+   restriction, and a Soa arm exists only under [--backend soa]. *)
+let replay_command ?families ?soa_domains seed =
+  let list f l = String.concat "," (List.map f l) in
+  Printf.sprintf "aqt_sim check --seed %d%s%s" seed
+    (match families with
+    | Some (_ :: _ as fs) -> " --family " ^ list Gen.family_name fs
+    | _ -> "")
+    (match soa_domains with
+    | Some (_ :: _ as ds) ->
+        " --backend soa --domains " ^ list string_of_int ds
+    | _ -> "")
 
 let run_seeds ?families ?mutant ?soa_domains ?(base = 0) ?progress ~n () =
   let failures = ref [] in
   for i = 0 to n - 1 do
     let seed = base + i in
-    (match run_seed ?families ?mutant ?soa_domains seed with
+    (match check_seed ?families ?mutant ?soa_domains seed with
     | None -> ()
-    | Some original ->
-        let scenario, failure =
-          Shrink.minimize
-            ~run:(Diff.run ?mutant ?soa_domains)
-            (Gen.generate ?families seed)
-            original
-        in
-        failures := { seed; original; scenario; failure } :: !failures);
+    | Some (original, (scenario, failure)) ->
+        let replay = replay_command ?families ?soa_domains seed in
+        failures :=
+          { seed; original; scenario; failure; replay } :: !failures);
     match progress with Some f -> f (i + 1) | None -> ()
   done;
   { seeds_run = n; failures = List.rev !failures }
@@ -43,17 +60,13 @@ let mutants =
       [ Gen.Local_bursty; Gen.Fabric ] );
   ]
 
-let find_mutant_failure ?families ?(max_seeds = 100) mutant =
+let find_mutant_failure ?families ?soa_domains ?(max_seeds = 100) mutant =
   let rec scan seed =
     if seed >= max_seeds then None
     else
-      match run_seed ?families ~mutant seed with
+      match check_seed ?families ~mutant ?soa_domains seed with
       | None -> scan (seed + 1)
-      | Some original ->
-          Some
-            (Shrink.minimize ~run:(Diff.run ~mutant)
-               (Gen.generate ?families seed)
-               original)
+      | Some (_, shrunk) -> Some shrunk
   in
   scan 0
 
@@ -103,6 +116,6 @@ let pp_summary fmt s =
         Format.fprintf fmt "seed %d: %a@." r.seed Diff.pp_failure r.original;
         Format.fprintf fmt "shrunk reproducer (%a):@.%a@."
           Diff.pp_failure r.failure Gen.pp r.scenario;
-        Format.fprintf fmt "replay: aqt_sim check --seed %d@.@." r.seed)
+        Format.fprintf fmt "replay: %s@.@." r.replay)
       s.failures
   end

@@ -3,14 +3,18 @@
     Ties the pieces together for the CLI and the test suite: generate a
     scenario per seed ({!Gen}), run it differentially against the engine
     ({!Diff}), shrink any failure to a minimal reproducer ({!Shrink}), and
-    render a report whose every failure is replayable from its seed alone
-    ([aqt_sim check --seed K]). *)
+    render a report whose every failure is replayable from its seed and
+    the run's flags ([aqt_sim check --seed K], plus [--family] and
+    [--backend soa --domains] when the run had them). *)
 
 type failure_report = {
   seed : int;
   original : Diff.failure;  (** What the unshrunk scenario reported. *)
   scenario : Gen.scenario;  (** The shrunk reproducer. *)
   failure : Diff.failure;  (** What the shrunk scenario reports. *)
+  replay : string;
+      (** The [aqt_sim check --seed K] command that replays it, with the
+          run's [--family] and [--backend soa --domains] flags. *)
 }
 
 type summary = {
@@ -41,12 +45,15 @@ val mutants : (string * Diff.mutant * Gen.family list) list
 
 val find_mutant_failure :
   ?families:Gen.family list ->
+  ?soa_domains:int list ->
   ?max_seeds:int ->
   Diff.mutant ->
   (Gen.scenario * Diff.failure) option
 (** Scan seeds until the mutant makes one diverge, then shrink it.  This
     is the self-check that the differ can actually catch engine bugs —
-    used by the test suite and by [aqt_sim check --mutant-demo]. *)
+    used by the test suite and by [aqt_sim check --mutant-demo].  The
+    mutant corrupts every engine arm, the Soa arms of [soa_domains]
+    (as in {!run_seeds}) included. *)
 
 val theorem_3_17 : ?horizon:int -> Aqt.Instability.config -> Gen.scenario
 (** The paper's own run as an oracle scenario: Theorem 3.17's FIFO

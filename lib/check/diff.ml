@@ -26,225 +26,163 @@ exception Fail of failure
 
 let fail kind ?step detail = raise (Fail { kind; step; detail })
 
-(* Everything observable about a buffered packet.  Routes are compared as
-   lists: each engine holds rerouted routes in arrays of its own, so only
-   their values are comparable. *)
-let print_of_packet (p : P.t) =
-  Printf.sprintf "#%d inj@%d hop=%d buf@%d route=[%s]" p.P.id p.P.injected_at
-    p.P.hop p.P.buffered_at
-    (String.concat ";" (List.map string_of_int (Array.to_list p.P.route)))
+(* An engine arm as the checks read it.  Every check below is written
+   once against this signature and applied to each arm in turn; Network
+   and Soa satisfy it through the adapters that follow.  [Ref_model]
+   stays concrete: it is what every arm is compared with. *)
+module type ENGINE = sig
+  type t
 
-let packet_fp (p : P.t) =
-  (p.P.id, p.P.injected_at, p.P.hop, p.P.buffered_at, Array.to_list p.P.route)
+  val place_initial : t -> int array -> unit
+  val step : t -> Network.injection list -> unit
 
-let print_of_view (v : Soa.view) =
-  Printf.sprintf "#%d inj@%d hop=%d buf@%d route=[%s]" v.Soa.v_id
-    v.Soa.v_injected_at v.Soa.v_hop v.Soa.v_buffered_at
-    (String.concat ";" (List.map string_of_int (Array.to_list v.Soa.v_route)))
+  val reroute_where :
+    t -> (id:int -> edge:int -> remaining:int -> bool) -> int array -> unit
+  (** As {!Soa.reroute_where}. *)
 
-let view_fp (v : Soa.view) =
-  ( v.Soa.v_id,
-    v.Soa.v_injected_at,
-    v.Soa.v_hop,
-    v.Soa.v_buffered_at,
-    Array.to_list v.Soa.v_route )
+  val buffer_len : t -> int -> int
+  val buffer_packets : t -> int -> P.view list
+  val in_flight : t -> int
+  val absorbed : t -> int
+  val injected_count : t -> int
+  val initial_count : t -> int
+  val dropped : t -> int
+  val displaced : t -> int
+  val occupancy : t -> int
+  val peak_occupancy : t -> int
+  val max_queue_ever : t -> int
+  val max_dwell : t -> int
+  val max_pending_dwell : t -> int
+  val delivered_latency_max : t -> int
+  val delivered_latency_mean : t -> float
+  val reroute_count : t -> int
+  val max_queue_of_edge : t -> int -> int
+  val sent_on_edge : t -> int -> int
+  val last_injection_on : t -> int -> int
+  val dropped_on_edge : t -> int -> int
+  val injection_log : t -> (int * int array) array
+end
 
-let compare_buffers ~arm ~step refm net =
-  let m = Digraph.n_edges (Network.graph net) in
-  for e = 0 to m - 1 do
-    let want = Ref_model.buffer_packets refm e in
-    let got = Network.buffer_packets net e in
-    if List.map packet_fp want <> List.map packet_fp got then
-      fail "divergence" ~step
-        (Printf.sprintf "%s arm, edge %d:\n  reference: %s\n  engine:    %s"
-           arm e
-           (String.concat " | " (List.map print_of_packet want))
-           (String.concat " | " (List.map print_of_packet got)))
-  done;
-  if Network.in_flight net <> Ref_model.in_flight refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: in_flight %d, reference %d" arm
-         (Network.in_flight net) (Ref_model.in_flight refm));
-  if Network.absorbed net <> Ref_model.absorbed refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: absorbed %d, reference %d" arm
-         (Network.absorbed net) (Ref_model.absorbed refm));
-  if Network.dropped net <> Ref_model.dropped refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: dropped %d, reference %d" arm
-         (Network.dropped net) (Ref_model.dropped refm))
+(* [Soa.reroute_where] for the models that hand out packet records
+   ([Network], [Ref_model]).  Victims are collected first, so no rewrite
+   runs while the buffers are being walked. *)
+let reroute_where iter reroute t pred suffix =
+  let victims = ref [] in
+  iter
+    (fun p ->
+      if pred ~id:p.P.id ~edge:(P.current_edge p) ~remaining:(P.remaining p)
+      then victims := p :: !victims)
+    t;
+  List.iter (fun p -> reroute t p suffix) !victims
 
-(* The SoA arms expose buffered packets as copied-out views rather than
-   [Packet.t] handles; the comparison is the same fingerprint. *)
-let compare_soa_buffers ~arm ~step refm soa =
-  let m = Digraph.n_edges (Soa.graph soa) in
-  for e = 0 to m - 1 do
-    let want = Ref_model.buffer_packets refm e in
-    let got = Soa.buffer_packets soa e in
-    if List.map packet_fp want <> List.map view_fp got then
-      fail "divergence" ~step
-        (Printf.sprintf "%s arm, edge %d:\n  reference: %s\n  engine:    %s"
-           arm e
-           (String.concat " | " (List.map print_of_packet want))
-           (String.concat " | " (List.map print_of_view got)))
-  done;
-  if Soa.in_flight soa <> Ref_model.in_flight refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: in_flight %d, reference %d" arm
-         (Soa.in_flight soa) (Ref_model.in_flight refm));
-  if Soa.absorbed soa <> Ref_model.absorbed refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: absorbed %d, reference %d" arm
-         (Soa.absorbed soa) (Ref_model.absorbed refm));
-  if Soa.dropped soa <> Ref_model.dropped refm then
-    fail "divergence" ~step
-      (Printf.sprintf "%s arm: dropped %d, reference %d" arm
-         (Soa.dropped soa) (Ref_model.dropped refm))
+module Network_arm = struct
+  include Network
+
+  let place_initial t route = ignore (place_initial t route)
+  let step t injs = step t injs
+  let reroute_where = reroute_where iter_buffered reroute
+  let buffer_packets t e = List.map P.view (buffer_packets t e)
+end
+
+module Soa_arm = struct
+  include Soa
+
+  let place_initial t route = ignore (place_initial t route)
+end
+
+type arm = Arm : string * (module ENGINE with type t = 'a) * 'a -> arm
+
+let show_route r =
+  String.concat ";" (List.map string_of_int (Array.to_list r))
+
+let show_buffer = function
+  | [] -> "(empty)"
+  | vs ->
+      String.concat " | "
+        (List.map
+           (fun (v : P.view) ->
+             Printf.sprintf "#%d inj@%d hop=%d buf@%d route=[%s]" v.v_id
+               v.v_injected_at v.v_hop v.v_buffered_at (show_route v.v_route))
+           vs)
+
+(* Per step: every buffer, packet by packet against the reference's
+   [buffers] (one list per edge, in policy order), then the counters that
+   account for the packets. *)
+let compare_buffers ~step refm buffers (Arm (arm, (module E), a)) =
+  Array.iteri
+    (fun e want ->
+      let got = E.buffer_packets a e in
+      if want <> got then
+        fail "divergence" ~step
+          (Printf.sprintf "%s arm, edge %d:\n  reference: %s\n  engine:    %s"
+             arm e (show_buffer want) (show_buffer got)))
+    buffers;
+  List.iter
+    (fun (name, want, got) ->
+      if got <> want then
+        fail "divergence" ~step
+          (Printf.sprintf "%s arm: %s %d, reference %d" arm name got want))
+    [
+      ("in_flight", Ref_model.in_flight refm, E.in_flight a);
+      ("absorbed", Ref_model.absorbed refm, E.absorbed a);
+      ("dropped", Ref_model.dropped refm, E.dropped a);
+    ]
 
 (* Capacity-never-exceeded: after every step, each buffer respects its
    static cap and a shared pool respects its total.  Checked against the
    scenario's model, not the arm's (so the ignore-capacity mutant is caught
    here as soon as it overfills a buffer). *)
-let check_capacity ~arm ~step (capacity : Capacity.t) net =
+let check_capacity ~step ~m capacity (Arm (arm, (module E), a)) =
   if not (Capacity.is_unbounded capacity) then begin
-    let m = Digraph.n_edges (Network.graph net) in
     let caps = Capacity.caps capacity ~m in
     for e = 0 to m - 1 do
-      if Network.buffer_len net e > caps.(e) then
+      if E.buffer_len a e > caps.(e) then
         fail "capacity-exceeded" ~step
           (Printf.sprintf "%s arm: edge %d holds %d packets, cap %d" arm e
-             (Network.buffer_len net e) caps.(e))
+             (E.buffer_len a e) caps.(e))
     done;
     let total = Capacity.shared_total capacity in
-    if total <> max_int && Network.occupancy net > total then
+    if total <> max_int && E.occupancy a > total then
       fail "capacity-exceeded" ~step
         (Printf.sprintf "%s arm: %d packets buffered, shared total %d" arm
-           (Network.occupancy net) total)
+           (E.occupancy a) total)
   end
 
-let check_stat ~arm name want got =
-  if want <> got then
-    fail "stat-divergence"
-      (Printf.sprintf "%s arm: %s = %d, reference %d" arm name got want)
-
-let compare_stats ~arm refm net =
-  let m = Digraph.n_edges (Network.graph net) in
-  check_stat ~arm "injected" (Ref_model.injected_count refm)
-    (Network.injected_count net);
-  check_stat ~arm "initials" (Ref_model.initial_count refm)
-    (Network.initial_count net);
-  check_stat ~arm "max_queue" (Ref_model.max_queue_ever refm)
-    (Network.max_queue_ever net);
-  check_stat ~arm "max_dwell" (Ref_model.max_dwell refm)
-    (Network.max_dwell net);
-  check_stat ~arm "max_pending_dwell"
-    (Ref_model.max_pending_dwell refm)
-    (Network.max_pending_dwell net);
-  check_stat ~arm "latency_max"
-    (Ref_model.delivered_latency_max refm)
-    (Network.delivered_latency_max net);
-  check_stat ~arm "reroutes" (Ref_model.reroute_count refm)
-    (Network.reroute_count net);
-  check_stat ~arm "dropped" (Ref_model.dropped refm) (Network.dropped net);
-  check_stat ~arm "displaced" (Ref_model.displaced refm)
-    (Network.displaced net);
-  check_stat ~arm "peak_occupancy"
-    (Ref_model.peak_occupancy refm)
-    (Network.peak_occupancy net);
-  if
-    Ref_model.delivered_latency_mean refm
-    <> Network.delivered_latency_mean net
-  then
+let compare_stats ~m refm (Arm (arm, (module E), a)) =
+  let stat name want got =
+    if want <> got then
+      fail "stat-divergence"
+        (Printf.sprintf "%s arm: %s = %d, reference %d" arm name got want)
+  in
+  let total name r g = stat name (r refm) (g a) in
+  total "injected" Ref_model.injected_count E.injected_count;
+  total "initials" Ref_model.initial_count E.initial_count;
+  total "max_queue" Ref_model.max_queue_ever E.max_queue_ever;
+  total "max_dwell" Ref_model.max_dwell E.max_dwell;
+  total "max_pending_dwell" Ref_model.max_pending_dwell E.max_pending_dwell;
+  total "latency_max" Ref_model.delivered_latency_max E.delivered_latency_max;
+  total "reroutes" Ref_model.reroute_count E.reroute_count;
+  total "dropped" Ref_model.dropped E.dropped;
+  total "displaced" Ref_model.displaced E.displaced;
+  total "peak_occupancy" Ref_model.peak_occupancy E.peak_occupancy;
+  if Ref_model.delivered_latency_mean refm <> E.delivered_latency_mean a then
     fail "stat-divergence"
       (Printf.sprintf "%s arm: latency_mean %g, reference %g" arm
-         (Network.delivered_latency_mean net)
+         (E.delivered_latency_mean a)
          (Ref_model.delivered_latency_mean refm));
   for e = 0 to m - 1 do
-    check_stat ~arm
-      (Printf.sprintf "max_queue_of_edge %d" e)
-      (Ref_model.max_queue_of_edge refm e)
-      (Network.max_queue_of_edge net e);
-    check_stat ~arm
-      (Printf.sprintf "sent_on_edge %d" e)
-      (Ref_model.sent_on_edge refm e)
-      (Network.sent_on_edge net e);
-    check_stat ~arm
-      (Printf.sprintf "last_injection_on %d" e)
-      (Ref_model.last_injection_on refm e)
-      (Network.last_injection_on net e);
-    check_stat ~arm
-      (Printf.sprintf "dropped_on_edge %d" e)
-      (Ref_model.dropped_on_edge refm e)
-      (Network.dropped_on_edge net e)
+    let edge name r g =
+      stat (Printf.sprintf "%s %d" name e) (r refm e) (g a e)
+    in
+    edge "max_queue_of_edge" Ref_model.max_queue_of_edge E.max_queue_of_edge;
+    edge "sent_on_edge" Ref_model.sent_on_edge E.sent_on_edge;
+    edge "last_injection_on" Ref_model.last_injection_on E.last_injection_on;
+    edge "dropped_on_edge" Ref_model.dropped_on_edge E.dropped_on_edge
   done
 
-let check_soa_capacity ~arm ~step (capacity : Capacity.t) soa =
-  if not (Capacity.is_unbounded capacity) then begin
-    let m = Digraph.n_edges (Soa.graph soa) in
-    let caps = Capacity.caps capacity ~m in
-    for e = 0 to m - 1 do
-      if Soa.buffer_len soa e > caps.(e) then
-        fail "capacity-exceeded" ~step
-          (Printf.sprintf "%s arm: edge %d holds %d packets, cap %d" arm e
-             (Soa.buffer_len soa e) caps.(e))
-    done;
-    let total = Capacity.shared_total capacity in
-    if total <> max_int && Soa.occupancy soa > total then
-      fail "capacity-exceeded" ~step
-        (Printf.sprintf "%s arm: %d packets buffered, shared total %d" arm
-           (Soa.occupancy soa) total)
-  end
-
-let compare_soa_stats ~arm refm soa =
-  let m = Digraph.n_edges (Soa.graph soa) in
-  check_stat ~arm "injected" (Ref_model.injected_count refm)
-    (Soa.injected_count soa);
-  check_stat ~arm "initials" (Ref_model.initial_count refm)
-    (Soa.initial_count soa);
-  check_stat ~arm "max_queue" (Ref_model.max_queue_ever refm)
-    (Soa.max_queue_ever soa);
-  check_stat ~arm "max_dwell" (Ref_model.max_dwell refm) (Soa.max_dwell soa);
-  check_stat ~arm "max_pending_dwell"
-    (Ref_model.max_pending_dwell refm)
-    (Soa.max_pending_dwell soa);
-  check_stat ~arm "latency_max"
-    (Ref_model.delivered_latency_max refm)
-    (Soa.delivered_latency_max soa);
-  check_stat ~arm "reroutes" (Ref_model.reroute_count refm)
-    (Soa.reroute_count soa);
-  check_stat ~arm "dropped" (Ref_model.dropped refm) (Soa.dropped soa);
-  check_stat ~arm "displaced" (Ref_model.displaced refm) (Soa.displaced soa);
-  check_stat ~arm "peak_occupancy"
-    (Ref_model.peak_occupancy refm)
-    (Soa.peak_occupancy soa);
-  if Ref_model.delivered_latency_mean refm <> Soa.delivered_latency_mean soa
-  then
-    fail "stat-divergence"
-      (Printf.sprintf "%s arm: latency_mean %g, reference %g" arm
-         (Soa.delivered_latency_mean soa)
-         (Ref_model.delivered_latency_mean refm));
-  for e = 0 to m - 1 do
-    check_stat ~arm
-      (Printf.sprintf "max_queue_of_edge %d" e)
-      (Ref_model.max_queue_of_edge refm e)
-      (Soa.max_queue_of_edge soa e);
-    check_stat ~arm
-      (Printf.sprintf "sent_on_edge %d" e)
-      (Ref_model.sent_on_edge refm e)
-      (Soa.sent_on_edge soa e);
-    check_stat ~arm
-      (Printf.sprintf "last_injection_on %d" e)
-      (Ref_model.last_injection_on refm e)
-      (Soa.last_injection_on soa e);
-    check_stat ~arm
-      (Printf.sprintf "dropped_on_edge %d" e)
-      (Ref_model.dropped_on_edge refm e)
-      (Soa.dropped_on_edge soa e)
-  done
-
-let compare_logs ~arm refm net =
+let compare_logs refm (Arm (arm, (module E), a)) =
   let want = Ref_model.injection_log refm in
-  let got = Network.injection_log net in
+  let got = E.injection_log a in
   if Array.length want <> Array.length got then
     fail "injection-log"
       (Printf.sprintf "%s arm: %d entries, reference %d" arm
@@ -252,38 +190,16 @@ let compare_logs ~arm refm net =
   Array.iteri
     (fun i (wt, wr) ->
       let gt, gr = got.(i) in
-      if wt <> gt || Array.to_list wr <> Array.to_list gr then
-        fail "injection-log"
-          (Printf.sprintf "%s arm: entry %d is (t=%d, [%s]), reference (t=%d, [%s])"
-             arm i gt
-             (String.concat ";" (List.map string_of_int (Array.to_list gr)))
-             wt
-             (String.concat ";" (List.map string_of_int (Array.to_list wr)))))
-    want
-
-let compare_soa_logs ~arm refm soa =
-  let want = Ref_model.injection_log refm in
-  let got = Soa.injection_log soa in
-  if Array.length want <> Array.length got then
-    fail "injection-log"
-      (Printf.sprintf "%s arm: %d entries, reference %d" arm
-         (Array.length got) (Array.length want));
-  Array.iteri
-    (fun i (wt, wr) ->
-      let gt, gr = got.(i) in
-      if wt <> gt || Array.to_list wr <> Array.to_list gr then
+      if wt <> gt || wr <> gr then
         fail "injection-log"
           (Printf.sprintf
              "%s arm: entry %d is (t=%d, [%s]), reference (t=%d, [%s])" arm i
-             gt
-             (String.concat ";" (List.map string_of_int (Array.to_list gr)))
-             wt
-             (String.concat ";" (List.map string_of_int (Array.to_list wr)))))
+             gt (show_route gr) wt (show_route wr)))
     want
 
-let check_soa_conservation ~arm soa =
-  let made = Soa.initial_count soa + Soa.injected_count soa in
-  let accounted = Soa.absorbed soa + Soa.in_flight soa + Soa.dropped soa in
+let check_conservation (Arm (arm, (module E), a)) =
+  let made = E.initial_count a + E.injected_count a in
+  let accounted = E.absorbed a + E.in_flight a + E.dropped a in
   if made <> accounted then
     fail "conservation"
       (Printf.sprintf
@@ -291,81 +207,39 @@ let check_soa_conservation ~arm soa =
           (absorbed + in flight + dropped)"
          arm made accounted)
 
-(* The deterministic reroute pass (same rule as the fast-path tests):
-   before each step, every buffered packet with [id mod 5 = 2] and more
-   than one remaining hop gets its route truncated at the current edge.
-   Applied identically to the reference and (unless the mutant suppresses
-   it) to each engine arm; truncation is per-packet, so the application
-   order within an arm does not matter. *)
-let should_truncate (p : P.t) = p.P.id mod 5 = 2 && P.remaining p > 1
-
-let reroute_ref refm =
-  let victims = ref [] in
-  Ref_model.iter_buffered
-    (fun p -> if should_truncate p then victims := p :: !victims)
-    refm;
-  List.iter (fun p -> Ref_model.reroute refm p [||]) !victims
-
-let reroute_net net =
-  let victims = ref [] in
-  Network.iter_buffered
-    (fun p -> if should_truncate p then victims := p :: !victims)
-    net;
-  List.iter (fun p -> Network.reroute net p [||]) !victims
-
-let reroute_soa soa =
-  Soa.reroute_where soa
-    (fun ~id ~edge:_ ~remaining -> id mod 5 = 2 && remaining > 1)
-    [||]
-
-(* Feedback-routing support: each arm observes its OWN start-of-step queue
-   vector, then re-derives the truncation pass and the greedy route
-   assignment from it with the pure [Feedback] rules.  If any arm's queues
-   have drifted, its choices drift, and the buffer compare reports the
-   divergence the same step. *)
-let queues_ref refm m = Array.init m (Ref_model.buffer_len refm)
-let queues_net net m = Array.init m (Network.buffer_len net)
-let queues_soa soa m = Array.init m (Soa.buffer_len soa)
-
-let feedback_reroute_ref ~queues ~hot refm =
-  let victims = ref [] in
-  Ref_model.iter_buffered
-    (fun p ->
-      if
-        Feedback.should_truncate ~queues ~hot ~edge:(P.current_edge p)
-          ~remaining:(P.remaining p)
-      then victims := p :: !victims)
-    refm;
-  List.iter (fun p -> Ref_model.reroute refm p [||]) !victims
-
-let feedback_reroute_net ~queues ~hot net =
-  let victims = ref [] in
-  Network.iter_buffered
-    (fun p ->
-      if
-        Feedback.should_truncate ~queues ~hot ~edge:(P.current_edge p)
-          ~remaining:(P.remaining p)
-      then victims := p :: !victims)
-    net;
-  List.iter (fun p -> Network.reroute net p [||]) !victims
-
-let feedback_reroute_soa ~queues ~hot soa =
-  Soa.reroute_where soa
-    (fun ~id:_ ~edge ~remaining ->
-      Feedback.should_truncate ~queues ~hot ~edge ~remaining)
-    [||]
-
-(* Replace the placeholder routes of a feedback step with the greedy
-   water-filling assignment derived from [qs].  A no-op on every other
-   family. *)
-let assign_feedback (scenario : Gen.scenario) qs injs =
-  match scenario.Gen.feedback with
-  | None -> injs
-  | Some fb ->
+(* One model's start of step, the same code for the reference and every
+   engine arm.  The reroute pass truncates the route of every buffered
+   packet its rule selects at the packet's current edge; truncation is per
+   packet, so the order within a model does not matter.  Outside the
+   feedback family the rule is fixed (the fast-path tests': [id mod 5 = 2]
+   and more than one hop left) and the injections go in as scheduled.  In
+   it, each model snapshots its OWN queues BEFORE the reroute pass (the
+   state the feedback adversary observes: truncation must not change what
+   it saw), then derives from that snapshot both the truncation rule and
+   the greedy water-filling routes that replace the step's placeholders,
+   with the pure [Feedback] rules.  If a model's queues have drifted, its
+   choices drift, and the buffer compare reports the divergence the same
+   step. *)
+let start_step (scenario : Gen.scenario) ~m ~reroutes ~buffer_len
+    ~reroute_where injs =
+  match scenario.feedback with
+  | None ->
+      if reroutes then
+        reroute_where
+          (fun ~id ~edge:_ ~remaining -> id mod 5 = 2 && remaining > 1)
+          [||];
+      injs
+  | Some { Gen.pool; hot } ->
+      let queues = Array.init m buffer_len in
+      if reroutes then
+        reroute_where
+          (fun ~id:_ ~edge ~remaining ->
+            Feedback.should_truncate ~queues ~hot ~edge ~remaining)
+          [||];
       List.map2
         (fun (inj : Network.injection) route -> { inj with route })
         injs
-        (Feedback.assign ~queues:qs ~pool:fb.Gen.pool (List.length injs))
+        (Feedback.assign ~queues ~pool (List.length injs))
 
 (* Trace-level invariants: at most [speedup] forwards per (step, edge), and
    each step's forwarded-edge multiset equals the reference model's — the
@@ -403,18 +277,6 @@ let check_trace_invariants ~speedup tr ref_forwards =
              (String.concat "," (List.map string_of_int want))))
     ref_forwards
 
-let check_conservation ~arm net =
-  let made = Network.initial_count net + Network.injected_count net in
-  let accounted =
-    Network.absorbed net + Network.in_flight net + Network.dropped net
-  in
-  if made <> accounted then
-    fail "conservation"
-      (Printf.sprintf
-         "%s arm: %d packets created but %d accounted for \
-          (absorbed + in flight + dropped)"
-         arm made accounted)
-
 let check_obligation scenario net = function
   | Gen.Rate_ok rate ->
       let m = Digraph.n_edges scenario.Gen.graph in
@@ -451,8 +313,7 @@ let check_obligation scenario net = function
           if not (Digraph.route_is_simple scenario.Gen.graph route) then
             fail "routes" ~step:t
               (Printf.sprintf "injected route [%s] is not a simple path"
-                 (String.concat ";"
-                    (List.map string_of_int (Array.to_list route)))))
+                 (show_route route)))
         (Network.injection_log net)
   | Gen.Drop_accounting ->
       let m = Digraph.n_edges scenario.Gen.graph in
@@ -538,38 +399,42 @@ let run ?mutant ?(soa_domains = []) (scenario : Gen.scenario) =
       ~capacity:scenario.capacity ~graph:scenario.graph
       ~policy:scenario.policy ()
   in
-  let fast =
-    Network.create ~log_injections:true ~tie_order:engine_tie
+  let network ?tracer () =
+    Network.create ~log_injections:true ~tie_order:engine_tie ?tracer
       ~capacity:engine_capacity ~graph:scenario.graph
       ~policy:scenario.policy ()
   in
+  let fast = network () in
   let tr = Trace.create () in
-  let traced =
-    Network.create ~log_injections:true ~tie_order:engine_tie
-      ~tracer:(Trace.handler tr) ~capacity:engine_capacity
-      ~graph:scenario.graph ~policy:scenario.policy ()
-  in
-  (* One SoA arm per requested domain count — the struct-of-arrays engine,
-     sequential and partition-parallel, must all match the oracle
-     buffer-for-buffer each step. *)
-  let soa_arms =
+  let traced = network ~tracer:(Trace.handler tr) () in
+  (* One Soa arm per requested domain count: the struct-of-arrays engine,
+     sequential and partition-parallel, must match the oracle as the
+     record engine does. *)
+  let soas =
     List.map
       (fun d ->
-        ( Printf.sprintf "soa-d%d" d,
+        ( d,
           Soa.create ~log_injections:true ~tie_order:engine_tie
             ~capacity:engine_capacity ~domains:d ~graph:scenario.graph
             ~policy:scenario.policy () ))
       soa_domains
   in
-  let finally () = List.iter (fun (_, s) -> Soa.shutdown s) soa_arms in
+  let arms =
+    Arm ("fast", (module Network_arm), fast)
+    :: Arm ("traced", (module Network_arm), traced)
+    :: List.map
+         (fun (d, s) -> Arm (Printf.sprintf "soa-d%d" d, (module Soa_arm), s))
+         soas
+  in
+  let finally () = List.iter (fun (_, s) -> Soa.shutdown s) soas in
   Fun.protect ~finally @@ fun () ->
   try
     List.iter
       (fun route ->
         ignore (Ref_model.place_initial refm route);
-        ignore (Network.place_initial fast route);
-        ignore (Network.place_initial traced route);
-        List.iter (fun (_, s) -> ignore (Soa.place_initial s route)) soa_arms)
+        List.iter
+          (fun (Arm (_, (module E), a)) -> E.place_initial a route)
+          arms)
       scenario.initial;
     let horizon = Gen.horizon scenario in
     let ref_forwards = Array.make horizon [] in
@@ -577,36 +442,6 @@ let run ?mutant ?(soa_domains = []) (scenario : Gen.scenario) =
     let m = Digraph.n_edges scenario.graph in
     for i = 0 to horizon - 1 do
       let step = i + 1 in
-      (* Each arm's queue snapshot, taken BEFORE the reroute pass: this is
-         the state the feedback adversary observes, and truncation must not
-         retroactively change what it saw. *)
-      let qs_ref, qs_fast, qs_traced, qs_soa =
-        match scenario.feedback with
-        | None -> ([||], [||], [||], List.map (fun _ -> [||]) soa_arms)
-        | Some _ ->
-            ( queues_ref refm m,
-              queues_net fast m,
-              queues_net traced m,
-              List.map (fun (_, s) -> queues_soa s m) soa_arms )
-      in
-      (match scenario.feedback with
-      | Some { Gen.hot; _ } ->
-          if scenario.reroutes then
-            feedback_reroute_ref ~queues:qs_ref ~hot refm;
-          if engine_reroutes then begin
-            feedback_reroute_net ~queues:qs_fast ~hot fast;
-            feedback_reroute_net ~queues:qs_traced ~hot traced;
-            List.iter2
-              (fun (_, s) qs -> feedback_reroute_soa ~queues:qs ~hot s)
-              soa_arms qs_soa
-          end
-      | None ->
-          if scenario.reroutes then reroute_ref refm;
-          if engine_reroutes then begin
-            reroute_net fast;
-            reroute_net traced;
-            List.iter (fun (_, s) -> reroute_soa s) soa_arms
-          end);
       let injs = schedule.(i) in
       let engine_injs =
         match mutant with
@@ -620,37 +455,31 @@ let run ?mutant ?(soa_domains = []) (scenario : Gen.scenario) =
         | _ -> injs
       in
       let forwards =
-        Ref_model.step refm (assign_feedback scenario qs_ref injs)
+        Ref_model.step refm
+          (start_step scenario ~m ~reroutes:scenario.reroutes
+             ~buffer_len:(Ref_model.buffer_len refm)
+             ~reroute_where:
+               (reroute_where Ref_model.iter_buffered Ref_model.reroute refm)
+             injs)
       in
       ref_forwards.(i) <- List.map fst forwards;
-      Network.step fast (assign_feedback scenario qs_fast engine_injs);
-      Network.step traced (assign_feedback scenario qs_traced engine_injs);
-      List.iter2
-        (fun (_, s) qs -> Soa.step s (assign_feedback scenario qs engine_injs))
-        soa_arms qs_soa;
-      compare_buffers ~arm:"fast" ~step refm fast;
-      compare_buffers ~arm:"traced" ~step refm traced;
       List.iter
-        (fun (arm, s) -> compare_soa_buffers ~arm ~step refm s)
-        soa_arms;
-      check_capacity ~arm:"fast" ~step scenario.capacity fast;
-      check_capacity ~arm:"traced" ~step scenario.capacity traced;
-      List.iter
-        (fun (arm, s) -> check_soa_capacity ~arm ~step scenario.capacity s)
-        soa_arms
+        (fun (Arm (_, (module E), a)) ->
+          E.step a
+            (start_step scenario ~m ~reroutes:engine_reroutes
+               ~buffer_len:(E.buffer_len a) ~reroute_where:(E.reroute_where a)
+               engine_injs))
+        arms;
+      let buffers =
+        Array.init m (fun e ->
+            List.map P.view (Ref_model.buffer_packets refm e))
+      in
+      List.iter (compare_buffers ~step refm buffers) arms;
+      List.iter (check_capacity ~step ~m scenario.capacity) arms
     done;
-    compare_stats ~arm:"fast" refm fast;
-    compare_stats ~arm:"traced" refm traced;
-    compare_logs ~arm:"fast" refm fast;
-    compare_logs ~arm:"traced" refm traced;
-    check_conservation ~arm:"fast" fast;
-    check_conservation ~arm:"traced" traced;
-    List.iter
-      (fun (arm, s) ->
-        compare_soa_stats ~arm refm s;
-        compare_soa_logs ~arm refm s;
-        check_soa_conservation ~arm s)
-      soa_arms;
+    List.iter (compare_stats ~m refm) arms;
+    List.iter (compare_logs refm) arms;
+    List.iter check_conservation arms;
     check_trace_invariants
       ~speedup:(Capacity.speedup scenario.capacity)
       tr ref_forwards;

@@ -1,14 +1,17 @@
-(** Differential execution: reference model vs. the fast engine.
+(** Differential execution: reference model vs. the engines.
 
-    One scenario is executed three ways in lockstep — the naive
-    {!Ref_model}, the engine on its zero-allocation fast path (no tracer),
-    and the engine with a {!Aqt_engine.Trace}
+    One scenario runs in lockstep on the naive {!Ref_model} and on a list
+    of engine arms: [fast], the record engine on its zero-allocation path
+    (no tracer); [traced], the record engine with a {!Aqt_engine.Trace}
     collector attached (one step loop, whose optional tracer must not
-    change what it does).  After every step the full observable
-    state is compared packet-by-packet: per-edge buffer contents in policy
-    order, with each packet's id, injection time, hop, buffered-at time
-    and full route.  The first mismatching step is reported precisely,
-    which is what makes shrinking cheap.
+    change what it does); and one [soa-dN] arm per requested
+    {!Aqt_engine.Soa} domain count.  The differ reads every arm through
+    one signature, so each check below is the same code on each arm.
+    After every step the full observable state is compared
+    packet-by-packet: per-edge buffer contents in policy order, with each
+    packet's {!Aqt_engine.Packet.view} (id, injection time, hop,
+    buffered-at time and full route).  The first mismatching step is
+    reported precisely, which is what makes shrinking cheap.
 
     After the run, the invariant layer checks:
 
@@ -27,10 +30,11 @@
       for the scenario's adversary class, and the Theorem 4.1/4.3 dwell
       bound via [Aqt.Stability.verify_run] where a theorem applies.
 
-    A {!mutant} deliberately corrupts the {e engine-side} execution while
-    leaving the reference untouched; the committed test suite uses mutants
-    to prove the differ actually detects and shrinks engine bugs (a
-    checker that can never fail verifies nothing). *)
+    A {!mutant} deliberately corrupts the {e engine-side} execution, every
+    engine arm alike, while leaving the reference untouched; the committed
+    test suite uses mutants to prove the differ actually detects and
+    shrinks engine bugs (a checker that can never fail verifies
+    nothing). *)
 
 type mutant =
   | Drop_injection of int
@@ -65,12 +69,17 @@ val pp_failure : Format.formatter -> failure -> unit
 
 val run :
   ?mutant:mutant -> ?soa_domains:int list -> Gen.scenario -> failure option
-(** [None] = the engine conforms on this scenario and every obligation
-    holds.  Deterministic: same scenario, same answer.
+(** [None] = every engine arm conforms on this scenario and every
+    obligation holds.  Deterministic: same scenario, same answer.
 
-    [soa_domains] adds one {!Aqt_engine.Soa} arm per listed domain count
-    (e.g. [[1; 2; 4]]) to the lockstep comparison: buffers each step,
-    stats, logs and conservation at the end — the byte-identical-trajectory
-    guarantee of the struct-of-arrays backend, sequential and parallel.
-    Worker domains are shut down on every exit path.  Default: no SoA
-    arms. *)
+    [soa_domains] adds one {!Aqt_engine.Soa} arm, named [soa-dN], per
+    listed domain count (e.g. [[1; 2; 4]]) after [fast] and [traced]: the
+    byte-identical-trajectory guarantee of the struct-of-arrays backend,
+    sequential and parallel.  Worker domains are shut down on every exit
+    path.  Default: no Soa arms.
+
+    Each step, every arm steps, then each check runs over the arms in that
+    order, so a failure names the first arm that fails the first failing
+    check: buffers and packet counts, then capacity; after the run,
+    statistics, injection logs and conservation, then the trace invariants
+    ([traced]) and the obligations ([fast]). *)

@@ -97,8 +97,9 @@ type scenario = {
   reroutes : bool;
       (** Run the deterministic truncation-reroute pass before each step. *)
   capacity : Aqt_capacity.Model.t;
-      (** The buffer/speedup regime all three arms run under; unbounded for
-          every family except {b capacity}. *)
+      (** The buffer/speedup regime the reference and every engine arm run
+          under; unbounded for every family except {b capacity} and
+          {b fabric}. *)
   feedback : feedback option;
       (** When [Some], routes in [schedule] are placeholders: each arm
           reassigns them online from its own queue observations. *)

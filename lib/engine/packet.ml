@@ -29,3 +29,20 @@ let remaining_equals p expected =
 
 let traversed p = p.hop
 let is_absorbed p = p.hop >= Array.length p.route
+
+type view = {
+  v_id : int;
+  v_injected_at : int;
+  v_hop : int;
+  v_buffered_at : int;
+  v_route : int array;
+}
+
+let view p =
+  {
+    v_id = p.id;
+    v_injected_at = p.injected_at;
+    v_hop = p.hop;
+    v_buffered_at = p.buffered_at;
+    v_route = Array.copy p.route;
+  }

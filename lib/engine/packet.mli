@@ -52,3 +52,17 @@ val traversed : t -> int
 (** Edges already crossed (= distance from source). *)
 
 val is_absorbed : t -> bool
+
+type view = {
+  v_id : int;
+  v_injected_at : int;
+  v_hop : int;
+  v_buffered_at : int;
+  v_route : int array;  (** a fresh copy; safe to retain *)
+}
+(** Everything observable about a buffered packet, copied out: the
+    fields on which the engines must agree, packet for packet, on
+    identical runs.  {!Soa.buffer_packets} returns these. *)
+
+val view : t -> view
+(** The record's view. *)

@@ -1461,18 +1461,10 @@ let max_pending_dwell t =
     t;
   !best
 
-type view = {
-  v_id : int;
-  v_injected_at : int;
-  v_hop : int;
-  v_buffered_at : int;
-  v_route : int array;
-}
-
 let view_of_rec t arena w =
   let s = Array.unsafe_get arena (w + o_slot) in
   {
-    v_id = t.pid.(s);
+    Packet.v_id = t.pid.(s);
     v_injected_at = t.inj_at.(s);
     v_hop = Array.unsafe_get arena (w + o_hop);
     v_buffered_at = Array.unsafe_get arena (w + o_buf);

@@ -71,15 +71,6 @@ val reroute_where :
     Accessors mirror {!Network}'s and agree with it value-for-value on
     identical runs. *)
 
-type view = {
-  v_id : int;
-  v_injected_at : int;
-  v_hop : int;
-  v_buffered_at : int;
-  v_route : int array;  (** a fresh copy; safe to retain *)
-}
-(** A buffered packet, copied out of the slab. *)
-
 val graph : t -> Aqt_graph.Digraph.t
 val policy : t -> Policy_type.t
 val now : t -> int
@@ -89,7 +80,7 @@ val domains : t -> int
 
 val buffer_len : t -> int -> int
 
-val buffer_packets : t -> int -> view list
+val buffer_packets : t -> int -> Packet.view list
 (** Contents of the buffer of edge [e] in service order (head first), as
     {!Network.buffer_packets}. *)
 

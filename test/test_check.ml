@@ -223,18 +223,42 @@ let engine_conforms_on_seed_block () =
       Alcotest.failf "seed %d diverged: %a" seed Diff.pp_failure failure);
   check_bool "no failures" true (summary.Check.failures = [])
 
+(* Each mutant on the record arms alone, then with a one-domain Soa arm
+   beside them: the mutant corrupts every engine arm alike. *)
 let mutant_is_caught (name, mutant, families) () =
-  match Check.find_mutant_failure ~families ~max_seeds:60 mutant with
-  | None -> Alcotest.failf "mutant %s not caught by any scanned seed" name
-  | Some (scenario, failure) ->
-      (* The shrunk reproducer must still fail under the mutant... *)
-      (match Diff.run ~mutant scenario with
-      | None -> Alcotest.failf "shrunk %s reproducer no longer fails" name
-      | Some f -> check_bool "same kind" true (f.Diff.kind = failure.Diff.kind));
-      (* ...and the pristine engine must pass the same scenario, so the
-         failure is attributable to the mutation, not the shrink. *)
-      check_bool "clean engine passes shrunk scenario" true
-        (Diff.run scenario = None)
+  List.iter
+    (fun soa_domains ->
+      match
+        Check.find_mutant_failure ~families ~soa_domains ~max_seeds:60 mutant
+      with
+      | None -> Alcotest.failf "mutant %s not caught by any scanned seed" name
+      | Some (scenario, failure) ->
+          (* The shrunk reproducer must still fail under the mutant... *)
+          (match Diff.run ~mutant ~soa_domains scenario with
+          | None -> Alcotest.failf "shrunk %s reproducer no longer fails" name
+          | Some f ->
+              check_bool "same kind" true (f.Diff.kind = failure.Diff.kind));
+          (* ...and the pristine engine must pass the same scenario, so the
+             failure is attributable to the mutation, not the shrink. *)
+          check_bool "clean engine passes shrunk scenario" true
+            (Diff.run ~soa_domains scenario = None))
+    [ []; [ 1 ] ]
+
+(* A failure's replay line carries the flags that drew its scenario and
+   ran its arms: under a family restriction the seed maps to another
+   scenario, and a Soa arm runs only under [--backend soa]. *)
+let replay_names_the_run () =
+  let summary =
+    Check.run_seeds ~families:[ Gen.Local_bursty ] ~soa_domains:[ 1 ]
+      ~mutant:Diff.Violate_local_budget ~n:1 ()
+  in
+  let replay =
+    "replay: aqt_sim check --seed 0 --family local --backend soa --domains 1"
+  in
+  let lines =
+    String.split_on_char '\n' (Format.asprintf "%a" Check.pp_summary summary)
+  in
+  check_bool replay true (List.mem replay lines)
 
 (* Shrinking must preserve the failure while only removing work. *)
 let shrink_reduces () =
@@ -311,5 +335,7 @@ let () =
             Alcotest.test_case "shrink reduces" `Quick shrink_reduces;
             Alcotest.test_case "theorem 3.17 replay conforms" `Quick
               theorem_3_17_scenario;
+            Alcotest.test_case "replay names the run's flags" `Quick
+              replay_names_the_run;
           ] );
     ]
