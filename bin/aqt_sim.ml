@@ -1116,7 +1116,7 @@ let loadgen_cmd =
       value
       & opt (some string) None
       & info [ "journal" ] ~docv:"FILE"
-          ~doc:"Append the full metrics snapshot to $(docv) as JSONL.")
+          ~doc:"Append the run's latency quantiles to $(docv) as JSONL.")
   in
   let selftest =
     Arg.(
@@ -1146,63 +1146,119 @@ let loadgen_cmd =
       value & opt (non_negative ~what:"snapshot-every") 0.
       & info [ "snapshot-every" ] ~docv:"SECONDS"
           ~doc:
-            "Capture an in-run metrics snapshot every $(docv); the series \
-             goes to $(b,--journal) as one JSONL event per tick.  0 (the \
-             default) records only the final snapshot.")
+            "Write one $(b,--journal) event per $(docv) of the run, holding \
+             the exact p50/p99/p999 of every request answered by then.  0 \
+             (the default) writes only the final one.")
   in
   let quiet = Arg.(value & flag & info [ "quiet"; "q" ] ~doc:"No chatter.") in
-  let run port host conns requests rate pipeline path seed run_timeout csv
-      journal selftest selftest_rate selftest_burst snapshot_every quiet =
-    let emit (r : Loadgen.result) =
-      (match csv with
-      | None -> ()
-      | Some f ->
-          let oc = open_out f in
-          output_string oc (Loadgen.result_csv r);
-          close_out oc);
-      match journal with
-      | None -> ()
-      | Some f -> Loadgen.write_journal ~path:f r
-    in
-    if selftest then begin
-      let cfg_requests = requests and cfg_conns = conns in
-      exit
-        (if
-           Loadgen.selftest ~quiet ~requests:cfg_requests ~conns:cfg_conns
-             ~rho:selftest_rate ~sigma:selftest_burst
-             ~snapshot_every ~emit ()
-         then 0
-         else 1)
+  (* Fast-path endpoints (/healthz) bypass admission, so the envelope
+     under test must be driven through a dispatched endpoint: a tiny
+     seeded /simulate is the cheapest admitted request.  Sheds answer 429
+     inline without touching the worker pool, so only the ~rho*T admitted
+     requests actually compute. *)
+  let admitted_path =
+    "/simulate?network=ring:4&policy=fifo&rate=1/4&horizon=60&seed=1"
+  in
+  let rec remove_tree p =
+    if Sys.is_directory p then begin
+      Array.iter (fun f -> remove_tree (Filename.concat p f)) (Sys.readdir p);
+      Sys.rmdir p
     end
-    else begin
-      let paths =
-        match path with [] -> dflt.Loadgen.paths | ps -> List.map (fun p -> (1, p)) ps
-      in
-      let cfg =
+    else Sys.remove p
+  in
+  (* A throwaway daemon on an ephemeral port, in a temporary directory
+     removed once it stops, driven closed-loop well past its (rho,sigma)
+     budget. *)
+  let selftest_run ~rho ~sigma ~conns ~requests ~quiet =
+    let module Server = Aqt_serve.Server in
+    let dir = Filename.temp_dir "aqt-loadgen-" "" in
+    let srv =
+      Server.start
         {
-          Loadgen.host;
-          port;
-          conns;
-          requests;
-          mode = (if rate > 0. then Loadgen.Open rate else Loadgen.Closed);
-          pipeline;
-          paths;
-          seed;
-          run_timeout;
-          quiet;
-          snapshot_every;
+          Server.default_config with
+          Server.port = 0;
+          workers = 2;
+          (* The generator is one peer, and the per-client layer inherits
+             (rho,sigma): the envelope under test is the endpoint bucket's. *)
+          rho;
+          sigma;
+          max_conns = conns + 64;
+          max_pipeline = 32;
+          campaign_dir = dir;
+          snapshot_every = 0.;
+          journal = false;
+          quiet = true;
         }
-      in
-      match Loadgen.run cfg with
-      | r ->
-          emit r;
-          if not quiet then
-            print_string (Aqt_util.Jsonx.to_string (Loadgen.result_json r) ^ "\n");
-          exit (if r.Loadgen.errors * 50 > r.Loadgen.issued then 1 else 0)
-      | exception Invalid_argument msg ->
-          Printf.eprintf "aqt_sim loadgen: %s\n" msg;
-          exit 2
-    end
+    in
+    Fun.protect
+      ~finally:(fun () ->
+        Server.stop srv;
+        remove_tree dir)
+      (fun () ->
+        let paths = [ (1, admitted_path) ] in
+        let port = Server.port srv in
+        Loadgen.run
+          { dflt with port; conns; requests; pipeline = 8; paths; quiet })
+  in
+  let run port host conns requests rate pipeline path seed run_timeout csv
+      journal selftest rho sigma snapshot_every quiet =
+    (* Opened before the first request, so a bad path costs no run. *)
+    let open_csv f =
+      Aqt_harness.Journal.mkdir_p (Filename.dirname f);
+      open_out f
+    in
+    match Option.map open_csv csv with
+    | exception Sys_error msg -> `Error (true, "option '--csv': " ^ msg)
+    | exception Unix.Unix_error (e, _, f) ->
+        let msg = Unix.error_message e in
+        `Error (true, Printf.sprintf "option '--csv': %s: %s" f msg)
+    | csv ->
+        let r, checks =
+          if selftest then begin
+            let r = selftest_run ~rho ~sigma ~conns ~requests ~quiet in
+            let checks = Loadgen.envelope_checks ~rho ~sigma ~requests r in
+            if not quiet then begin
+              List.iter
+                (fun c ->
+                  Printf.printf "loadgen selftest %-10s %-6s %s\n"
+                    c.Loadgen.name
+                    (if c.passed then "ok" else "FAILED")
+                    c.detail)
+                checks;
+              print_string (Loadgen.result_csv r)
+            end;
+            (r, checks)
+          end
+          else
+            let paths =
+              match path with
+              | [] -> dflt.Loadgen.paths
+              | ps -> List.map (fun p -> (1, p)) ps
+            in
+            let mode = if rate > 0. then Loadgen.Open rate else Closed in
+            let cfg =
+              { Loadgen.host; port; conns; requests; mode; pipeline; paths;
+                seed; run_timeout; quiet }
+            in
+            match Loadgen.run cfg with
+            | r ->
+                if not quiet then
+                  print_endline
+                    (Aqt_util.Jsonx.to_string (Loadgen.result_json r));
+                (r, [ Loadgen.complete ~requests r ])
+            | exception Invalid_argument msg ->
+                Printf.eprintf "aqt_sim loadgen: %s\n" msg;
+                exit 2
+        in
+        Option.iter
+          (fun oc ->
+            output_string oc (Loadgen.result_csv r);
+            close_out oc)
+          csv;
+        Option.iter
+          (fun path -> Loadgen.write_journal ~every:snapshot_every ~path r)
+          journal;
+        exit (if List.for_all (fun c -> c.Loadgen.passed) checks then 0 else 1)
   in
   Cmd.v
     (Cmd.info "loadgen"
@@ -1213,9 +1269,10 @@ let loadgen_cmd =
           workload is PRNG-seeded and reproducible.  With $(b,--selftest), \
           validates the server's (rho,sigma) admission envelope end to end.")
     Term.(
-      const run $ port $ host $ conns $ requests $ rate $ pipeline $ path
-      $ seed $ run_timeout $ csv $ journal $ selftest $ selftest_rate
-      $ selftest_burst $ snapshot_every $ quiet)
+      ret
+        (const run $ port $ host $ conns $ requests $ rate $ pipeline $ path
+       $ seed $ run_timeout $ csv $ journal $ selftest $ selftest_rate
+       $ selftest_burst $ snapshot_every $ quiet))
 
 (* ------------------------------------------------------------------ *)
 (* check: differential conformance and mutant detection               *)

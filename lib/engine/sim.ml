@@ -24,7 +24,7 @@ let feed_queues driver net t =
       let m = Aqt_graph.Digraph.n_edges (Network.graph net) in
       f (Array.init m (Network.buffer_len net)) t
 
-type stop = Horizon | Drained | Blowup of int | Stopped of string
+type stop = Horizon | Blowup of int | Stopped of string
 
 type outcome = {
   stop : stop;
@@ -34,8 +34,7 @@ type outcome = {
   dropped : int;
 }
 
-let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
-    ~horizon () =
+let run ?recorder ?blowup ?stop_when ~net ~driver ~horizon () =
   if horizon < 0 then invalid_arg "Sim.run: negative horizon";
   let start = Network.now net in
   let observe () =
@@ -62,16 +61,7 @@ let run ?recorder ?blowup ?stop_when ?(drain_stop = false) ~net ~driver
           match stop_when with
           | Some f when Option.is_some (f net) ->
               Stopped (Option.get (f net))
-          | _ ->
-              (* Constructor match, not [injections = []]: polymorphic
-                 equality on a list of records is a per-step call into the
-                 generic compare runtime. *)
-              let no_injections =
-                match injections with [] -> true | _ :: _ -> false
-              in
-              if drain_stop && Network.in_flight net = 0 && no_injections
-              then Drained
-              else go (steps_done + 1))
+          | _ -> go (steps_done + 1))
     end
   in
   let stop = go 0 in

@@ -23,7 +23,6 @@ val injections_only : (Network.t -> int -> Network.injection list) -> driver
 
 type stop =
   | Horizon  (** Ran the full requested number of steps. *)
-  | Drained  (** Network empty and the step injected nothing. *)
   | Blowup of int  (** A buffer exceeded the blowup threshold. *)
   | Stopped of string  (** Custom predicate fired. *)
 
@@ -39,13 +38,11 @@ val run :
   ?recorder:Recorder.t ->
   ?blowup:int ->
   ?stop_when:(Network.t -> string option) ->
-  ?drain_stop:bool ->
   net:Network.t ->
   driver:driver ->
   horizon:int ->
   unit ->
   outcome
 (** Runs up to [horizon] further steps.  [blowup] stops the run as unstable
-    when any buffer ever exceeds that many packets.  [drain_stop] (default
-    false) stops once the network is empty after a step with no injections.
-    [stop_when] is evaluated after each step. *)
+    when any buffer ever exceeds that many packets.  [stop_when] is
+    evaluated after each step. *)

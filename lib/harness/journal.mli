@@ -71,6 +71,10 @@ type writer
 val create : string -> writer
 (** Open [file] for append, creating parent directories as needed. *)
 
+val mkdir_p : string -> unit
+(** Create a directory and its missing parents, as {!create} does.
+    @raise Unix.Unix_error when one cannot be made. *)
+
 val write : writer -> event -> unit
 (** Thread-safe; flushes the line.  Journaling is observability, not
     correctness: if an append fails (disk full, closed descriptor, an

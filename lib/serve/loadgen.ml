@@ -16,7 +16,6 @@ type config = {
   seed : int;
   run_timeout : float;
   quiet : bool;
-  snapshot_every : float;
 }
 
 (* Empirical web-search-style flow CDF (heavy tail), rescaled to header
@@ -46,7 +45,6 @@ let default_config =
     seed = 0x10AD;
     run_timeout = 300.;
     quiet = true;
-    snapshot_every = 0.;
   }
 
 type result = {
@@ -61,8 +59,9 @@ type result = {
   p50 : float;
   p99 : float;
   p999 : float;
-  metrics : Metrics.t;
-  snapshots : (float * (string * float) list) list;
+  origin : float array;
+  finish : float array;
+  status : int array;
 }
 
 (* ------------------------------------------------------------------ *)
@@ -96,36 +95,40 @@ let draw_flow rng cdf =
 (* ------------------------------------------------------------------ *)
 
 type cstate = {
-  mutable fd : Unix.file_descr;
-  mutable rp : Http.Rparser.t;
+  slot : int;
+  fd : Unix.file_descr;
+  rp : Http.Rparser.t;
   mutable connected : bool;  (** nonblocking connect completed *)
   wq : string Queue.t;  (** encoded requests awaiting the socket *)
   mutable cur : string;
   mutable cur_off : int;
-  sent : float Queue.t;  (** latency origins of outstanding requests *)
+  sent : int Queue.t;  (** ids of outstanding requests, oldest first *)
   mutable alive : bool;
 }
 
+(* One record per request, indexed by id in issue order: [origin] and
+   [finish] are seconds since [start] ([finish] is the instant the
+   request was answered or lost), [status] the HTTP status, 0 if lost. *)
 type state = {
   cfg : config;
   addr : Unix.sockaddr;
   rng : Prng.t;
+  start : float;
   slots : cstate option array;
-  metrics : Metrics.t;
-  latency : Metrics.histogram;
-  errors_c : Metrics.counter;
+  by_fd : (Unix.file_descr, cstate) Hashtbl.t;  (** the live connections *)
+  origin : float array;
+  finish : float array;
+  status : int array;
   mutable issued : int;
-  mutable completed : int;
-  mutable errors : int;
-  mutable ok : int;
-  mutable shed : int;
-  mutable rejected : int;
+  mutable answered : int;
+  mutable lost : int;
   mutable respawns : int;
 }
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+let elapsed st = Clock.monotonic () -. st.start
 
-let open_conn st =
+let open_conn st slot =
   let fd = Unix.socket ~cloexec:true Unix.PF_INET Unix.SOCK_STREAM 0 in
   Unix.set_nonblock fd;
   (try Unix.setsockopt fd Unix.TCP_NODELAY true with Unix.Unix_error _ -> ());
@@ -136,51 +139,46 @@ let open_conn st =
       ->
         false
   in
-  {
-    fd;
-    rp = Http.Rparser.create ();
-    connected;
-    wq = Queue.create ();
-    cur = "";
-    cur_off = 0;
-    sent = Queue.create ();
-    alive = true;
-  }
+  let c =
+    {
+      slot;
+      fd;
+      rp = Http.Rparser.create ();
+      connected;
+      wq = Queue.create ();
+      cur = "";
+      cur_off = 0;
+      sent = Queue.create ();
+      alive = true;
+    }
+  in
+  st.slots.(slot) <- Some c;
+  Hashtbl.replace st.by_fd fd c
 
 (* A dead connection takes its unanswered requests with it: they count
-   as errors and are never re-issued (re-issuing would silently inflate
-   the admitted rate the selftest checks against the (rho,sigma)
-   envelope). *)
-let kill_conn st i c =
+   as lost and are never re-issued (re-issuing would silently inflate
+   the admitted rate that the envelope check compares against). *)
+let kill_conn st c =
   if c.alive then begin
     c.alive <- false;
-    let lost = Queue.length c.sent in
-    st.errors <- st.errors + lost;
-    Metrics.inc ~by:lost st.errors_c;
+    let now = elapsed st in
+    Queue.iter (fun id -> st.finish.(id) <- now) c.sent;
+    st.lost <- st.lost + Queue.length c.sent;
+    Hashtbl.remove st.by_fd c.fd;
     close_quietly c.fd;
-    st.slots.(i) <- None
+    st.slots.(c.slot) <- None
   end
-
-let status_of st status =
-  Metrics.inc
-    (Metrics.counter st.metrics
-       (Printf.sprintf "loadgen_responses_total{status=\"%d\"}" status)
-       ~help:"Responses received, by status code.");
-  match status with
-  | 200 -> st.ok <- st.ok + 1
-  | 429 -> st.shed <- st.shed + 1
-  | 503 -> st.rejected <- st.rejected + 1
-  | _ -> ()
 
 let enqueue_request st c ~origin =
   let path = pick_path st.rng st.cfg.paths in
   let pad = draw_flow st.rng flow_cdf in
   let req_headers = if pad > 0 then [ ("x-pad", String.make pad 'x') ] else [] in
   Queue.push (Http.encode_request ~req_headers path) c.wq;
-  Queue.push origin c.sent;
+  st.origin.(st.issued) <- origin -. st.start;
+  Queue.push st.issued c.sent;
   st.issued <- st.issued + 1
 
-let flush st i c =
+let flush st c =
   if c.alive && c.connected then begin
     let continue = ref true in
     while !continue && c.alive do
@@ -205,41 +203,41 @@ let flush st i c =
           ->
             continue := false
         | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-        | exception Unix.Unix_error _ -> kill_conn st i c
+        | exception Unix.Unix_error _ -> kill_conn st c
     done
   end
 
-let drain_responses st i c =
+let drain_responses st c =
   let continue = ref true in
   while !continue && c.alive do
     match Http.Rparser.next c.rp with
     | `Await -> continue := false
-    | `Response r ->
-        (match Queue.pop c.sent with
-        | origin ->
-            st.completed <- st.completed + 1;
-            status_of st r.Http.status;
-            Metrics.observe st.latency (Clock.monotonic () -. origin)
+    | `Response r -> (
+        match Queue.pop c.sent with
+        | id ->
+            st.finish.(id) <- elapsed st;
+            st.status.(id) <- r.Http.status;
+            st.answered <- st.answered + 1
         | exception Queue.Empty ->
             (* A response we never asked for: protocol desync. *)
-            kill_conn st i c)
-    | `Error _ -> kill_conn st i c
+            kill_conn st c)
+    | `Error _ -> kill_conn st c
   done
 
-let on_readable st rbuf i c =
+let on_readable st rbuf c =
   let continue = ref true in
   let budget = ref 262144 in
   while !continue && !budget > 0 && c.alive do
     match Unix.read c.fd rbuf 0 (Bytes.length rbuf) with
     | 0 ->
-        (* Server closed (drain, idle expiry, or a close-after 503).
+        (* The daemon closed (drain, idle expiry, or a close-after 503).
            Responses delivered in the same readable burst as the FIN —
            typical for Connection: close answers — are still buffered in
            the parser: count them before charging the remainder as
-           errors. *)
+           lost. *)
         continue := false;
-        drain_responses st i c;
-        kill_conn st i c
+        drain_responses st c;
+        kill_conn st c
     | n ->
         budget := !budget - n;
         Http.Rparser.feed c.rp rbuf 0 n
@@ -248,17 +246,42 @@ let on_readable st rbuf i c =
     | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
     | exception Unix.Unix_error _ ->
         continue := false;
-        kill_conn st i c
+        kill_conn st c
   done;
-  if c.alive then drain_responses st i c
+  if c.alive then drain_responses st c
 
-let on_writable st i c =
+let on_writable st c =
   if c.alive && not c.connected then begin
     match Unix.getsockopt_error c.fd with
     | None -> c.connected <- true
-    | Some _ -> kill_conn st i c
+    | Some _ -> kill_conn st c
   end;
-  if c.alive then flush st i c
+  if c.alive then flush st c
+
+(* ------------------------------------------------------------------ *)
+(* Summary statistics                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* Linear interpolation between closest ranks (numpy's default, as in
+   bench/e2e/stats.ml); 0 on no samples. *)
+let quantile sorted q =
+  let n = Array.length sorted in
+  if n = 0 then 0.
+  else
+    let h = q *. float_of_int (n - 1) in
+    let i = int_of_float h in
+    if i >= n - 1 then sorted.(n - 1)
+    else sorted.(i) +. ((h -. float_of_int i) *. (sorted.(i + 1) -. sorted.(i)))
+
+let answered_ids status =
+  Seq.init (Array.length status) Fun.id
+  |> Seq.filter (fun id -> status.(id) <> 0)
+  |> Array.of_seq
+
+let sorted_latencies ~origin ~finish ids =
+  let lat = Array.map (fun id -> finish.(id) -. origin.(id)) ids in
+  Array.sort Float.compare lat;
+  lat
 
 (* ------------------------------------------------------------------ *)
 (* The run loop                                                        *)
@@ -266,6 +289,32 @@ let on_writable st i c =
 
 let max_outstanding_open = 64
 let max_respawns_factor = 4
+
+let summarize st =
+  let count code =
+    Array.fold_left (fun n s -> if s = code then n + 1 else n) 0 st.status
+  in
+  let lat =
+    sorted_latencies ~origin:st.origin ~finish:st.finish
+      (answered_ids st.status)
+  in
+  let duration = Float.max 1e-9 (elapsed st) in
+  {
+    issued = st.issued;
+    completed = st.answered;
+    errors = st.issued - st.answered;
+    ok = count 200;
+    shed = count 429;
+    rejected = count 503;
+    duration;
+    throughput = float_of_int st.answered /. duration;
+    p50 = quantile lat 0.50;
+    p99 = quantile lat 0.99;
+    p999 = quantile lat 0.999;
+    origin = st.origin;
+    finish = st.finish;
+    status = st.status;
+  }
 
 let run cfg =
   if cfg.conns < 1 then invalid_arg "Loadgen.run: conns must be >= 1";
@@ -283,36 +332,26 @@ let run cfg =
          with Failure _ -> invalid_arg ("Loadgen.run: bad host " ^ cfg.host)),
         cfg.port )
   in
-  let metrics = Metrics.create () in
+  let start = Clock.monotonic () in
   let st =
     {
       cfg;
       addr;
       rng = Prng.create cfg.seed;
+      start;
       slots = Array.make cfg.conns None;
-      metrics;
-      latency =
-        Metrics.histogram metrics "loadgen_request_seconds"
-          ~help:"Client-observed request latency (send to full response).";
-      errors_c =
-        Metrics.counter metrics "loadgen_errors_total"
-          ~help:"Requests that died without a complete response.";
+      by_fd = Hashtbl.create (2 * cfg.conns);
+      origin = Array.make cfg.requests Float.nan;
+      finish = Array.make cfg.requests Float.nan;
+      status = Array.make cfg.requests 0;
       issued = 0;
-      completed = 0;
-      errors = 0;
-      ok = 0;
-      shed = 0;
-      rejected = 0;
+      answered = 0;
+      lost = 0;
       respawns = 0;
     }
   in
-  let open_gauge =
-    Metrics.gauge metrics "loadgen_open_connections"
-      ~help:"Live load-generator connections."
-  in
   let ep = Evpoll.create () in
   let rbuf = Bytes.create 65536 in
-  let start = Clock.monotonic () in
   let hard_deadline = start +. cfg.run_timeout in
   (* Open-loop send schedule: [sched] is the next intended send instant;
      instants that have come due but found every connection saturated
@@ -322,22 +361,9 @@ let run cfg =
   let sched = ref start in
   let due = Queue.create () in
   let next_report = ref (start +. 1.) in
-  (* Periodic metric snapshots (elapsed seconds, registry dump) for the
-     latency time-series figure; off when snapshot_every = 0. *)
-  let snaps = ref [] in
-  let next_snap =
-    ref
-      (if cfg.snapshot_every > 0. then start +. cfg.snapshot_every
-       else Float.infinity)
-  in
-  let live_slots () =
-    let n = ref 0 in
-    Array.iter (function Some c when c.alive -> incr n | _ -> ()) st.slots;
-    !n
-  in
   let finished () =
-    st.completed + st.errors >= cfg.requests
-    || (st.issued >= cfg.requests && live_slots () = 0)
+    st.answered + st.lost >= cfg.requests
+    || (st.issued >= cfg.requests && Hashtbl.length st.by_fd = 0)
   in
   while (not (finished ())) && Clock.monotonic () < hard_deadline do
     (* Respawn dead slots while there is still work to issue. *)
@@ -348,22 +374,23 @@ let run cfg =
           | None ->
               if st.respawns < cfg.conns * max_respawns_factor then begin
                 st.respawns <- st.respawns + 1;
-                st.slots.(i) <- Some (open_conn st)
+                open_conn st i
               end
               else begin
-                (* The server is unreachable: charge the rest of the
-                   budget to errors and stop retrying. *)
-                let lost = cfg.requests - st.issued in
-                st.issued <- cfg.requests;
-                st.errors <- st.errors + lost;
-                Metrics.inc ~by:lost st.errors_c
+                (* The server is unreachable: the rest of the budget is
+                   lost unsent, and retrying stops. *)
+                let now = elapsed st in
+                Array.fill st.origin st.issued (cfg.requests - st.issued) now;
+                Array.fill st.finish st.issued (cfg.requests - st.issued) now;
+                st.lost <- st.lost + (cfg.requests - st.issued);
+                st.issued <- cfg.requests
               end)
         st.slots;
     (* Issue requests. *)
     (match cfg.mode with
     | Closed ->
-        Array.iteri
-          (fun i -> function
+        Array.iter
+          (function
             | Some c when c.alive && c.connected ->
                 while
                   st.issued < cfg.requests
@@ -371,7 +398,7 @@ let run cfg =
                 do
                   enqueue_request st c ~origin:(Clock.monotonic ())
                 done;
-                flush st i c
+                flush st c
             | _ -> ())
           st.slots
     | Open rate ->
@@ -393,21 +420,18 @@ let run cfg =
           | _ -> incr tries);
           incr slot
         done;
-        Array.iteri
-          (fun i -> function
-            | Some c when c.alive -> flush st i c | _ -> ())
+        Array.iter
+          (function Some c when c.alive -> flush st c | _ -> ())
           st.slots);
     (* Retire connections that have nothing left to do. *)
-    Array.iteri
-      (fun i -> function
+    Array.iter
+      (function
         | Some c
           when c.alive && st.issued >= cfg.requests
                && Queue.is_empty c.sent
                && Queue.is_empty c.wq
                && c.cur = "" ->
-            c.alive <- false;
-            close_quietly c.fd;
-            st.slots.(i) <- None
+            kill_conn st c
         | _ -> ())
       st.slots;
     (* Poll. *)
@@ -433,26 +457,15 @@ let run cfg =
     in
     if Evpoll.length ep > 0 then ignore (Evpoll.wait ep ~timeout_ms)
     else Unix.sleepf 0.001;
-    let by_fd = Hashtbl.create (2 * cfg.conns) in
-    Array.iteri
-      (fun i -> function
-        | Some c when c.alive -> Hashtbl.replace by_fd c.fd (i, c) | _ -> ())
-      st.slots;
     Evpoll.iter_ready ep (fun fd ~readable ~writable ~error ->
-        match Hashtbl.find_opt by_fd fd with
+        match Hashtbl.find_opt st.by_fd fd with
         | None -> ()
-        | Some (i, c) ->
-            if error then kill_conn st i c
+        | Some c ->
+            if error then kill_conn st c
             else begin
-              if writable && c.alive then on_writable st i c;
-              if readable && c.alive then on_readable st rbuf i c
+              if writable && c.alive then on_writable st c;
+              if readable && c.alive then on_readable st rbuf c
             end);
-    Metrics.set_gauge open_gauge (float_of_int (live_slots ()));
-    (let now = Clock.monotonic () in
-     if now >= !next_snap then begin
-       snaps := (now -. start, Metrics.snapshot metrics) :: !snaps;
-       next_snap := !next_snap +. cfg.snapshot_every
-     end);
     if not cfg.quiet then begin
       let now = Clock.monotonic () in
       if now >= !next_report then begin
@@ -460,38 +473,14 @@ let run cfg =
         Printf.printf
           "loadgen: %d issued, %d completed, %d errors, %d conns, %.0f req/s\n\
            %!"
-          st.issued st.completed st.errors (live_slots ())
-          (float_of_int st.completed /. (now -. start))
+          st.issued st.answered st.lost (Hashtbl.length st.by_fd)
+          (float_of_int st.answered /. (now -. start))
       end
     end
   done;
-  Array.iteri
-    (fun i -> function Some c -> kill_conn st i c | None -> ())
-    st.slots;
-  (* Anything still unanswered at the deadline is an error. *)
-  if st.completed + st.errors < st.issued then begin
-    let lost = st.issued - st.completed - st.errors in
-    st.errors <- st.errors + lost;
-    Metrics.inc ~by:lost st.errors_c
-  end;
-  let duration = Float.max 1e-9 (Clock.monotonic () -. start) in
-  if cfg.snapshot_every > 0. then
-    snaps := (duration, Metrics.snapshot metrics) :: !snaps;
-  {
-    issued = st.issued;
-    completed = st.completed;
-    errors = st.errors;
-    ok = st.ok;
-    shed = st.shed;
-    rejected = st.rejected;
-    duration;
-    throughput = float_of_int st.completed /. duration;
-    p50 = Metrics.quantile st.latency 0.50;
-    p99 = Metrics.quantile st.latency 0.99;
-    p999 = Metrics.quantile st.latency 0.999;
-    metrics;
-    snapshots = List.rev !snaps;
-  }
+  (* Anything still unanswered at the deadline is lost. *)
+  Array.iter (function Some c -> kill_conn st c | None -> ()) st.slots;
+  summarize st
 
 (* ------------------------------------------------------------------ *)
 (* Reporting                                                           *)
@@ -530,129 +519,74 @@ let result_csv (r : result) =
     r.issued r.completed r.errors r.ok r.shed r.rejected r.duration
     r.throughput r.p50 r.p99 r.p999
 
-(* One Snapshot per in-run tick (plus the final state).  Each carries
-   [elapsed_s] so consumers (the report's latency time-series figure)
-   can plot against run-relative time without trusting wall clocks. *)
-let write_journal ~path (r : result) =
+(* At each tick, the exact quantiles of every request answered by then;
+   a tick sorts those requests' latencies.  [at] is reconstructed from
+   the wall clock at write time: readers plot against [elapsed_s]. *)
+let write_journal ~every ~path (r : result) =
+  let ids = answered_ids r.status in
+  Array.sort (fun a b -> Float.compare r.finish.(a) r.finish.(b)) ids;
+  let ticks =
+    if every > 0. then max 1 (int_of_float (ceil (r.duration /. every))) else 1
+  in
   let j = Journal.create path in
-  let wall = Clock.wall () in
-  let base = wall -. r.duration in
-  List.iter
-    (fun (elapsed, values) ->
-      Journal.write j
-        (Journal.Snapshot
-           {
-             at = base +. elapsed;
-             label = "loadgen";
-             values = ("elapsed_s", elapsed) :: values;
-           }))
-    r.snapshots;
-  if r.snapshots = [] then
+  let base = Clock.wall () -. r.duration in
+  let counted = ref 0 in
+  for tick = 1 to ticks do
+    let t = if tick = ticks then r.duration else float_of_int tick *. every in
+    while !counted < Array.length ids && r.finish.(ids.(!counted)) <= t do
+      incr counted
+    done;
+    let lat =
+      sorted_latencies ~origin:r.origin ~finish:r.finish
+        (Array.sub ids 0 !counted)
+    in
     Journal.write j
       (Journal.Snapshot
          {
-           at = wall;
+           at = base +. t;
            label = "loadgen";
-           values = ("elapsed_s", r.duration) :: Metrics.snapshot r.metrics;
-         });
+           values =
+             [
+               ("elapsed_s", t);
+               ("loadgen_request_seconds_p50", quantile lat 0.50);
+               ("loadgen_request_seconds_p99", quantile lat 0.99);
+               ("loadgen_request_seconds_p999", quantile lat 0.999);
+             ];
+         })
+  done;
   Journal.close j
 
 (* ------------------------------------------------------------------ *)
-(* loadgen --selftest                                                  *)
+(* The (rho,sigma) envelope checks                                     *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_dir () =
-  let base = Filename.get_temp_dir_name () in
-  let rec go i =
-    let d =
-      Filename.concat base
-        (Printf.sprintf "aqt-loadgen-%d-%d" (Unix.getpid ()) i)
-    in
-    match Unix.mkdir d 0o755 with
-    | () -> d
-    | exception Unix.Unix_error (Unix.EEXIST, _, _) -> go (i + 1)
-  in
-  go 0
+type check = { name : string; passed : bool; detail : string }
 
-(* Fast-path endpoints (/healthz) bypass admission, so the envelope
-   under test must be driven through a dispatched endpoint: a tiny
-   seeded /simulate is the cheapest admitted request.  Sheds answer 429
-   inline without touching the worker pool, so only the ~rho*T admitted
-   requests actually compute. *)
-let admitted_path =
-  "/simulate?network=ring:4&policy=fifo&rate=1/4&horizon=60&seed=1"
+let check name passed fmt =
+  Printf.ksprintf (fun detail -> { name; passed; detail }) fmt
 
-(* Spin a private server, drive it closed-loop well past its (rho,sigma)
-   budget, and check the admitted stream obeys the envelope while the
-   answered tail stays bounded.  [requests] and [conns] scale from a
-   quick tier-1 check to the CI load run. *)
-let selftest ?(quiet = false) ?(requests = 20_000) ?(conns = 64)
-    ?(rho = 2000.) ?(sigma = 200) ?(snapshot_every = 0.)
-    ?(emit = fun (_ : result) -> ()) () =
-  let scfg =
-    {
-      Server.default_config with
-      Server.port = 0;
-      workers = 2;
-      rho;
-      sigma;
-      (* The generator is one peer: give the per-client layer the same
-         budget so the envelope under test is the endpoint bucket's. *)
-      client_rho = rho;
-      client_sigma = sigma;
-      sweep_rho = rho;
-      sweep_sigma = sigma;
-      max_conns = conns + 64;
-      max_pipeline = 32;
-      campaign_dir = fresh_dir ();
-      snapshot_every = 0.;
-      journal = false;
-      quiet = true;
-    }
-  in
-  let srv = Server.start scfg in
-  let r =
-    run
-      {
-        default_config with
-        port = Server.port srv;
-        conns;
-        requests;
-        pipeline = 8;
-        paths = [ (1, admitted_path) ];
-        quiet;
-        snapshot_every;
-      }
-  in
-  Server.stop srv;
-  let failures = ref [] in
-  let check label ok detail =
-    if not ok then failures := label :: !failures;
-    if not quiet then
-      Printf.printf "loadgen selftest %-10s %-6s %s\n%!" label
-        (if ok then "ok" else "FAILED")
-        detail
-  in
+let complete ~requests r =
   check "complete"
     (r.completed + r.errors = requests && r.errors <= requests / 50)
-    (Printf.sprintf "%d completed + %d errors of %d" r.completed r.errors
-       requests);
-  check "answered"
-    (r.ok > 0 && r.completed = r.ok + r.shed + r.rejected)
-    (Printf.sprintf "%d ok, %d shed, %d rejected" r.ok r.shed r.rejected);
-  (* The offered load is far above rho, so the bucket must shed... *)
-  check "sheds" (r.shed > 0) (Printf.sprintf "%d x 429" r.shed);
-  (* ...and what it admits must fit the (rho,sigma) envelope:
-     admitted <= rho * T + sigma, with slack for scheduling jitter. *)
+    "%d completed + %d errors of %d" r.completed r.errors requests
+
+let envelope_checks ~rho ~sigma ~requests r =
+  (* admitted <= rho * T + sigma, with slack for scheduling jitter. *)
   let envelope = (rho *. r.duration *. 1.25) +. float_of_int sigma +. 64. in
-  check "envelope"
-    (float_of_int r.ok <= envelope)
-    (Printf.sprintf "admitted %d <= envelope %.0f (rho=%g T=%.2fs sigma=%d)"
-       r.ok envelope rho r.duration sigma);
-  check "tail"
-    (r.p999 < 2.5 && r.p999 >= 0.)
-    (Printf.sprintf "p50=%.4fs p99=%.4fs p999=%.4fs throughput=%.0f req/s"
-       r.p50 r.p99 r.p999 r.throughput);
-  if not quiet then print_string (result_csv r);
-  emit r;
-  !failures = []
+  [
+    complete ~requests r;
+    check "answered"
+      (r.ok > 0 && r.completed = r.ok + r.shed + r.rejected)
+      "%d ok, %d shed, %d rejected" r.ok r.shed r.rejected;
+    (* The offered load is far above rho, so the bucket must shed... *)
+    check "sheds" (r.shed > 0) "%d x 429" r.shed;
+    (* ...and what it admits must fit the (rho,sigma) envelope. *)
+    check "envelope"
+      (float_of_int r.ok <= envelope)
+      "admitted %d <= envelope %.0f (rho=%g T=%.2fs sigma=%d)" r.ok envelope
+      rho r.duration sigma;
+    check "tail"
+      (r.p999 < 2.5 && r.p999 >= 0.)
+      "p50=%.4fs p99=%.4fs p999=%.4fs throughput=%.0f req/s" r.p50 r.p99
+      r.p999 r.throughput;
+  ]

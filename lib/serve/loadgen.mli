@@ -18,10 +18,10 @@
       {e scheduled} send instant, so generator-side queueing counts
       against the server (no coordinated omission).
 
-    Latency lands in a {!Metrics} histogram ([loadgen_request_seconds],
-    quantiles up to p999); per-status counts, errors and live
-    connections are tracked alongside and can be journalled as a
-    {!Aqt_harness.Journal.Snapshot}. *)
+    The run keeps one record per request (latency origin, the instant
+    it was answered or lost, HTTP status) and derives everything else
+    from it after the run: the per-status counts, exact quantiles, the
+    journal's time series and the (ρ,σ) {!envelope_checks}. *)
 
 type mode =
   | Closed  (** self-clocked: [pipeline] outstanding per connection *)
@@ -38,11 +38,6 @@ type config = {
   seed : int;  (** PRNG seed: same seed, same workload. *)
   run_timeout : float;  (** Hard wall on the whole run, seconds. *)
   quiet : bool;  (** Suppress the once-a-second progress line. *)
-  snapshot_every : float;
-      (** Capture a metrics snapshot every this many seconds while the
-          run is in flight (plus one final snapshot); [0.] (default)
-          captures nothing.  The series lands in {!result.snapshots} and
-          is what {!write_journal} persists. *)
 }
 
 val default_config : config
@@ -61,46 +56,48 @@ type result = {
   throughput : float;  (** Completed responses per second. *)
   p50 : float;
   p99 : float;
-  p999 : float;  (** Latency quantiles, seconds. *)
-  metrics : Metrics.t;  (** The full registry behind the summary. *)
-  snapshots : (float * (string * float) list) list;
-      (** In-run metric snapshots as [(elapsed seconds, registry dump)],
-          oldest first; empty unless [config.snapshot_every > 0]. *)
+  p999 : float;  (** Exact latency quantiles, seconds ({!quantile}). *)
+  origin : float array;
+  finish : float array;
+  status : int array;
+      (** One record per request, by id in issue order, sized by
+          [config.requests]: latency origin and the instant it was
+          answered or lost, in seconds since the run started ([nan] if
+          never issued), and the HTTP status ([0]: lost or not issued). *)
 }
 
 val run : config -> result
 (** Drive the configured workload to completion (or [run_timeout]) and
     summarize.  Requests lost to a dead connection are counted as
     errors, never silently re-issued — re-issuing would inflate the
-    admitted rate that selftests check against the server's (ρ,σ)
-    envelope.  @raise Invalid_argument on a bad config. *)
+    admitted rate that {!envelope_checks} compares against the server's
+    (ρ,σ) envelope.  @raise Invalid_argument on a bad config. *)
+
+val quantile : float array -> float -> float
+(** [quantile sorted q]: linear interpolation between closest ranks
+    (numpy's default) over ascending [sorted]; 0 when it is empty. *)
 
 val result_json : result -> Aqt_util.Jsonx.t
 val result_csv : result -> string
 (** ["metric,value"] lines — the CI artifact format. *)
 
-val write_journal : path:string -> result -> unit
-(** Append the result's metric series as
-    {!Aqt_harness.Journal.Snapshot} events labelled ["loadgen"] — one
-    per entry of {!result.snapshots}, each with an ["elapsed_s"] value
-    prepended so readers can reconstruct the time axis without the wall
-    clock.  With no in-run snapshots, appends a single final snapshot. *)
+val write_journal : every:float -> path:string -> result -> unit
+(** Append the latency series as {!Aqt_harness.Journal.Snapshot} events
+    labelled ["loadgen"], one per [every] seconds of the run, the last
+    at [duration] (one only when [every <= 0]).  Each holds
+    ["elapsed_s"] and the exact ["loadgen_request_seconds_p50"],
+    ["_p99"] and ["_p999"] of the requests answered by then. *)
 
-val selftest :
-  ?quiet:bool ->
-  ?requests:int ->
-  ?conns:int ->
-  ?rho:float ->
-  ?sigma:int ->
-  ?snapshot_every:float ->
-  ?emit:(result -> unit) ->
-  unit ->
-  bool
-(** Spin a private {!Server} on an ephemeral port, drive it closed-loop
-    well past its (ρ,σ) budget, and check: every request is accounted
-    for, some are shed, the admitted count fits the
-    [ρ·T + σ] envelope (with jitter slack), and the answered p999 stays
-    bounded.  [emit] receives the run's {!result} before the verdict —
-    the CI job uses it to write the latency-CSV artifact.  Defaults are
-    sized for a quick tier-1 check; CI calls it with
-    [requests >= 1_000_000] and [conns >= 1000]. *)
+type check = { name : string; passed : bool; detail : string }
+
+val complete : requests:int -> result -> check
+(** Every one of [requests] answered or lost, at most 2% lost: the
+    exit status of a plain [aqt_sim loadgen] run. *)
+
+val envelope_checks :
+  rho:float -> sigma:int -> requests:int -> result -> check list
+(** The five checks of [aqt_sim loadgen --selftest], for a closed loop
+    driven well past a server's (ρ,σ) budget: {!complete}, ["answered"]
+    (some 200s; only 200, 429 and 503), ["sheds"] (some 429s),
+    ["envelope"] (the 200s fit [ρ·T + σ] with jitter slack) and
+    ["tail"] (p999 under 2.5 s). *)

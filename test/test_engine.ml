@@ -295,8 +295,9 @@ let sim_horizon_and_drain () =
   let driver =
     Sim.injections_only (fun _ t -> if t = 1 then [ inj l.edges ] else [])
   in
-  let outcome = Sim.run ~drain_stop:true ~net ~driver ~horizon:100 () in
-  check_bool "drained" true (outcome.stop = Sim.Drained);
+  let drained net = if N.in_flight net = 0 then Some "drained" else None in
+  let outcome = Sim.run ~stop_when:drained ~net ~driver ~horizon:100 () in
+  check_bool "drained" true (outcome.stop = Sim.Stopped "drained");
   check_int "steps to drain" 3 outcome.steps_run;
   let net2, _ = line_net 2 in
   let outcome2 = Sim.run ~net:net2 ~driver:Sim.null_driver ~horizon:5 () in

@@ -1395,49 +1395,153 @@ let serve_endpoint_shed_refunds_client () =
 
 module Loadgen = Aqt_serve.Loadgen
 
-(* Quantiles of the loadgen's histogram against a known distribution:
-   10k uniform samples over (0,1] interpolate to exact quantiles. *)
+(* Exact quantiles: closest-rank interpolation over the 10k uniform
+   samples i/10000 lands on the analytic value, to rounding. *)
 let loadgen_percentiles_known_distribution () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "loadgen_request_seconds" in
-  for i = 1 to 10_000 do
-    Metrics.observe h (float_of_int i /. 10_000.)
-  done;
+  let xs = Array.init 10_000 (fun i -> float_of_int (i + 1) /. 10_000.) in
   let close label expect got =
     check_bool
-      (Printf.sprintf "%s: |%.4f - %.4f| < 0.01" label got expect)
+      (Printf.sprintf "%s: |%.7f - %.7f| < 1e-9" label got expect)
       true
-      (Float.abs (got -. expect) < 0.01)
+      (Float.abs (got -. expect) < 1e-9)
   in
-  close "p50" 0.5 (Metrics.quantile h 0.50);
-  close "p99" 0.99 (Metrics.quantile h 0.99);
-  close "p999" 0.999 (Metrics.quantile h 0.999);
-  let snap = Metrics.snapshot m in
-  check_bool "p999 series exported in snapshots" true
-    (List.mem_assoc "loadgen_request_seconds_p999" snap)
+  close "p50" 0.50005 (Loadgen.quantile xs 0.50);
+  close "p99" 0.990001 (Loadgen.quantile xs 0.99);
+  close "p999" 0.9990001 (Loadgen.quantile xs 0.999);
+  close "one sample" 0.25 (Loadgen.quantile [| 0.25 |] 0.999);
+  close "no samples" 0. (Loadgen.quantile [||] 0.5)
+
+let loadgen_on ?(conns = 8) ?(pipeline = 4)
+    ?(paths = Loadgen.default_config.Loadgen.paths) ~requests srv =
+  Loadgen.run
+    {
+      Loadgen.default_config with
+      Loadgen.port = Server.port srv;
+      conns;
+      requests;
+      pipeline;
+      paths;
+    }
+
+(* The closest-rank interpolation of the [finish - origin] samples of
+   the requests that [keep] selects. *)
+let closest_rank (r : Loadgen.result) ?(keep = fun _ -> true) q =
+  let lat = ref [] in
+  Array.iteri
+    (fun id s ->
+      if s <> 0 && keep id then
+        lat := (r.Loadgen.finish.(id) -. r.Loadgen.origin.(id)) :: !lat)
+    r.Loadgen.status;
+  let lat = Array.of_list !lat in
+  Array.sort Float.compare lat;
+  let n = Array.length lat in
+  if n = 0 then 0.
+  else
+    let h = q *. float_of_int (n - 1) in
+    let i = int_of_float h in
+    if i >= n - 1 then lat.(n - 1)
+    else lat.(i) +. ((h -. float_of_int i) *. (lat.(i + 1) -. lat.(i)))
 
 let loadgen_closed_loop_smoke () =
   with_server ~rho:1_000_000. ~sigma:1000 (fun srv ->
-      let r =
-        Loadgen.run
-          {
-            Loadgen.default_config with
-            Loadgen.port = Server.port srv;
-            conns = 8;
-            requests = 2_000;
-            pipeline = 4;
-          }
-      in
+      let r = loadgen_on ~requests:2_000 srv in
       check_int "every request completed" 2_000 r.Loadgen.completed;
       check_int "no errors" 0 r.Loadgen.errors;
       check_int "all admitted under a huge budget" 2_000 r.Loadgen.ok;
       check_bool "quantiles ordered" true
         (r.Loadgen.p50 <= r.Loadgen.p99 && r.Loadgen.p99 <= r.Loadgen.p999);
       check_bool "throughput positive" true (r.Loadgen.throughput > 0.);
-      check_bool "histogram counted every response" true
-        (Metrics.histogram_count
-           (Metrics.histogram r.Loadgen.metrics "loadgen_request_seconds")
-        = 2_000))
+      check_bool "the record holds every response" true
+        (Array.length r.Loadgen.status = 2_000
+        && Array.for_all (fun s -> s = 200) r.Loadgen.status))
+
+(* The summary's quantiles are the exact ones of the run's own samples,
+   not a histogram's reading of them. *)
+let loadgen_exact_quantiles () =
+  with_server ~rho:1_000_000. ~sigma:1000 (fun srv ->
+      let r = loadgen_on ~requests:2_000 srv in
+      List.iter
+        (fun (label, q, got) ->
+          check_bool
+            (Printf.sprintf "%s %.6f is the closest-rank interpolation" label
+               got)
+            true
+            (got = closest_rank r q))
+        [
+          ("p50", 0.50, r.Loadgen.p50);
+          ("p99", 0.99, r.Loadgen.p99);
+          ("p999", 0.999, r.Loadgen.p999);
+        ])
+
+(* The five checks of `aqt_sim loadgen --selftest`, at small scale: a
+   closed loop far past a (rho,sigma) budget passes them all, and the
+   same run judged against a rho it could not have kept fails the
+   envelope alone.  The 200s exceed sigma by about rho*T, and the
+   envelope's slack is 64 requests, so the run must last well over 32
+   ms for rho = 20 to fail: 10,000 requests took 0.14-0.18 s on a
+   2-vCPU host, 3,000 only 0.06 s. *)
+let loadgen_envelope_checks () =
+  with_server ~rho:2000. ~sigma:200 (fun srv ->
+      let requests = 10_000 in
+      let admitted =
+        "/simulate?network=ring:4&policy=fifo&rate=1/4&horizon=60&seed=1"
+      in
+      let r = loadgen_on ~conns:2 ~paths:[ (1, admitted) ] ~requests srv in
+      let checks ~rho = Loadgen.envelope_checks ~rho ~sigma:200 ~requests r in
+      let failing ~rho =
+        List.filter_map
+          (fun c -> if c.Loadgen.passed then None else Some c.Loadgen.name)
+          (checks ~rho)
+      in
+      check_int "five checks" 5 (List.length (checks ~rho:2000.));
+      Alcotest.(check (list string)) "all five pass" [] (failing ~rho:2000.);
+      Alcotest.(check (list string))
+        "rho = 20 fails the envelope" [ "envelope" ] (failing ~rho:20.))
+
+(* The journal series, read the way Report.render_loadgen_latency reads
+   it: one snapshot per tick, each with the exact quantiles of every
+   request answered by that tick. *)
+let loadgen_journal_series () =
+  with_server ~rho:1_000_000. ~sigma:1000 (fun srv ->
+      let r = loadgen_on ~conns:4 ~requests:1_000 srv in
+      let dir = temp_dir () in
+      let series ~every =
+        let path = Filename.concat dir (Printf.sprintf "%g.jsonl" every) in
+        Loadgen.write_journal ~every ~path r;
+        List.filter_map
+          (function
+            | Journal.Snapshot { label = "loadgen"; values; _ } -> Some values
+            | _ -> None)
+          (Journal.load path)
+      in
+      let every = r.Loadgen.duration /. 3.5 in
+      let snaps = series ~every in
+      check_int "one snapshot per tick" 4 (List.length snaps);
+      List.iteri
+        (fun k values ->
+          let t =
+            if k = 3 then r.Loadgen.duration else float_of_int (k + 1) *. every
+          in
+          check_bool "elapsed_s is the tick" true
+            (List.assoc_opt "elapsed_s" values = Some t);
+          List.iter
+            (fun (key, q) ->
+              let keep id = r.Loadgen.finish.(id) <= t in
+              check_bool
+                (Printf.sprintf "tick %d %s" (k + 1) key)
+                true
+                (List.assoc_opt key values = Some (closest_rank r ~keep q)))
+            [
+              ("loadgen_request_seconds_p50", 0.50);
+              ("loadgen_request_seconds_p99", 0.99);
+              ("loadgen_request_seconds_p999", 0.999);
+            ])
+        snaps;
+      check_bool "the last tick repeats the summary" true
+        (List.assoc_opt "loadgen_request_seconds_p999" (List.nth snaps 3)
+        = Some r.Loadgen.p999);
+      check_int "every = 0 writes the final snapshot only" 1
+        (List.length (series ~every:0.)))
 
 let loadgen_open_loop_smoke () =
   with_server ~rho:1_000_000. ~sigma:1000 (fun srv ->
@@ -1570,5 +1674,8 @@ let () =
             loadgen_closed_loop_smoke;
           Alcotest.test_case "open-loop smoke" `Quick loadgen_open_loop_smoke;
           Alcotest.test_case "report formats" `Quick loadgen_report_formats;
+          Alcotest.test_case "exact quantiles" `Quick loadgen_exact_quantiles;
+          Alcotest.test_case "envelope checks" `Quick loadgen_envelope_checks;
+          Alcotest.test_case "journal series" `Quick loadgen_journal_series;
         ] );
     ]
